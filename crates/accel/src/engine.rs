@@ -24,6 +24,7 @@ use cim_machine::units::SimTime;
 use cim_machine::Machine;
 
 use crate::buffers::BufferKind;
+use crate::estimate::gemv_step_time;
 use crate::shard::{partition_grid, plan_waves, GridRegion, InstallClock, Wave};
 use crate::tile::{GemvReceipt, InstallReceipt, TileKey};
 use crate::timeline::EventKind;
@@ -176,22 +177,6 @@ fn batch_is_independent(params: &[GemmParams]) -> bool {
 }
 
 impl CimAccelerator {
-    /// Per-step time of one GEMV wave: crossbar compute (all active tiles
-    /// fire simultaneously) vs. the aggregate DMA traffic of the step,
-    /// moved as one gather descriptor chain per direction. With double
-    /// buffering (Section II-C) DMA overlaps compute. Shared by the
-    /// functional engine and the analytic estimator so they can never
-    /// diverge.
-    pub(crate) fn gemv_step_time(&self, in_bytes: u64, out_rmw_bytes: u64) -> (SimTime, SimTime) {
-        let compute = self.cfg.energy.compute_time(1);
-        let dma = self.bus_cfg.dma_time(in_bytes) + self.bus_cfg.dma_time(out_rmw_bytes);
-        if self.cfg.double_buffering {
-            (compute.max(dma), dma)
-        } else {
-            (compute + dma, dma)
-        }
-    }
-
     /// How many host worker threads to simulate `units` independent tiles
     /// of one wave with. `sim_threads = 0` engages the host's parallelism
     /// only for paper-geometry tiles (small test crossbars would pay more
@@ -514,7 +499,7 @@ impl CimAccelerator {
                     }
                     out_bytes += (mt * 4 * if reads_c { 2 } else { 1 }) as u64;
                 }
-                let (step, dma_t) = self.gemv_step_time(in_bytes, out_bytes);
+                let (step, dma_t) = gemv_step_time(&self.cfg, &self.bus_cfg, in_bytes, out_bytes);
                 t += step;
                 if dma_t > self.cfg.energy.compute_time(1) {
                     self.stats.dma_exposed_time += dma_t - self.cfg.energy.compute_time(1);
@@ -712,7 +697,7 @@ impl CimAccelerator {
                 self.dma.write_f32s(mach, obase, &oseg);
                 let in_bytes = (p.fh * valid * 4) as u64;
                 let out_bytes = (2 * n_out * 4) as u64;
-                let (step, dma_t) = self.gemv_step_time(in_bytes, out_bytes);
+                let (step, dma_t) = gemv_step_time(&self.cfg, &self.bus_cfg, in_bytes, out_bytes);
                 t += step;
                 let useful = (p.fh * p.fw * n_out) as u64;
                 self.account_gemv(

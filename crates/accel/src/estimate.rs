@@ -93,6 +93,27 @@ fn fits_one_wave(cfg: &AccelConfig, grid: (usize, usize), m: usize, k: usize) ->
     k.div_ceil(cfg.rows) <= grid.0 && m.div_ceil(cfg.cols) <= grid.1
 }
 
+/// Per-step time of one GEMV wave: crossbar compute (all active tiles
+/// fire simultaneously) vs. the aggregate DMA traffic of the step, moved
+/// as one gather descriptor chain per direction. With double buffering
+/// (Section II-C) DMA overlaps compute. Returns `(step, dma)`. The one
+/// formula the functional engine and this estimator both use, so they
+/// can never diverge.
+pub(crate) fn gemv_step_time(
+    cfg: &AccelConfig,
+    bus: &BusConfig,
+    in_bytes: u64,
+    out_rmw_bytes: u64,
+) -> (SimTime, SimTime) {
+    let compute = cfg.energy.compute_time(1);
+    let dma = bus.dma_time(in_bytes) + bus.dma_time(out_rmw_bytes);
+    if cfg.double_buffering {
+        (compute.max(dma), dma)
+    } else {
+        (compute + dma, dma)
+    }
+}
+
 /// [`estimate_gemm`] confined to a sub-grid of `grid` lanes — the
 /// per-region building block the batched estimator composes, mirroring
 /// [`crate::CimAccelerator`]'s region-scoped execution.
@@ -149,9 +170,7 @@ fn estimate_gemm_on(
         let in_bytes: u64 = wave.k_spans.iter().map(|s| (s.len * 4) as u64).sum();
         let out_bytes: u64 =
             wave.m_spans.iter().map(|s| (s.len * 4 * if reads_c { 2 } else { 1 }) as u64).sum();
-        let dma = bus.dma_time(in_bytes) + bus.dma_time(out_bytes);
-        let compute = e.compute_time(1);
-        let step = if cfg.double_buffering { compute.max(dma) } else { compute + dma };
+        let (step, _) = gemv_step_time(cfg, bus, in_bytes, out_bytes);
         est.time += step * n as f64;
         est.dma_bytes += (in_bytes + out_bytes) * n as u64;
         for ms in &wave.m_spans {
@@ -274,9 +293,7 @@ pub fn estimate_conv2d(
             let valid = seg_in.min(w - s0);
             let in_bytes = (fh * valid * 4) as u64;
             let out_bytes = (2 * n_out * 4) as u64; // read-modify-write
-            let dma = bus.dma_time(in_bytes) + bus.dma_time(out_bytes);
-            let compute = e.compute_time(1);
-            let step = if cfg.double_buffering { compute.max(dma) } else { compute + dma };
+            let (step, _) = gemv_step_time(cfg, bus, in_bytes, out_bytes);
             est.time += step;
             est.gemvs += 1;
             est.macs += (fh * fw * n_out) as u64;

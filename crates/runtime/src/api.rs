@@ -81,20 +81,20 @@ impl PendingCmd {
 }
 
 /// The hardware a context (or N tenant contexts) submits against: one
-/// accelerator, one kernel driver — rings, dispatch queue, reactor —
-/// and, when the device is fronted by [`crate::serve::CimServer`], the
-/// serving scheduler that space/time-multiplexes the tile grid.
+/// accelerator, one kernel driver — the reactor's rings and in-flight
+/// table — and, when the device is fronted by
+/// [`crate::serve::CimServer`], the serving scheduler that
+/// space/time-multiplexes the tile grid.
 ///
 /// A plain [`CimContext::new`] wraps a private device (the historical
 /// single-program shape); the serving layer instead builds one device
 /// and hands every tenant a context over the same [`SharedDevice`], so
-/// all tenants share the reactor's rings and the dispatch queue's
-/// per-region doorbells.
+/// all tenants share the reactor's rings and per-region doorbells.
 #[derive(Debug)]
 pub struct CimDevice {
     /// The modeled accelerator.
     pub accel: CimAccelerator,
-    /// The kernel driver session (shared rings + dispatch queue).
+    /// The kernel driver session (shared rings + in-flight table).
     pub driver: CimDriver,
     /// Serving scheduler — `None` for private single-program devices.
     pub scheduler: Option<GridScheduler>,
@@ -319,11 +319,11 @@ impl CimContext {
             let outcome = match dev.driver.config().dispatch {
                 DispatchMode::Sync => dev
                     .driver
-                    .invoke_region(mach, &mut dev.accel, region, &reads, &writes)
+                    .invoke(mach, &mut dev.accel, region, &reads, &writes)
                     .map(|busy| (busy, None)),
                 DispatchMode::Async => dev
                     .driver
-                    .submit_region(mach, &mut dev.accel, region, &reads, &writes)
+                    .submit(mach, &mut dev.accel, region, &reads, &writes)
                     .map(|future| (future.busy, Some(future))),
             };
             // Queue-full backpressure lands on the tenant whose

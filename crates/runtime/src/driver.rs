@@ -102,12 +102,6 @@ pub struct DriverConfig {
     /// Tile-grid override `(k_tiles, m_tiles)`: when set, the context
     /// reshapes the accelerator's tile array.
     pub tile_grid: Option<(usize, usize)>,
-    /// Completion reactor: batch status reads across all in-flight
-    /// commands through ring-buffer submission/completion queues (the
-    /// default). When off, every [`CimDriver::sync`] runs its own
-    /// per-future wait loop against the status register — the
-    /// pre-reactor behavior, kept as the differential-test reference.
-    pub reactor: bool,
     /// Slots in each reactor ring. Submissions finding the ring full
     /// stall the host (counted in [`DriverStats::queue_full_stalls`])
     /// until the pinning command's doorbell is claimed.
@@ -126,7 +120,6 @@ impl Default for DriverConfig {
             flush: FlushMode::Ranges,
             device: None,
             tile_grid: None,
-            reactor: true,
             queue_capacity: 64,
         }
     }
@@ -222,10 +215,10 @@ impl DriverStats {
 
 /// Completion handle for a command dispatched with [`CimDriver::submit`]:
 /// the driver's prediction of when the accelerator will flip its status
-/// register, plus the command's busy time. Plain data — dropping it
-/// without waiting leaks nothing (the queue entry retires on the next
-/// [`CimDriver::sync`] sweep), but the host then never charges itself
-/// the residual wait, so well-behaved callers always sync.
+/// register, plus the command's busy time. Plain data, but the reactor
+/// keeps the command's record until [`CimDriver::sync`] claims it, and
+/// only the sync charges the host its residual wait, so well-behaved
+/// callers always sync.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CimFuture {
     /// Logical command id ([`CimAccelerator::last_cmd`]).
@@ -239,115 +232,11 @@ pub struct CimFuture {
     pub busy: SimTime,
 }
 
-impl CimFuture {
-    /// Blocks the host until the command completes, applying the
-    /// driver's [`WaitPolicy`] to whatever wait remains after overlapped
-    /// host work. Sugar for [`CimDriver::sync`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`CimDriver::sync`].
-    pub fn wait(
-        &self,
-        mach: &mut Machine,
-        drv: &mut CimDriver,
-        acc: &mut CimAccelerator,
-    ) -> Result<SimTime, CimError> {
-        drv.sync(mach, acc, self)
-    }
-}
-
-/// One in-flight command as the dispatch queue sees it: its completion
-/// handle, the tile region it occupies, and the physical ranges it reads
-/// and writes — the node of the runtime-side offload dataflow graph.
-#[derive(Debug, Clone)]
-struct InflightCmd {
-    future: CimFuture,
-    region: GridRegion,
-    reads: Vec<(u64, u64)>,
-    writes: Vec<(u64, u64)>,
-}
-
-fn ranges_overlap(xs: &[(u64, u64)], ys: &[(u64, u64)]) -> bool {
-    xs.iter().any(|&x| ys.iter().any(|&y| crate::ranges::overlaps(x, y)))
-}
-
-/// In-flight command bookkeeping: which tile regions are busy until
-/// when, and which physical ranges each command touches. A new
-/// submission starts only after every in-flight command it conflicts
-/// with — commands whose tiles overlap (they share physical crossbars),
-/// or commands with a PA-range data dependence (the newcomer writes
-/// something they touch, or reads something they write). Independent
-/// commands on disjoint regions overlap freely: this per-region doorbell
-/// is what lets *separate* runtime calls (not just elements of one
-/// batched call) run concurrently.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchQueue {
-    inflight: Vec<InflightCmd>,
-}
-
-impl DispatchQueue {
-    /// Earliest time a command occupying `region` and touching
-    /// `reads`/`writes` may start, given the current host time and
-    /// conflicting in-flight commands.
-    pub fn earliest_start(
-        &self,
-        region: GridRegion,
-        reads: &[(u64, u64)],
-        writes: &[(u64, u64)],
-        now: SimTime,
-    ) -> SimTime {
-        self.inflight
-            .iter()
-            .filter(|c| {
-                c.region.overlaps(&region)
-                    || ranges_overlap(writes, &c.writes)
-                    || ranges_overlap(writes, &c.reads)
-                    || ranges_overlap(reads, &c.writes)
-            })
-            .fold(now, |t, c| t.max(c.future.ready_at))
-    }
-
-    /// Records a submitted command.
-    pub fn push(
-        &mut self,
-        future: CimFuture,
-        region: GridRegion,
-        reads: Vec<(u64, u64)>,
-        writes: Vec<(u64, u64)>,
-    ) {
-        self.inflight.push(InflightCmd { future, region, reads, writes });
-    }
-
-    /// Sum of region tiles of the commands *running* at `when` — already
-    /// started, not yet done. Commands merely queued behind their
-    /// region's chain do not occupy tiles yet.
-    pub fn tiles_busy_at(&self, when: SimTime) -> u64 {
-        self.inflight
-            .iter()
-            .filter(|c| c.future.ready_at > when && c.future.ready_at - c.future.busy <= when)
-            .map(|c| c.region.tiles() as u64)
-            .sum()
-    }
-
-    /// Drops a completed command (and everything predicted done by
-    /// `now`, which can no longer constrain a future submission).
-    pub fn retire(&mut self, cmd_id: u64, now: SimTime) {
-        self.inflight.retain(|c| c.future.cmd_id != cmd_id && c.future.ready_at > now);
-    }
-
-    /// Commands currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-}
-
 /// The kernel driver.
 #[derive(Debug, Clone)]
 pub struct CimDriver {
     cfg: DriverConfig,
     stats: DriverStats,
-    queue: DispatchQueue,
     reactor: Reactor,
 }
 
@@ -368,20 +257,10 @@ impl CimDriver {
         if let Err(e) = cfg.validate() {
             panic!("invalid driver configuration: {e}");
         }
-        CimDriver {
-            cfg,
-            stats: DriverStats::default(),
-            queue: DispatchQueue::default(),
-            reactor: Reactor::new(cfg.queue_capacity),
-        }
+        CimDriver { cfg, stats: DriverStats::default(), reactor: Reactor::new(cfg.queue_capacity) }
     }
 
-    /// The dispatch queue (in-flight command inspection).
-    pub fn queue(&self) -> &DispatchQueue {
-        &self.queue
-    }
-
-    /// The completion reactor (ring-state inspection).
+    /// The completion reactor: the rings and the in-flight command table.
     pub fn reactor(&self) -> &Reactor {
         &self.reactor
     }
@@ -425,22 +304,24 @@ impl CimDriver {
     ) {
         for (r, v) in regs {
             acc.pmio_write(*r, *v);
-            let t = mach.bus.pmio_access();
-            mach.core.idle_wait(t);
-            mach.core.retire(InstClass::Store, 1);
-            mach.core.retire(InstClass::IntAlu, self.cfg.reg_access_insts - 1);
-            self.stats.reg_accesses += 1;
+            self.charge_pmio(mach, InstClass::Store);
         }
     }
 
     /// Reads a context register over PMIO.
     pub fn read_reg(&mut self, mach: &mut Machine, acc: &CimAccelerator, r: Reg) -> u64 {
+        self.charge_pmio(mach, InstClass::Load);
+        acc.pmio_read(r)
+    }
+
+    /// Charges one context-register access: the bus round trip, the
+    /// load or store itself and `reg_access_insts - 1` ALU instructions.
+    fn charge_pmio(&mut self, mach: &mut Machine, access: InstClass) {
         let t = mach.bus.pmio_access();
         mach.core.idle_wait(t);
-        mach.core.retire(InstClass::Load, 1);
+        mach.core.retire(access, 1);
         mach.core.retire(InstClass::IntAlu, self.cfg.reg_access_insts - 1);
         self.stats.reg_accesses += 1;
-        acc.pmio_read(r)
     }
 
     /// Flushes the host caches for the given physical ranges (or the whole
@@ -472,31 +353,43 @@ impl CimDriver {
         mach.core.retire(InstClass::Other, insts);
     }
 
-    /// Charges a polled wait of `remaining` to the host: the core idles
-    /// between periodic wake-ups and the wake-up instructions overlap
-    /// the wait window, so exactly `remaining` elapses. (The historical
-    /// accounting appended the poll instructions *after* the idle wait,
-    /// so a wait completing on its first status read still overshot the
-    /// completion instant by a full poll's instruction time.) Returns
-    /// the number of polls; the caller bills the status reads.
-    fn charge_polled_wait(
-        &mut self,
-        mach: &mut Machine,
-        remaining: SimTime,
-        interval: SimTime,
-        insts_per_poll: u64,
-    ) -> u64 {
-        // Clamped defensively: see `MIN_POLL_INTERVAL_NS`.
-        let iv_ns = interval.as_ns().max(MIN_POLL_INTERVAL_NS);
-        let polls = (remaining.as_ns() / iv_ns).ceil().max(1.0) as u64;
-        let before = mach.core.elapsed();
-        mach.core.retire(InstClass::Other, polls * insts_per_poll);
-        let inst_time = mach.core.elapsed() - before;
-        if remaining > inst_time {
-            mach.core.idle_wait(remaining - inst_time);
+    /// Waits per the configured policy until `until` (no-op when the
+    /// host is already there). Spun time lands in
+    /// [`DriverStats::busy_wait_time`], polled (idle) time in
+    /// [`DriverStats::idle_wait_time`]. Returns the number of polled
+    /// wake-ups — zero for a spin or when there was nothing to wait for;
+    /// the caller bills the status reads.
+    fn wait_until(&mut self, mach: &mut Machine, until: SimTime) -> u64 {
+        let now = mach.now();
+        if until <= now {
+            return 0;
         }
-        self.stats.idle_wait_time += remaining;
-        polls
+        let remaining = until - now;
+        match self.cfg.wait {
+            WaitPolicy::Spin => {
+                mach.core.spin_wait(remaining);
+                self.stats.busy_wait_time += remaining;
+                0
+            }
+            WaitPolicy::Poll { interval, insts_per_poll } => {
+                // The core idles between periodic wake-ups and the
+                // wake-up instructions overlap the wait window, so
+                // exactly `remaining` elapses — a wait completing on its
+                // first poll must not overshoot by the poll's
+                // instruction time. Clamped defensively: see
+                // `MIN_POLL_INTERVAL_NS`.
+                let iv_ns = interval.as_ns().max(MIN_POLL_INTERVAL_NS);
+                let polls = (remaining.as_ns() / iv_ns).ceil().max(1.0) as u64;
+                let before = mach.core.elapsed();
+                mach.core.retire(InstClass::Other, polls * insts_per_poll);
+                let inst_time = mach.core.elapsed() - before;
+                if remaining > inst_time {
+                    mach.core.idle_wait(remaining - inst_time);
+                }
+                self.stats.idle_wait_time += remaining;
+                polls
+            }
+        }
     }
 
     /// One batched host sweep of the completion queue, billed as
@@ -523,20 +416,7 @@ impl CimDriver {
                 .reactor
                 .blocking_ready_at()
                 .expect("a full submission ring implies an in-flight pinning command");
-            let now = mach.now();
-            let mut polls = 1;
-            if wake > now {
-                let remaining = wake - now;
-                match self.cfg.wait {
-                    WaitPolicy::Spin => {
-                        mach.core.spin_wait(remaining);
-                        self.stats.busy_wait_time += remaining;
-                    }
-                    WaitPolicy::Poll { interval, insts_per_poll } => {
-                        polls = self.charge_polled_wait(mach, remaining, interval, insts_per_poll);
-                    }
-                }
-            }
+            let polls = self.wait_until(mach, wake).max(1);
             // Cycle-granular waits can land a fraction of a cycle short
             // of `wake`; sweep at the later of the two so the pinning
             // command's doorbell is guaranteed to post.
@@ -544,40 +424,23 @@ impl CimDriver {
         }
     }
 
-    /// Triggers the armed command without waiting for it: the command
-    /// executes (functionally) at submission, the dispatch queue records
-    /// when the modeled hardware will actually be done — after any
-    /// in-flight command whose tiles it needs — and the host is free to
-    /// "continue with other tasks" ([`Machine::advance_host`]) until it
-    /// pays the *remaining* wait in [`CimDriver::sync`]. Occupies the
-    /// full tile grid; [`CimDriver::submit_region`] is the per-region
-    /// doorbell variant.
+    /// Triggers the armed command without waiting for it. The command
+    /// occupies `region` (which the caller must also have armed via
+    /// [`cim_accel::regs::Reg::Region`]) and declares the physical
+    /// ranges it reads and writes. It executes (functionally) at
+    /// submission; the reactor's in-flight table holds its modeled start
+    /// behind unclaimed work it conflicts with — shared tiles or a
+    /// PA-range data dependence — and lets it overlap everything else,
+    /// so separate runtime calls on disjoint regions run concurrently.
+    /// The host is free to "continue with other tasks"
+    /// ([`Machine::advance_host`]) until it pays the *remaining* wait in
+    /// [`CimDriver::sync`].
     ///
     /// # Errors
     ///
     /// Returns [`CimError::Device`] if the engine flagged an error (the
-    /// command then never entered the queue).
+    /// command then never entered the rings).
     pub fn submit(
-        &mut self,
-        mach: &mut Machine,
-        acc: &mut CimAccelerator,
-    ) -> Result<CimFuture, CimError> {
-        let region = GridRegion::full(acc.config().grid);
-        self.submit_region(mach, acc, region, &[], &[])
-    }
-
-    /// As [`CimDriver::submit`], but the command occupies only `region`
-    /// (which the caller must also have armed via
-    /// [`cim_accel::regs::Reg::Region`]) and declares the physical
-    /// ranges it reads and writes. The dispatch queue holds the command
-    /// behind in-flight work it conflicts with — shared tiles or a
-    /// PA-range data dependence — and lets it overlap everything else,
-    /// so separate runtime calls on disjoint regions run concurrently.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CimDriver::submit`].
-    pub fn submit_region(
         &mut self,
         mach: &mut Machine,
         acc: &mut CimAccelerator,
@@ -586,14 +449,12 @@ impl CimDriver {
         writes: &[(u64, u64)],
     ) -> Result<CimFuture, CimError> {
         self.stats.invocations += 1;
-        if self.cfg.reactor {
-            // The doorbell cannot ring until the submission ring has a
-            // slot: a full ring stalls the host first, which pushes the
-            // start instant (and everything behind it) later.
-            self.admit(mach, acc);
-        }
+        // The doorbell cannot ring until the submission ring has a slot:
+        // a full ring stalls the host first, which pushes the start
+        // instant (and everything behind it) later.
+        self.admit(mach, acc);
         let now = mach.now();
-        let start = self.queue.earliest_start(region, reads, writes, now);
+        let start = self.reactor.earliest_start(region, reads, writes, now);
         let dur = acc.execute_at(mach, start);
         if acc.regs().status() == Status::Error {
             let e = acc.last_error().cloned().expect("error status implies last_error");
@@ -603,7 +464,7 @@ impl CimDriver {
         // construction, conflict-free with us — disjoint sub-regions
         // whose tile counts are exact. Account the cross-command
         // concurrency (the engine only sees inside a single command).
-        let busy = self.queue.tiles_busy_at(start);
+        let busy = self.reactor.tiles_busy_at(start);
         if busy > 0 {
             acc.note_tiles_active(busy + region.tiles() as u64);
         }
@@ -613,11 +474,15 @@ impl CimDriver {
             ready_at: start + dur,
             busy: dur,
         };
-        if self.cfg.reactor {
-            let rec = CmdRecord { cmd_id: future.cmd_id, ready_at: future.ready_at, busy: dur };
-            self.reactor.submit(rec).expect("admit() guaranteed a free submission slot");
-        }
-        self.queue.push(future, region, reads.to_vec(), writes.to_vec());
+        let rec = CmdRecord {
+            cmd_id: future.cmd_id,
+            ready_at: future.ready_at,
+            busy: dur,
+            region,
+            reads: reads.to_vec(),
+            writes: writes.to_vec(),
+        };
+        self.reactor.submit(rec).expect("admit() guaranteed a free submission slot");
         Ok(future)
     }
 
@@ -638,73 +503,46 @@ impl CimDriver {
         acc: &mut CimAccelerator,
         future: &CimFuture,
     ) -> Result<SimTime, CimError> {
-        if self.cfg.reactor && self.reactor.claim(future.cmd_id) {
+        if self.reactor.claim(future.cmd_id) {
             // An earlier batched sweep already delivered this command's
             // doorbell: the completion record sits in host memory, so
             // the sync costs nothing — no wait, no device access.
-            self.queue.retire(future.cmd_id, mach.now());
             return Ok(future.busy);
         }
-        let now = mach.now();
-        let mut polls = 0;
-        if future.ready_at > now {
-            let remaining = future.ready_at - now;
-            match self.cfg.wait {
-                WaitPolicy::Spin => {
-                    mach.core.spin_wait(remaining);
-                    self.stats.busy_wait_time += remaining;
-                }
-                WaitPolicy::Poll { interval, insts_per_poll } => {
-                    polls = self.charge_polled_wait(mach, remaining, interval, insts_per_poll);
-                    if !self.cfg.reactor {
-                        // Legacy polling hits the PMIO status register
-                        // on every wake-up.
-                        self.stats.reg_accesses += polls;
-                        self.stats.status_reads += polls;
-                    }
-                }
+        let waited_polls = self.wait_until(mach, future.ready_at);
+        let polls = match self.cfg.wait {
+            WaitPolicy::Spin => {
+                // The spin loop ends on the PMIO read observing the
+                // status flip; the read doubles as the batched doorbell
+                // sweep for everything else that retired meanwhile.
+                let _ = self.read_reg(mach, acc, Reg::Status);
+                1
             }
-        }
-        if self.cfg.reactor {
-            match self.cfg.wait {
-                WaitPolicy::Spin => {
-                    // The spin loop ends on the PMIO read observing the
-                    // status flip (same cost as the legacy path); the
-                    // read doubles as the batched doorbell sweep for
-                    // everything else that retired meanwhile.
-                    let _ = self.read_reg(mach, acc, Reg::Status);
-                    polls = 1;
+            WaitPolicy::Poll { insts_per_poll, .. } => {
+                // Polled wake-ups read the completion-queue head in
+                // cacheable shared memory — no PMIO. A command found
+                // already complete costs one such read.
+                if waited_polls == 0 {
+                    mach.core.retire(InstClass::Other, insts_per_poll);
                 }
-                WaitPolicy::Poll { insts_per_poll, .. } => {
-                    // Polled wake-ups read the completion-queue head in
-                    // cacheable shared memory — no PMIO. A command
-                    // found already complete costs one such read.
-                    if polls == 0 {
-                        mach.core.retire(InstClass::Other, insts_per_poll);
-                        polls = 1;
-                    }
-                }
+                waited_polls.max(1)
             }
-            // Cycle-granular waits can land a fraction of a cycle short
-            // of `ready_at`; sweep at the later of the two so this
-            // command's doorbell is guaranteed to post.
-            self.poll_reactor(acc, mach.now().max(future.ready_at), polls);
-            // Normally claims the doorbell the sweep just delivered; a
-            // re-synced future (scratch-release retry) is already gone
-            // and the claim is a benign no-op.
-            let _ = self.reactor.claim(future.cmd_id);
-        } else {
-            // Final status read confirming completion.
-            let _ = self.read_reg(mach, acc, Reg::Status);
-            self.stats.status_reads += 1;
-        }
-        self.queue.retire(future.cmd_id, mach.now());
+        };
+        // Cycle-granular waits can land a fraction of a cycle short of
+        // `ready_at`; sweep at the later of the two so this command's
+        // doorbell is guaranteed to post.
+        self.poll_reactor(acc, mach.now().max(future.ready_at), polls);
+        // Normally claims the doorbell the sweep just delivered; a
+        // re-synced future (scratch-release retry) is already gone and
+        // the claim is a benign no-op.
+        let _ = self.reactor.claim(future.cmd_id);
         Ok(future.busy)
     }
 
     /// Triggers the armed command and waits for completion per the wait
-    /// policy — submit and sync back-to-back, the blocking path of
-    /// [`DispatchMode::Sync`]. Returns the accelerator busy time.
+    /// policy — [`CimDriver::submit`] and [`CimDriver::sync`]
+    /// back-to-back, the blocking path of [`DispatchMode::Sync`].
+    /// Returns the accelerator busy time.
     ///
     /// # Errors
     ///
@@ -713,26 +551,11 @@ impl CimDriver {
         &mut self,
         mach: &mut Machine,
         acc: &mut CimAccelerator,
-    ) -> Result<SimTime, CimError> {
-        let future = self.submit(mach, acc)?;
-        self.sync(mach, acc, &future)
-    }
-
-    /// [`CimDriver::invoke`] confined to `region` with declared operand
-    /// ranges — the blocking counterpart of [`CimDriver::submit_region`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CimError::Device`] if the engine flagged an error.
-    pub fn invoke_region(
-        &mut self,
-        mach: &mut Machine,
-        acc: &mut CimAccelerator,
         region: GridRegion,
         reads: &[(u64, u64)],
         writes: &[(u64, u64)],
     ) -> Result<SimTime, CimError> {
-        let future = self.submit_region(mach, acc, region, reads, writes)?;
+        let future = self.submit(mach, acc, region, reads, writes)?;
         self.sync(mach, acc, &future)
     }
 }
@@ -748,6 +571,26 @@ mod tests {
         let mach = Machine::new(MachineConfig::test_small());
         let acc = CimAccelerator::new(AccelConfig::test_small(), mach.cfg.bus);
         (mach, acc, CimDriver::new(DriverConfig::default()))
+    }
+
+    /// Submits the armed command on the whole grid, declaring no ranges.
+    fn submit(
+        mach: &mut Machine,
+        acc: &mut CimAccelerator,
+        drv: &mut CimDriver,
+    ) -> Result<CimFuture, CimError> {
+        let grid = GridRegion::full(acc.config().grid);
+        drv.submit(mach, acc, grid, &[], &[])
+    }
+
+    /// Blocking counterpart of [`submit`].
+    fn invoke(
+        mach: &mut Machine,
+        acc: &mut CimAccelerator,
+        drv: &mut CimDriver,
+    ) -> Result<SimTime, CimError> {
+        let grid = GridRegion::full(acc.config().grid);
+        drv.invoke(mach, acc, grid, &[], &[])
     }
 
     fn arm_identity_gemv(mach: &mut Machine, acc: &mut CimAccelerator, drv: &mut CimDriver) -> u64 {
@@ -798,7 +641,7 @@ mod tests {
         let (mut mach, mut acc, mut drv) = setup();
         let y = arm_identity_gemv(&mut mach, &mut acc, &mut drv);
         let insts_before = mach.core.instructions();
-        let dur = drv.invoke(&mut mach, &mut acc).expect("gemv ok");
+        let dur = invoke(&mut mach, &mut acc, &mut drv).expect("gemv ok");
         assert!(dur.as_us() > 1.0); // at least one row-program + compute
 
         // Spin burns about one instruction per cycle of the wait, and the
@@ -818,7 +661,7 @@ mod tests {
         drv.cfg.wait = WaitPolicy::Poll { interval: SimTime::from_us(10.0), insts_per_poll: 20 };
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
         let before = mach.core.instructions();
-        let dur = drv.invoke(&mut mach, &mut acc).expect("gemv ok");
+        let dur = invoke(&mut mach, &mut acc, &mut drv).expect("gemv ok");
         let retired = mach.core.instructions() - before;
         assert!(retired < dur.to_cycles(mach.cfg.freq_hz) / 10);
         assert_eq!(mach.core.spin_instructions(), 0);
@@ -848,7 +691,7 @@ mod tests {
         drv.cfg.wait = WaitPolicy::Poll { interval: SimTime::ZERO, insts_per_poll: 2 };
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
         let reads_before = drv.stats().status_reads;
-        let dur = drv.invoke(&mut mach, &mut acc).expect("gemv ok");
+        let dur = invoke(&mut mach, &mut acc, &mut drv).expect("gemv ok");
         // One poll per clamped (1 ns) interval at most — finite and sane
         // (+1 for a final confirming read).
         let max_polls = dur.as_ns().ceil() as u64 + 1;
@@ -865,7 +708,7 @@ mod tests {
         let insts_per_poll = 200;
         drv.cfg.wait = WaitPolicy::Poll { interval: SimTime::from_us(10_000.0), insts_per_poll };
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
-        let fut = drv.submit(&mut mach, &mut acc).expect("submit ok");
+        let fut = submit(&mut mach, &mut acc, &mut drv).expect("submit ok");
         drv.sync(&mut mach, &mut acc, &fut).expect("sync ok");
         let cycle_ns = 1e9 / mach.cfg.freq_hz;
         let over = mach.now().as_ns() - fut.ready_at.as_ns();
@@ -886,9 +729,9 @@ mod tests {
         // nothing — no wait, no device access, no clock movement.
         let (mut mach, mut acc, mut drv) = setup();
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
-        let f1 = drv.submit(&mut mach, &mut acc).expect("first");
+        let f1 = submit(&mut mach, &mut acc, &mut drv).expect("first");
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
-        let f2 = drv.submit(&mut mach, &mut acc).expect("second");
+        let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
         drv.sync(&mut mach, &mut acc, &f2).expect("sync 2");
         assert_eq!(drv.stats().completions_polled, 2, "one sweep delivered both");
         let (insts, cycles) = mach.core.checkpoint();
@@ -896,20 +739,8 @@ mod tests {
         drv.sync(&mut mach, &mut acc, &f1).expect("sync 1");
         assert_eq!(mach.core.checkpoint(), (insts, cycles), "claim is free");
         assert_eq!(drv.stats().status_reads, reads, "no extra status read");
-        assert_eq!(drv.queue().in_flight(), 0);
-    }
-
-    #[test]
-    fn legacy_mode_bypasses_the_reactor() {
-        let (mut mach, mut acc, mut drv) = setup();
-        drv.cfg.reactor = false;
-        arm_identity_gemv(&mut mach, &mut acc, &mut drv);
-        let dur = drv.invoke(&mut mach, &mut acc).expect("gemv ok");
-        assert!(dur > SimTime::ZERO);
-        assert_eq!(drv.stats().batched_polls, 0);
-        assert_eq!(drv.stats().completions_polled, 0);
-        assert_eq!(drv.stats().status_reads, 1, "only the final PMIO read");
-        assert_eq!(drv.reactor().in_flight(), 0, "nothing entered the rings");
+        assert_eq!(drv.reactor().in_flight(), 0);
+        assert_eq!(drv.reactor().unclaimed(), 0);
     }
 
     #[test]
@@ -925,7 +756,7 @@ mod tests {
         let (mut mach_ref, mut acc_ref, mut drv_ref) = setup();
         arm_identity_gemv(&mut mach_ref, &mut acc_ref, &mut drv_ref);
         let t_ref0 = mach_ref.now();
-        let dur = drv_ref.invoke(&mut mach_ref, &mut acc_ref).expect("gemv ok");
+        let dur = invoke(&mut mach_ref, &mut acc_ref, &mut drv_ref).expect("gemv ok");
         let blocked = mach_ref.now() - t_ref0;
 
         // Async: submit, overlap half the accelerator time with useful
@@ -933,13 +764,14 @@ mod tests {
         let (mut mach, mut acc, mut drv) = setup();
         let y = arm_identity_gemv(&mut mach, &mut acc, &mut drv);
         let t0 = mach.now();
-        let fut = drv.submit(&mut mach, &mut acc).expect("submit ok");
-        assert_eq!(drv.queue().in_flight(), 1);
+        let fut = submit(&mut mach, &mut acc, &mut drv).expect("submit ok");
+        assert_eq!(drv.reactor().in_flight(), 1);
         assert_eq!(fut.busy, dur);
         let overlapped = mach.advance_host(dur * 0.5);
         assert!(overlapped > 0);
-        fut.wait(&mut mach, &mut drv, &mut acc).expect("sync ok");
-        assert_eq!(drv.queue().in_flight(), 0);
+        drv.sync(&mut mach, &mut acc, &fut).expect("sync ok");
+        assert_eq!(drv.reactor().in_flight(), 0);
+        assert_eq!(drv.reactor().unclaimed(), 0);
         let total = mach.now() - t0;
         // Same wall time as the blocking run (the accelerator bounds it)...
         assert!((total.as_ns() - blocked.as_ns()).abs() < 1.0, "{total} vs {blocked}");
@@ -954,7 +786,7 @@ mod tests {
     fn sync_after_completion_charges_no_wait() {
         let (mut mach, mut acc, mut drv) = setup();
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
-        let fut = drv.submit(&mut mach, &mut acc).expect("submit ok");
+        let fut = submit(&mut mach, &mut acc, &mut drv).expect("submit ok");
         // Host outruns the accelerator: overlap more than the busy time.
         mach.advance_host(fut.busy * 2.0);
         let spin_before = mach.core.spin_instructions();
@@ -967,15 +799,35 @@ mod tests {
     fn queue_serializes_overlapping_regions() {
         let (mut mach, mut acc, mut drv) = setup();
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
-        let f1 = drv.submit(&mut mach, &mut acc).expect("first");
+        let f1 = submit(&mut mach, &mut acc, &mut drv).expect("first");
         // Second command on the same (full-grid) region: the queue holds
         // it until the first command's predicted completion.
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
-        let f2 = drv.submit(&mut mach, &mut acc).expect("second");
+        let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
         assert!(f2.ready_at >= f1.ready_at + f2.busy);
         drv.sync(&mut mach, &mut acc, &f1).expect("sync 1");
         drv.sync(&mut mach, &mut acc, &f2).expect("sync 2");
         assert!(mach.now() >= f2.ready_at);
+    }
+
+    #[test]
+    fn full_ring_stall_keeps_the_pinning_command_in_force() {
+        // Capacity 1: the second submission stalls until the first
+        // command's doorbell is delivered. At 1.1 GHz the cycle-granular
+        // wait ends 0.4 cycles before that command's `ready_at`, so its
+        // delivered-but-unclaimed record must still hold the second
+        // start back.
+        let mut mach =
+            Machine::new(MachineConfig { freq_hz: 1.1e9, ..MachineConfig::test_small() });
+        let mut acc = CimAccelerator::new(AccelConfig::test_small(), mach.cfg.bus);
+        let mut drv = CimDriver::new(DriverConfig { queue_capacity: 1, ..DriverConfig::default() });
+        arm_identity_gemv(&mut mach, &mut acc, &mut drv);
+        let f1 = submit(&mut mach, &mut acc, &mut drv).expect("first");
+        drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
+        let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
+        assert_eq!(drv.stats().queue_full_stalls, 1);
+        assert!(mach.now() < f1.ready_at, "the stall ended short of ready_at");
+        assert!(f2.ready_at >= f1.ready_at + f2.busy, "second started before the first retired");
     }
 
     #[test]
@@ -1009,7 +861,7 @@ mod tests {
         let (mut mach, mut acc, mut drv) = setup();
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemm as u64)]);
         // m=n=k=0 -> BadDims.
-        let err = drv.invoke(&mut mach, &mut acc).unwrap_err();
+        let err = invoke(&mut mach, &mut acc, &mut drv).unwrap_err();
         assert!(matches!(err, CimError::Device(_)));
     }
 

@@ -40,9 +40,7 @@ pub mod stats;
 
 pub use api::{CimContext, CimDevice, DevPtr, SharedDevice, Transpose};
 pub use cim_accel::DeviceKind;
-pub use driver::{
-    CimDriver, CimFuture, DispatchMode, DispatchQueue, DriverConfig, FlushMode, WaitPolicy,
-};
+pub use driver::{CimDriver, CimFuture, DispatchMode, DriverConfig, FlushMode, WaitPolicy};
 pub use error::CimError;
 pub use reactor::{CmdRecord, Completion, Reactor, RingBuffer};
 pub use residency::{ResidencyEntry, ResidencyTable};

@@ -1,7 +1,7 @@
 //! The one overlap predicate for physical byte ranges `(base, len)`.
 //!
-//! Both doorbells — the dispatch queue's per-command conflict check and
-//! the observation points' pending-command check — and the residency
+//! Both doorbells — the reactor's per-command conflict check and the
+//! observation points' pending-command check — and the residency
 //! table key off the same half-open overlap test, defined once here so
 //! the rules (notably: empty ranges touch no bytes) cannot diverge.
 

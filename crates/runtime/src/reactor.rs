@@ -1,9 +1,9 @@
 //! Host-side completion reactor: ring-buffer command/completion queues.
 //!
-//! The paper's driver exposes one status register per context, and the
-//! PR 5 dispatch queue already lets independent commands overlap — but
-//! every `sync` still ran its own wait loop against that register, so a
-//! host draining N futures paid N separate status-read loops. Real
+//! The paper's driver exposes one status register per context. Waiting
+//! on it once per future means a host draining N futures pays N
+//! separate status-read loops, even when independent commands overlapped
+//! on disjoint tiles and retired together. Real
 //! offload stacks (NVMe, io_uring, most NIC drivers) instead pair a
 //! fixed-capacity **submission ring** with a **completion ring** of
 //! doorbell records the device writes to shared memory as commands
@@ -17,9 +17,15 @@
 //! (`device_progress(now)` plays the device's doorbell writes, `poll`
 //! plays one host sweep of the completion queue). The driver decides
 //! what each sweep costs; see `driver.rs` for the accounting.
+//!
+//! The reactor is also the driver's one in-flight command table: every
+//! record carries the tile region and physical ranges its command
+//! touches, so the per-region doorbell ([`Reactor::earliest_start`])
+//! queries the same records the rings hold.
 
+use cim_accel::GridRegion;
 use cim_machine::units::SimTime;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Fixed-capacity ring buffer addressed by monotonically increasing
 /// sequence numbers, the storage of both reactor queues.
@@ -143,9 +149,13 @@ impl<T> RingBuffer<T> {
         }
     }
 
-    /// Iterates the live entries in sequence order.
+    /// Iterates the live entries in sequence order. No live entry is
+    /// older than `tail - capacity` — a push needs its slot free — so
+    /// the walk is bounded by the capacity even when entries are only
+    /// ever freed with [`RingBuffer::take`] and `head` never advances.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        (self.head..self.tail).filter_map(|seq| self.slot(seq).map(|(s, v)| (*s, v)))
+        let first = self.head.max(self.tail.saturating_sub(self.slots.len() as u64));
+        (first..self.tail).filter_map(|seq| self.slot(seq).map(|(s, v)| (*s, v)))
     }
 
     fn index(&self, seq: u64) -> usize {
@@ -158,8 +168,10 @@ impl<T> RingBuffer<T> {
 }
 
 /// Submission-ring record for one in-flight command: everything the
-/// device model needs to write the doorbell when the command retires.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// device model needs to write the doorbell when the command retires,
+/// plus the tile region it occupies and the physical ranges it reads
+/// and writes — the node of the runtime-side offload dataflow graph.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmdRecord {
     /// Logical command id (`CimAccelerator::last_cmd`).
     pub cmd_id: u64,
@@ -167,20 +179,39 @@ pub struct CmdRecord {
     pub ready_at: SimTime,
     /// Accelerator busy time of the command.
     pub busy: SimTime,
+    /// Tile region the command occupies.
+    pub region: GridRegion,
+    /// Physical `(base, len)` ranges the command reads.
+    pub reads: Vec<(u64, u64)>,
+    /// Physical `(base, len)` ranges the command writes.
+    pub writes: Vec<(u64, u64)>,
+}
+
+impl CmdRecord {
+    /// Whether a command on `region` touching `reads`/`writes` must wait
+    /// for this one: they share tiles (physical crossbars), or the
+    /// newcomer writes something this command touches, or reads
+    /// something it writes.
+    fn conflicts(&self, region: &GridRegion, reads: &[(u64, u64)], writes: &[(u64, u64)]) -> bool {
+        let any = |xs: &[(u64, u64)], ys: &[(u64, u64)]| {
+            xs.iter().any(|&x| ys.iter().any(|&y| crate::ranges::overlaps(x, y)))
+        };
+        self.region.overlaps(region)
+            || any(writes, &self.writes)
+            || any(writes, &self.reads)
+            || any(reads, &self.writes)
+    }
 }
 
 /// Doorbell record the device model posts to the completion queue when
-/// a command retires.
+/// a command retires. It names the command; its timing stays in the
+/// [`CmdRecord`] the submission ring holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// Submission-ring sequence this completion frees.
     pub sq_seq: u64,
     /// Logical command id.
     pub cmd_id: u64,
-    /// Instant the doorbell was (or could first have been) posted.
-    pub ready_at: SimTime,
-    /// Accelerator busy time of the command.
-    pub busy: SimTime,
 }
 
 #[derive(Debug, Clone)]
@@ -192,15 +223,18 @@ struct SqEntry {
 }
 
 /// The reactor: one submission ring of in-flight commands, one
-/// completion ring of doorbells, and the set of delivered-but-unclaimed
+/// completion ring of doorbells, and the delivered-but-unclaimed
 /// completions. All host cost accounting lives in the driver — this
 /// type only tracks *what* happened and *when*.
 #[derive(Debug, Clone)]
 pub struct Reactor {
     sq: RingBuffer<SqEntry>,
     cq: RingBuffer<Completion>,
-    /// Completions swept off the CQ whose futures have not synced yet.
-    delivered: BTreeSet<u64>,
+    /// Records swept off the CQ whose futures have not synced yet, by
+    /// command id. They keep constraining new submissions until claimed:
+    /// a sweep may deliver a doorbell a fraction of a cycle before the
+    /// host clock reaches its `ready_at`.
+    delivered: BTreeMap<u64, CmdRecord>,
     cq_deferrals: u64,
     completions_posted: u64,
 }
@@ -219,7 +253,7 @@ impl Reactor {
         Reactor {
             sq: RingBuffer::new(sq_capacity),
             cq: RingBuffer::new(cq_capacity),
-            delivered: BTreeSet::new(),
+            delivered: BTreeMap::new(),
             cq_deferrals: 0,
             completions_posted: 0,
         }
@@ -278,6 +312,40 @@ impl Reactor {
         self.sq.push(SqEntry { rec, posted: false }).map_err(|e| e.rec)
     }
 
+    /// Every command not yet claimed: in flight in the submission ring,
+    /// or delivered and waiting for its sync.
+    fn unsynced(&self) -> impl Iterator<Item = &CmdRecord> {
+        self.sq.iter().map(|(_, e)| &e.rec).chain(self.delivered.values())
+    }
+
+    /// Earliest time a command occupying `region` and touching
+    /// `reads`/`writes` may start, given the current host time `now`:
+    /// after every unclaimed command it conflicts with. Independent
+    /// commands on disjoint regions overlap freely — this per-region
+    /// doorbell is what lets *separate* runtime calls (not just elements
+    /// of one batched call) run concurrently.
+    pub fn earliest_start(
+        &self,
+        region: GridRegion,
+        reads: &[(u64, u64)],
+        writes: &[(u64, u64)],
+        now: SimTime,
+    ) -> SimTime {
+        self.unsynced()
+            .filter(|c| c.conflicts(&region, reads, writes))
+            .fold(now, |t, c| t.max(c.ready_at))
+    }
+
+    /// Sum of region tiles of the commands *running* at `when` — already
+    /// started, not yet done. Commands merely queued behind their
+    /// region's chain do not occupy tiles yet.
+    pub fn tiles_busy_at(&self, when: SimTime) -> u64 {
+        self.unsynced()
+            .filter(|c| c.ready_at > when && c.ready_at - c.busy <= when)
+            .map(|c| c.region.tiles() as u64)
+            .sum()
+    }
+
     /// Plays the device model forward to `now`: every in-flight command
     /// whose completion instant has passed posts its doorbell to the
     /// completion ring, in retirement order (`ready_at`, then command
@@ -296,15 +364,13 @@ impl Reactor {
             a.0.partial_cmp(&b.0).expect("sim times are finite").then(a.1.cmp(&b.1))
         });
         let mut posted = 0;
-        for (i, (ready_at, cmd_id, seq)) in due.iter().enumerate() {
+        for (i, &(_, cmd_id, sq_seq)) in due.iter().enumerate() {
             if self.cq.is_full() {
                 self.cq_deferrals += (due.len() - i) as u64;
                 break;
             }
-            let busy = self.sq.get(*seq).expect("due entry is live").rec.busy;
-            let c = Completion { sq_seq: *seq, cmd_id: *cmd_id, ready_at: *ready_at, busy };
-            self.cq.push(c).expect("checked not full");
-            self.sq.get_mut(*seq).expect("due entry is live").posted = true;
+            self.cq.push(Completion { sq_seq, cmd_id }).expect("checked not full");
+            self.sq.get_mut(sq_seq).expect("due entry is live").posted = true;
             self.completions_posted += 1;
             posted += 1;
         }
@@ -323,10 +389,9 @@ impl Reactor {
             let posted = self.device_progress(now);
             let mut drained = 0;
             while let Some((_, c)) = self.cq.pop() {
-                let freed = self.sq.take(c.sq_seq);
-                debug_assert!(freed.is_some(), "completion must free a live submission slot");
-                let fresh = self.delivered.insert(c.cmd_id);
-                debug_assert!(fresh, "doorbell for cmd {} delivered twice", c.cmd_id);
+                let freed = self.sq.take(c.sq_seq).expect("completion frees a live slot");
+                let prev = self.delivered.insert(c.cmd_id, freed.rec);
+                debug_assert!(prev.is_none(), "doorbell for cmd {} delivered twice", c.cmd_id);
                 drained += 1;
             }
             total += drained;
@@ -339,12 +404,12 @@ impl Reactor {
     /// Claims a delivered completion: `true` exactly once per command,
     /// after its doorbell was swept by some [`Reactor::poll`].
     pub fn claim(&mut self, cmd_id: u64) -> bool {
-        self.delivered.remove(&cmd_id)
+        self.delivered.remove(&cmd_id).is_some()
     }
 
     /// `true` while `cmd_id`'s doorbell is delivered but unclaimed.
     pub fn is_delivered(&self, cmd_id: u64) -> bool {
-        self.delivered.contains(&cmd_id)
+        self.delivered.contains_key(&cmd_id)
     }
 }
 
@@ -422,8 +487,40 @@ mod tests {
         let _ = RingBuffer::<u8>::new(0);
     }
 
+    #[test]
+    fn ring_iter_after_many_take_only_laps() {
+        // Submission-ring usage: slots free with `take`, never `pop`, so
+        // `head` stays 0 while `tail` laps the ring many times.
+        let mut r = RingBuffer::new(4);
+        let mut live = std::collections::BTreeSet::new();
+        for seq in 0u64..400 {
+            while r.is_full() {
+                let oldest = *live.first().expect("a full ring holds entries");
+                assert_eq!(r.take(oldest), Some(oldest));
+                live.remove(&oldest);
+            }
+            assert_eq!(r.push(seq), Ok(seq));
+            live.insert(seq);
+            // Leave holes: free every third entry out of order.
+            if seq % 3 == 1 {
+                assert_eq!(r.take(seq - 1), live.take(&(seq - 1)));
+            }
+            let got: Vec<(u64, u64)> = r.iter().map(|(s, v)| (s, *v)).collect();
+            let want: Vec<(u64, u64)> = live.iter().map(|&s| (s, s)).collect();
+            assert_eq!(got, want, "after seq {seq}");
+        }
+        assert_eq!(r.len(), live.len());
+    }
+
     fn rec(cmd_id: u64, ready_ns: f64) -> CmdRecord {
-        CmdRecord { cmd_id, ready_at: SimTime::from_ns(ready_ns), busy: SimTime::from_ns(1.0) }
+        CmdRecord {
+            cmd_id,
+            ready_at: SimTime::from_ns(ready_ns),
+            busy: SimTime::from_ns(1.0),
+            region: GridRegion::full((1, 1)),
+            reads: Vec::new(),
+            writes: Vec::new(),
+        }
     }
 
     #[test]
@@ -499,5 +596,23 @@ mod tests {
         assert_eq!(r.poll(SimTime::from_ns(40.0)), 2);
         assert!(r.claim(3) && r.claim(4));
         assert_eq!(r.in_flight(), 0);
+    }
+
+    #[test]
+    fn disjoint_regions_and_ranges_do_not_conflict() {
+        let mut r = Reactor::new(4);
+        let left = GridRegion { origin: (0, 0), shape: (1, 1) };
+        let right = GridRegion { origin: (0, 1), shape: (1, 1) };
+        let reads = vec![(0, 64)];
+        let writes = vec![(64, 64)];
+        r.submit(CmdRecord { region: left, reads, writes, ..rec(0, 10.0) }).unwrap();
+        let now = SimTime::ZERO;
+        let busy = SimTime::from_ns(10.0);
+        assert_eq!(r.earliest_start(right, &[(0, 64)], &[(128, 64)], now), now, "shared reads");
+        assert_eq!(r.earliest_start(left, &[], &[], now), busy, "shared tiles");
+        assert_eq!(r.earliest_start(right, &[(64, 4)], &[], now), busy, "reads its write");
+        assert_eq!(r.earliest_start(right, &[], &[(0, 4)], now), busy, "writes its read");
+        assert_eq!(r.earliest_start(right, &[], &[(96, 4)], now), busy, "writes its write");
+        assert_eq!(r.earliest_start(right, &[], &[(64, 0)], now), now, "empty range");
     }
 }

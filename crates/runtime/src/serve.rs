@@ -10,9 +10,9 @@
 //!   kernels are steered onto a leased [`GridRegion`], so tenants on
 //!   disjoint leases overlap on the hardware exactly like the disjoint
 //!   sub-regions of one program's async calls. Physical serialization
-//!   stays where it always was — the driver's
-//!   [`crate::DispatchQueue`] per-region doorbells — so a lease is
-//!   advisory placement, never a correctness mechanism.
+//!   stays where it always was — the per-region doorbells of the
+//!   driver's [`crate::Reactor`] — so a lease is advisory placement,
+//!   never a correctness mechanism.
 //! - **A fairness policy** time-multiplexes contended regions: the
 //!   scheduler meters each tenant's scheduled tile-time and delays the
 //!   *birth* of new commands from a tenant whose backlog exceeds its
@@ -361,9 +361,8 @@ impl GridScheduler {
 }
 
 /// The serving front end: owns the [`SharedDevice`] and hands out
-/// tenant contexts. All tenants share the device's reactor rings and
-/// dispatch queue — the PR 7 follow-on of one reactor instance across
-/// contexts is exactly this.
+/// tenant contexts. All tenants share the device's reactor: one set of
+/// rings and one in-flight command table across contexts.
 #[derive(Debug)]
 pub struct CimServer {
     device: SharedDevice,

@@ -4,14 +4,21 @@
 //! wraparound at and around capacity — asserting that stalls are
 //! counted and that no completion is ever lost or double-delivered.
 
-use cim_accel::AccelConfig;
+use cim_accel::{AccelConfig, GridRegion};
 use cim_machine::units::SimTime;
 use cim_machine::{Machine, MachineConfig};
 use cim_runtime::reactor::{CmdRecord, Reactor};
 use cim_runtime::{CimContext, DispatchMode, DriverConfig, Transpose};
 
 fn rec(cmd_id: u64, ready_ns: f64) -> CmdRecord {
-    CmdRecord { cmd_id, ready_at: SimTime::from_ns(ready_ns), busy: SimTime::from_ns(1.0) }
+    CmdRecord {
+        cmd_id,
+        ready_at: SimTime::from_ns(ready_ns),
+        busy: SimTime::from_ns(1.0),
+        region: GridRegion::full((1, 1)),
+        reads: Vec::new(),
+        writes: Vec::new(),
+    }
 }
 
 /// Streams `total` commands through a capacity-`cap` reactor, obeying

@@ -1,19 +1,21 @@
-//! Differential property tests: the reactor is pure mechanism. For any
-//! schedule — sync or async dispatch, any tile grid, any DMA channel
-//! count, spinning or polling waits — routing completions through the
-//! ring-buffer reactor must leave results bit-for-bit identical to the
-//! per-future wait loops it replaced, with identical runtime statistics
-//! and an identical device timeline, while never reading status more
-//! often and never finishing later.
+//! Guard suite for the driver's one completion path: for any schedule —
+//! sync or async dispatch, any tile grid, any DMA channel count,
+//! spinning or polling waits — the ring-buffer reactor must leave
+//! results bit-for-bit identical to the paper-default blocking Sync+Spin
+//! run of the same schedule, account every status read, and end with
+//! nothing in flight and nothing unclaimed. A golden anchor pins the
+//! Sync+Spin timing itself, so every committed fig5/fig6/table1
+//! baseline stays put by construction.
 
 use cim_accel::AccelConfig;
 use cim_machine::units::SimTime;
 use cim_machine::{Machine, MachineConfig};
 use cim_pcm::Fidelity;
-use cim_runtime::stats::RuntimeStats;
+use cim_runtime::driver::DriverStats;
 use cim_runtime::{CimContext, DevPtr, DispatchMode, DriverConfig, Transpose, WaitPolicy};
 use proptest::prelude::*;
 
+#[derive(Clone, Copy)]
 struct Schedule {
     m: usize,
     n: usize,
@@ -35,21 +37,20 @@ fn fill(len: usize, seed: usize, scale: f32) -> Vec<f32> {
 struct Run {
     c_bits: Vec<Vec<u32>>,
     elapsed: SimTime,
-    runtime_stats: RuntimeStats,
     timeline: String,
-    status_reads: u64,
-    total_wait: SimTime,
+    stats: DriverStats,
+    in_flight: usize,
+    unclaimed: usize,
 }
 
-/// Runs the schedule's GEMMs (individual calls, so async dispatch
-/// produces several concurrent futures) with the reactor on or off.
-fn run(s: &Schedule, reactor: bool) -> Run {
+/// Runs the schedule's GEMMs as individual calls, so async dispatch
+/// produces several concurrent futures, then drains them all.
+fn run(s: &Schedule) -> Run {
     let mut mach = Machine::new(MachineConfig::test_small());
     let accel_cfg = AccelConfig { fidelity: s.fidelity, ..AccelConfig::test_small() }
         .with_grid(s.grid.0, s.grid.1)
         .with_dma_channels(s.channels);
-    let drv_cfg =
-        DriverConfig { dispatch: s.dispatch, wait: s.wait, reactor, ..DriverConfig::default() };
+    let drv_cfg = DriverConfig { dispatch: s.dispatch, wait: s.wait, ..DriverConfig::default() };
     let mut ctx = CimContext::new(accel_cfg, drv_cfg, &mach);
     ctx.cim_init(&mut mach, 0).expect("init");
     let dev_mat = |ctx: &mut CimContext, mach: &mut Machine, data: &[f32]| -> DevPtr {
@@ -91,65 +92,51 @@ fn run(s: &Schedule, reactor: bool) -> Run {
             out.iter().map(|v| v.to_bits()).collect()
         })
         .collect();
-    let drv = ctx.driver().stats();
     let timeline = ctx.accel().timeline().render();
+    let drv = ctx.driver();
     Run {
         c_bits,
         elapsed: mach.now() - t0,
-        runtime_stats: *ctx.stats(),
         timeline,
-        status_reads: drv.status_reads,
-        total_wait: drv.total_wait_time(),
+        stats: drv.stats(),
+        in_flight: drv.reactor().in_flight(),
+        unclaimed: drv.reactor().unclaimed(),
     }
 }
 
-fn assert_differential(s: &Schedule, label: &str) -> Result<(), TestCaseError> {
-    let legacy = run(s, false);
-    let reactor = run(s, true);
-    prop_assert_eq!(&reactor.c_bits, &legacy.c_bits);
-    prop_assert_eq!(reactor.runtime_stats, legacy.runtime_stats);
-    // Device schedules match whenever no submission sits downstream of
-    // a *polled* wait: under Sync+Poll the corrected (overlapped) poll
-    // accounting lets later commands start slightly earlier, which is
-    // the satellite fix itself, not a reactor divergence.
-    let submit_after_polled_wait =
-        s.dispatch == DispatchMode::Sync && matches!(s.wait, WaitPolicy::Poll { .. });
-    if !submit_after_polled_wait {
-        prop_assert_eq!(&reactor.timeline, &legacy.timeline);
+fn assert_guards(s: &Schedule, label: &str) -> Result<(), TestCaseError> {
+    let r = run(s);
+    let d = r.stats;
+    let reference = run(&Schedule { dispatch: DispatchMode::Sync, wait: WaitPolicy::Spin, ..*s });
+    prop_assert!(r.c_bits == reference.c_bits, "{}: results depend on the schedule", label);
+    // Every status read is accounted: a sync whose doorbell an earlier
+    // sweep delivered is free, any other pays one read — plus, under a
+    // polled wait, one per further poll interval it slept.
+    let poll_reads = match s.wait {
+        WaitPolicy::Spin => 0.0,
+        WaitPolicy::Poll { interval, .. } => d.idle_wait_time.as_ns() / interval.as_ns(),
+    };
+    prop_assert!(
+        d.status_reads as f64 <= d.invocations as f64 + poll_reads + 1e-6,
+        "{}: {} status reads for {} commands",
+        label,
+        d.status_reads,
+        d.invocations
+    );
+    if s.dispatch == DispatchMode::Sync && s.wait == WaitPolicy::Spin {
+        prop_assert!(d.status_reads == d.invocations, "{}: one read per blocking call", label);
     }
-    prop_assert!(
-        reactor.status_reads <= legacy.status_reads,
-        "{}: reactor read status {} times, legacy {}",
-        label,
-        reactor.status_reads,
-        legacy.status_reads
-    );
-    // The reactor may finish earlier (claimed futures skip their final
-    // PMIO read) but never later; one core cycle of slack covers the
-    // cycle-rounding of the overlapped poll accounting.
-    let cycle_ns = 1e9 / MachineConfig::test_small().freq_hz;
-    prop_assert!(
-        reactor.elapsed.as_ns() <= legacy.elapsed.as_ns() + cycle_ns,
-        "{}: reactor elapsed {} vs legacy {}",
-        label,
-        reactor.elapsed,
-        legacy.elapsed
-    );
-    // (No claim on total_wait_time: the legacy accounting *overshot*
-    // the clock with poll-instruction time, silently shrinking the
-    // `remaining` of later futures — the seam the overlapped poll
-    // accounting fixed — so the corrected wait totals may be slightly
-    // larger even as the end-to-end clock above is never later.)
+    prop_assert!(d.completions_polled == d.invocations, "{}: one doorbell per command", label);
+    prop_assert!(r.in_flight + r.unclaimed == 0, "{}: commands left behind", label);
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random schedules under every dispatch/wait/grid/channel axis:
-    /// reactor and per-future polling are observationally equivalent.
+    /// Random schedules under every dispatch/wait/grid/channel axis.
     #[test]
-    fn reactor_matches_per_future_polling(
+    fn reactor_guards_hold_on_random_schedules(
         m in 1usize..14,
         n in 1usize..5,
         k in 1usize..14,
@@ -181,14 +168,61 @@ proptest! {
             "m={m} n={n} k={k} count={count} grid={gk}x{gm} ch={} {:?} {:?} poll={poll_wait}",
             s.channels, s.fidelity, s.dispatch
         );
-        assert_differential(&s, &label)?;
+        assert_guards(&s, &label)?;
     }
 }
 
-/// Deterministic anchor: under synchronous spinning dispatch — the
-/// paper-default figure configuration — the reactor is bit-for-bit
-/// *timing*-identical too, so every committed fig5/fig6/table1 baseline
-/// is untouched by construction.
+/// Device timeline of the golden Sync+Spin schedule below.
+const GOLDEN_TIMELINE: &str = "\
+event               tile   cmd          start            end     duration  detail
+trigger                -    #0      12.254 us      12.254 us     0.000 ns  Gemm armed
+write-crossbar     (0,0)    #0      12.518 us      32.518 us    20.000 us  install A tile m0=0 k0=0 (8x8)
+write-crossbar     (1,0)    #0      12.750 us      22.750 us    10.000 us  install A tile m0=0 k0=8 (4x8)
+write-crossbar     (0,1)    #0      12.486 us      32.486 us    20.000 us  install A tile m0=8 k0=0 (8x4)
+write-crossbar     (1,1)    #0      12.702 us      22.702 us    10.000 us  install A tile m0=8 k0=8 (4x4)
+compute            (0,0)    #0      32.518 us      33.518 us     1.000 us  gemv j=0 (tile m0=0 k0=0)
+compute            (1,0)    #0      32.518 us      33.518 us     1.000 us  gemv j=0 (tile m0=0 k0=8)
+compute            (0,1)    #0      32.518 us      33.518 us     1.000 us  gemv j=0 (tile m0=8 k0=0)
+compute            (1,1)    #0      32.518 us      33.518 us     1.000 us  gemv j=0 (tile m0=8 k0=8)
+compute            (0,0)    #0      33.518 us      34.518 us     1.000 us  gemv j=1 (tile m0=0 k0=0)
+compute            (1,0)    #0      33.518 us      34.518 us     1.000 us  gemv j=1 (tile m0=0 k0=8)
+compute            (0,1)    #0      33.518 us      34.518 us     1.000 us  gemv j=1 (tile m0=8 k0=0)
+compute            (1,1)    #0      33.518 us      34.518 us     1.000 us  gemv j=1 (tile m0=8 k0=8)
+result-ready           -    #0      36.518 us      36.518 us     0.000 ns  status := done
+trigger                -    #1      47.575 us      47.575 us     0.000 ns  Gemm armed
+write-crossbar     (0,0)    #1      47.839 us      67.839 us    20.000 us  install A tile m0=0 k0=0 (8x8)
+write-crossbar     (1,0)    #1      48.071 us      58.071 us    10.000 us  install A tile m0=0 k0=8 (4x8)
+write-crossbar     (0,1)    #1      47.807 us      67.807 us    20.000 us  install A tile m0=8 k0=0 (8x4)
+write-crossbar     (1,1)    #1      48.023 us      58.023 us    10.000 us  install A tile m0=8 k0=8 (4x4)
+compute            (0,0)    #1      67.839 us      68.839 us     1.000 us  gemv j=0 (tile m0=0 k0=0)
+compute            (1,0)    #1      67.839 us      68.839 us     1.000 us  gemv j=0 (tile m0=0 k0=8)
+compute            (0,1)    #1      67.839 us      68.839 us     1.000 us  gemv j=0 (tile m0=8 k0=0)
+compute            (1,1)    #1      67.839 us      68.839 us     1.000 us  gemv j=0 (tile m0=8 k0=8)
+compute            (0,0)    #1      68.839 us      69.839 us     1.000 us  gemv j=1 (tile m0=0 k0=0)
+compute            (1,0)    #1      68.839 us      69.839 us     1.000 us  gemv j=1 (tile m0=0 k0=8)
+compute            (0,1)    #1      68.839 us      69.839 us     1.000 us  gemv j=1 (tile m0=8 k0=0)
+compute            (1,1)    #1      68.839 us      69.839 us     1.000 us  gemv j=1 (tile m0=8 k0=8)
+result-ready           -    #1      71.839 us      71.839 us     0.000 ns  status := done
+trigger                -    #2      82.896 us      82.896 us     0.000 ns  Gemm armed
+write-crossbar     (0,0)    #2      83.160 us     103.160 us    20.000 us  install A tile m0=0 k0=0 (8x8)
+write-crossbar     (1,0)    #2      83.392 us      93.392 us    10.000 us  install A tile m0=0 k0=8 (4x8)
+write-crossbar     (0,1)    #2      83.128 us     103.128 us    20.000 us  install A tile m0=8 k0=0 (8x4)
+write-crossbar     (1,1)    #2      83.344 us      93.344 us    10.000 us  install A tile m0=8 k0=8 (4x4)
+compute            (0,0)    #2     103.160 us     104.160 us     1.000 us  gemv j=0 (tile m0=0 k0=0)
+compute            (1,0)    #2     103.160 us     104.160 us     1.000 us  gemv j=0 (tile m0=0 k0=8)
+compute            (0,1)    #2     103.160 us     104.160 us     1.000 us  gemv j=0 (tile m0=8 k0=0)
+compute            (1,1)    #2     103.160 us     104.160 us     1.000 us  gemv j=0 (tile m0=8 k0=8)
+compute            (0,0)    #2     104.160 us     105.160 us     1.000 us  gemv j=1 (tile m0=0 k0=0)
+compute            (1,0)    #2     104.160 us     105.160 us     1.000 us  gemv j=1 (tile m0=0 k0=8)
+compute            (0,1)    #2     104.160 us     105.160 us     1.000 us  gemv j=1 (tile m0=8 k0=0)
+compute            (1,1)    #2     104.160 us     105.160 us     1.000 us  gemv j=1 (tile m0=8 k0=8)
+result-ready           -    #2     107.160 us     107.160 us     0.000 ns  status := done
+";
+
+/// Golden anchor: under blocking Sync+Spin — the paper-default figure
+/// configuration — the clock, the wait, the status reads and the device
+/// timeline are bit-for-bit what the per-future wait loops produced
+/// before the reactor replaced them.
 #[test]
 fn sync_spin_timing_is_bit_identical() {
     let s = Schedule {
@@ -204,38 +238,9 @@ fn sync_spin_timing_is_bit_identical() {
         dispatch: DispatchMode::Sync,
         wait: WaitPolicy::Spin,
     };
-    let legacy = run(&s, false);
-    let reactor = run(&s, true);
-    assert_eq!(reactor.c_bits, legacy.c_bits);
-    assert_eq!(reactor.elapsed, legacy.elapsed, "sync+spin must not shift at all");
-    assert_eq!(reactor.total_wait, legacy.total_wait);
-    assert_eq!(reactor.timeline, legacy.timeline);
-}
-
-/// Deterministic anchor for the batching win: draining several async
-/// futures costs strictly fewer status reads through the reactor.
-#[test]
-fn async_drain_batches_status_reads() {
-    let s = Schedule {
-        m: 8,
-        n: 4,
-        k: 8,
-        count: 4,
-        alpha: 1.0,
-        beta: 0.0,
-        grid: (2, 2),
-        channels: 1,
-        fidelity: Fidelity::Exact,
-        dispatch: DispatchMode::Async,
-        wait: WaitPolicy::Poll { interval: SimTime::from_us(5.0), insts_per_poll: 20 },
-    };
-    let legacy = run(&s, false);
-    let reactor = run(&s, true);
-    assert_eq!(reactor.c_bits, legacy.c_bits);
-    assert!(
-        reactor.status_reads < legacy.status_reads,
-        "batched sweeps must beat per-future polling: {} vs {}",
-        reactor.status_reads,
-        legacy.status_reads
-    );
+    let r = run(&s);
+    assert_eq!(r.elapsed.as_ns(), 105_962.5, "sync+spin must not shift at all");
+    assert_eq!(r.stats.total_wait_time().as_ns(), 72_792.0);
+    assert_eq!(r.stats.status_reads, 3);
+    assert_eq!(r.timeline, GOLDEN_TIMELINE);
 }

@@ -235,23 +235,14 @@ impl ChainSpec {
                         p
                     })
                     .collect();
-                // The combine mirrors the emitted expression exactly:
-                // a lone `h * s` for the plain MLP, and the left-to-right
-                // head sum — evaluated in f64 like the interpreter, with
-                // one rounding at the store — for multi-head layers.
-                let h: Vec<f32> = if self.heads == 1 {
-                    heads[0].iter().map(|v| v * s).collect()
-                } else {
-                    (0..r * d)
-                        .map(|idx| {
-                            let mut acc = f64::from(heads[0][idx]);
-                            for p in &heads[1..] {
-                                acc += f64::from(p[idx]);
-                            }
-                            (acc * f64::from(s)) as f32
-                        })
-                        .collect()
-                };
+                // The combine mirrors the emitted expression exactly: a
+                // lone `h * s` for the plain MLP, `(h0 + h1 + ...) * s`
+                // for multi-head layers — summed left to right, every
+                // `+` and `*` rounded to f32 on its own like the
+                // interpreter evaluates it.
+                let h: Vec<f32> = (0..r * d)
+                    .map(|idx| heads[1..].iter().fold(heads[0][idx], |acc, p| acc + p[idx]) * s)
+                    .collect();
                 next.push(h);
             }
             for (b, h) in next.iter().enumerate() {

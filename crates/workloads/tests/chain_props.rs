@@ -10,6 +10,15 @@ use tdo_cim::{compile, execute, CompileOptions, ExecOptions, RunResult};
 use workloads::chain::init_fn;
 use workloads::ChainSpec;
 
+fn to_bits(data: &[f32]) -> Vec<u32> {
+    data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bit pattern of array `name` in `run`.
+fn bits(run: &RunResult, name: &str) -> Vec<u32> {
+    to_bits(run.array(name).unwrap_or_else(|| panic!("missing {name}")))
+}
+
 fn run_chain(spec: &ChainSpec, dispatch: DispatchMode) -> (RunResult, tdo_cim::CompiledProgram) {
     let compiled = compile(&spec.source(), &CompileOptions::with_tactics()).expect("compiles");
     let opts = ExecOptions {
@@ -40,10 +49,29 @@ fn chain_is_fused_per_layer_and_matches_reference() {
     assert!(run.accel.expect("accel used").max_tiles_active > 1);
     // Bit-for-bit against the native reference.
     for (name, want) in spec.reference_outputs() {
-        let got = run.array(&name).unwrap_or_else(|| panic!("missing {name}"));
-        let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, want_bits, "{name} diverges");
+        assert_eq!(bits(&run, &name), to_bits(&want), "{name} diverges");
+    }
+}
+
+#[test]
+fn multi_head_chain_matches_reference_host_and_offloaded() {
+    // Deep enough that a reference summing the heads in f64 with one
+    // final rounding drifts from the interpreter's per-op f32 rounding;
+    // narrow enough that every reduction fits one tile, so offloading
+    // keeps the interpreter's summation order.
+    let spec = ChainSpec { rows: 8, width: 16, batch: 1, layers: 8, heads: 3 };
+    let opts = ExecOptions::default();
+    let run = |copts: &CompileOptions| {
+        let compiled = compile(&spec.source(), copts).expect("compiles");
+        execute(&compiled, &opts, &init_fn()).expect("runs")
+    };
+    let offloaded = run(&CompileOptions::default());
+    let host = run(&CompileOptions::host_only());
+    assert!(offloaded.driver.expect("driver").invocations > 0, "nothing was offloaded");
+    for (name, want) in spec.reference_outputs() {
+        let want = to_bits(&want);
+        assert_eq!(bits(&host, &name), want, "{name}: host-only diverges from the reference");
+        assert_eq!(bits(&offloaded, &name), want, "{name}: offloaded diverges from the reference");
     }
 }
 
