@@ -6,6 +6,9 @@
 //! bulk [`Hierarchy::access_block`] path the interpreter now uses;
 //! `hierarchy_streaming_4k_scalar` keeps the per-scalar loop as the
 //! reference point the PR 10 speedup is measured against.
+//! `hierarchy_column_run_128` is the access pattern the bulk path cannot
+//! fold: a GEMM's `B[k][j]` column, one line per element, missing the
+//! L1 every time.
 
 use cim_machine::cache::{CacheConfig, Hierarchy, MemLatency};
 use cim_machine::{Machine, MachineConfig};
@@ -50,6 +53,18 @@ fn bench_hierarchy(c: &mut Criterion) {
         b.iter(|| {
             black_box(h.access_block(addr, 4, 1024, 16, false));
             addr = (addr + 16 * 1024) % (32 * 1024 * 1024);
+        })
+    });
+    // 128 accesses at a 512 B stride: `B[k][j]` down a column of a
+    // 128x128 f32 matrix. Every element is on its own line, and the 128
+    // lines fall on 16 L1 sets of 4 ways, so the L1 misses on every
+    // access and the L2 (which holds the whole matrix) serves it.
+    let mut h = a7_hierarchy();
+    c.bench_function("hierarchy_column_run_128", |b| {
+        let mut j = 0u64;
+        b.iter(|| {
+            black_box(h.access_block(0x10_0000 + 4 * j, 4, 128, 512, false));
+            j = (j + 1) % 128;
         })
     });
 }

@@ -179,7 +179,7 @@ pub trait Backend {
 /// Propagates any [`InterpError`] from evaluation or the backend.
 pub fn run<B: Backend>(prog: &Program, backend: &mut B) -> Result<(), InterpError> {
     let mut env = vec![0i64; prog.vars.len()];
-    let mut interp = Interp { prog, backend, enable_fast: true, fast_loops: HashMap::new() };
+    let mut interp = Interp::new(prog, backend, true);
     interp.exec_block(&prog.body, &mut env)
 }
 
@@ -191,7 +191,7 @@ pub fn run<B: Backend>(prog: &Program, backend: &mut B) -> Result<(), InterpErro
 /// Propagates any [`InterpError`] from evaluation or the backend.
 pub fn run_reference<B: Backend>(prog: &Program, backend: &mut B) -> Result<(), InterpError> {
     let mut env = vec![0i64; prog.vars.len()];
-    let mut interp = Interp { prog, backend, enable_fast: false, fast_loops: HashMap::new() };
+    let mut interp = Interp::new(prog, backend, false);
     interp.exec_block(&prog.body, &mut env)
 }
 
@@ -202,9 +202,21 @@ struct Interp<'p, B: Backend> {
     /// Fast-path templates, keyed by `ForLoop` node address within the
     /// (immutably borrowed) program. `None` caches "not fast-path-able".
     fast_loops: HashMap<usize, Option<fast::FastBody>>,
+    /// Column buffers every fast loop evaluates in.
+    scratch: fast::Scratch,
 }
 
 impl<'p, B: Backend> Interp<'p, B> {
+    fn new(prog: &'p Program, backend: &'p mut B, enable_fast: bool) -> Self {
+        Interp {
+            prog,
+            backend,
+            enable_fast,
+            fast_loops: HashMap::new(),
+            scratch: Default::default(),
+        }
+    }
+
     fn exec_block(&mut self, stmts: &[Stmt], env: &mut Vec<i64>) -> Result<(), InterpError> {
         for s in stmts {
             self.exec_stmt(s, env)?;
@@ -215,6 +227,13 @@ impl<'p, B: Backend> Interp<'p, B> {
     fn exec_stmt(&mut self, s: &Stmt, env: &mut Vec<i64>) -> Result<(), InterpError> {
         match s {
             Stmt::For(l) => {
+                if l.step <= 0 {
+                    return Err(InterpError::TypeError(format!(
+                        "loop over {} has non-positive step {}",
+                        self.prog.var_name(l.var),
+                        l.step
+                    )));
+                }
                 let lo = self.eval(&l.lo, env)?.as_index()?;
                 let hi = self.eval(&l.hi, env)?.as_index()?;
                 if self.fast_loop(l, lo, hi, env) {
@@ -270,11 +289,14 @@ impl<'p, B: Backend> Interp<'p, B> {
         let key = l as *const ForLoop as usize;
         if !self.fast_loops.contains_key(&key) {
             let compiled = fast::FastBody::compile(self.prog, l);
+            if let Some(body) = &compiled {
+                self.scratch.fit(body);
+            }
             self.fast_loops.insert(key, compiled);
         }
-        let Interp { fast_loops, backend, .. } = self;
+        let Interp { fast_loops, backend, scratch, .. } = self;
         match fast_loops.get(&key).and_then(|o| o.as_ref()) {
-            Some(body) => body.run(l, lo, hi, env, *backend),
+            Some(body) => body.run(l, lo, hi, env, *backend, scratch),
             None => false,
         }
     }
@@ -367,18 +389,28 @@ impl<'p, B: Backend> Interp<'p, B> {
             self.backend.cost(ev, 1);
             return Ok(Value::I(v));
         }
-        let (a, b) = (l.as_f64(), r.as_f64());
-        // Kernels compute in f32; round intermediates to match hardware.
-        let (ev, v) = match op {
-            BinOp::Add => (CostEvent::FpAdd, (a as f32 + b as f32) as f64),
-            BinOp::Sub => (CostEvent::FpAdd, (a as f32 - b as f32) as f64),
-            BinOp::Mul => (CostEvent::FpMul, (a as f32 * b as f32) as f64),
-            BinOp::Div => (CostEvent::FpDiv, (a as f32 / b as f32) as f64),
-            BinOp::Min => (CostEvent::FpAdd, a.min(b)),
-            BinOp::Max => (CostEvent::FpAdd, a.max(b)),
+        let ev = match op {
+            BinOp::Add | BinOp::Sub | BinOp::Min | BinOp::Max => CostEvent::FpAdd,
+            BinOp::Mul => CostEvent::FpMul,
+            BinOp::Div => CostEvent::FpDiv,
         };
         self.backend.cost(ev, 1);
-        Ok(Value::F(v))
+        Ok(Value::F(float_op(op, l.as_f64(), r.as_f64())))
+    }
+}
+
+/// The float rule of every value operation, shared by the tree-walker and
+/// the fast path's columns. Kernels compute in f32, so arithmetic rounds
+/// both operands and the result to f32 to match hardware; `Min`/`Max`
+/// compare the unrounded f64 values.
+fn float_op(op: BinOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinOp::Add => (a as f32 + b as f32) as f64,
+        BinOp::Sub => (a as f32 - b as f32) as f64,
+        BinOp::Mul => (a as f32 * b as f32) as f64,
+        BinOp::Div => (a as f32 / b as f32) as f64,
+        BinOp::Min => a.min(b),
+        BinOp::Max => a.max(b),
     }
 }
 
@@ -541,6 +573,42 @@ mod tests {
         run(&p, &mut b).expect("runs");
         let sum: f32 = b.array(a).iter().sum();
         assert_eq!(sum, 6.0); // upper triangle incl. diagonal
+    }
+
+    /// `for i in 0..4 step {step}: A[i] = 1.0` must fail before its first
+    /// iteration under both executors instead of spinning forever.
+    fn assert_step_rejected(step: i64) {
+        let mut p = Program::new("t");
+        let a = p.add_array("A", vec![4]);
+        let i = p.fresh_var("i");
+        p.body = vec![Stmt::for_loop(
+            i,
+            Expr::Int(0),
+            Expr::Int(4),
+            step,
+            vec![Stmt::assign(Access { array: a, idx: vec![Expr::Var(i)] }, Expr::Float(1.0))],
+        )];
+        for exec in [run::<PureBackend>, run_reference::<PureBackend>] {
+            let mut b = PureBackend::for_program(&p);
+            match exec(&p, &mut b) {
+                Err(InterpError::TypeError(msg)) => {
+                    assert!(msg.contains("loop over i"), "{msg}");
+                    assert!(msg.contains(&format!("step {step}")), "{msg}");
+                }
+                other => panic!("step {step}: expected a type error, got {other:?}"),
+            }
+            assert_eq!(b.array(a), &[0.0; 4], "no iteration may run");
+        }
+    }
+
+    #[test]
+    fn zero_step_is_an_error() {
+        assert_step_rejected(0);
+    }
+
+    #[test]
+    fn negative_step_is_an_error() {
+        assert_step_rejected(-1);
     }
 
     #[test]

@@ -12,18 +12,29 @@
 //!   index is monotonic in the inner variable);
 //! * the per-iteration cost events are counted structurally at compile
 //!   time and retired in bulk (`cost(ev, n * trips)`) — the cost model
-//!   only observes totals, and the cache simulator orders on the
-//!   `load`/`store` calls, which still issue individually and in the
-//!   exact order of the slow path;
-//! * the assignment value is evaluated from a pre-resolved template with
-//!   the same f32 rounding rules as [`super::Interp::apply_bin`].
+//!   only observes totals;
+//! * the assignment value is lowered to a post-order list of typed
+//!   nodes and evaluated a *column* at a time: each node fills one
+//!   scratch column with its value for a whole chunk of iterations,
+//!   keeping [`super::Interp::apply_bin`]'s rounding rules (`i64 → f64`
+//!   widening, f32 arithmetic, `Min`/`Max` on f64) element for element.
+//!   Only the nodes above a register-carried target load (the spine of
+//!   `C[i][j] += …` over an inner `k`: one add) run element by element.
+//!
+//! Memory traffic takes one of two orders. A backend that opts into
+//! runs ([`Backend::prefers_bulk_runs`]) gets one [`Backend::load_run`]
+//! per load and one [`Backend::store_run`] per chunk of up to 512
+//! iterations, when [`FastBody::runs_may_batch`] proves the reordering
+//! invisible. Every other backend sees the slow path's exact order: per
+//! iteration, one [`Backend::load`] per load in evaluation order, then
+//! one [`Backend::store`], with the same evaluator run at width one.
 //!
 //! Anything the template cannot prove (non-affine subscripts, integer
 //! division, multi-statement bodies, an endpoint out of bounds) falls
 //! back to the slow path, so observable behavior — values, cost totals,
 //! errors — is identical by construction.
 
-use super::{Backend, CostEvent, Value};
+use super::{float_op, Backend, CostEvent};
 use crate::expr::{Access, BinOp, Expr, UnOp};
 use crate::stmt::{ForLoop, Stmt};
 use crate::types::{ArrayId, Program};
@@ -45,6 +56,13 @@ const EVENTS: [CostEvent; 10] = [
 fn slot(ev: CostEvent) -> usize {
     EVENTS.iter().position(|e| *e == ev).expect("every event has a slot")
 }
+
+/// Iterations per batched chunk, and the row length of every scratch
+/// column.
+const CHUNK: usize = 512;
+
+/// Load slots are tracked as bits of a `u64` mask.
+const MAX_LOADS: usize = 64;
 
 /// `c + sum(coeffs[v] * env[v])` over all program variables.
 #[derive(Clone, Debug)]
@@ -181,48 +199,102 @@ fn compile_access(prog: &Program, a: &Access, costs: &mut [u64; 10]) -> Option<A
     Some(AccessPlan { array: a.array, dims, flat })
 }
 
-/// Pre-resolved assignment value. Loads refer into `FastBody::loads` by
-/// position; their flattened addresses are resolved per loop entry.
-enum FastExpr {
-    I(i64),
-    F(f64),
+/// One operation of the compiled value. Operands name earlier nodes: the
+/// list is in post-order, so one forward pass evaluates it.
+#[derive(Clone, Copy)]
+enum Op {
+    Int(i64),
+    Float(f64),
+    /// The loop's own induction variable.
+    Inner,
+    /// Any other variable: constant while the loop runs.
     Var(usize),
+    /// Load slot `k`, a position in `FastBody::loads`.
     Load(usize),
-    Neg(Box<FastExpr>),
-    Bin(BinOp, Box<FastExpr>, Box<FastExpr>),
+    /// An integer operand of a float operation, widened as
+    /// [`super::Value::as_f64`] does.
+    ToF(usize),
+    Neg(usize),
+    Bin(BinOp, usize, usize),
 }
 
-/// Compiles a value expression, returning the template and whether it is
-/// integer-typed. The structural type exactly predicts the runtime
-/// `Value` variant (literals and loads are fixed, `Bin` is integer iff
-/// both operands are), which is what lets the census pick the right
-/// event per operation ahead of time.
+#[derive(Clone, Copy)]
+struct Node {
+    op: Op,
+    /// Integer-typed: the column lives in [`Scratch::ints`], not
+    /// [`Scratch::floats`].
+    int: bool,
+    /// Row of the node's column within its type's scratch.
+    col: usize,
+    /// Load slots the subtree reads, one bit per slot.
+    slots: u64,
+}
+
+/// The value's node list with per-type column counts.
+#[derive(Default)]
+struct Code {
+    nodes: Vec<Node>,
+    ints: usize,
+    floats: usize,
+}
+
+impl Code {
+    fn push(&mut self, op: Op, int: bool, slots: u64) -> usize {
+        let cols = if int { &mut self.ints } else { &mut self.floats };
+        self.nodes.push(Node { op, int, col: *cols, slots });
+        *cols += 1;
+        self.nodes.len() - 1
+    }
+
+    /// Node `n` as a float operand: integer nodes are widened first.
+    fn float(&mut self, n: usize) -> usize {
+        if self.nodes[n].int {
+            self.push(Op::ToF(n), false, 0)
+        } else {
+            n
+        }
+    }
+}
+
+/// Compiles a value expression into `code`, returning its node. Node
+/// types are structural and exactly predict the runtime `Value` variant
+/// (literals and loads are fixed, `Bin` is integer iff both operands
+/// are), which is what lets the census pick the right event per
+/// operation ahead of time. Loads are numbered in evaluation order.
 fn compile_expr(
     prog: &Program,
+    inner: usize,
     e: &Expr,
     costs: &mut [u64; 10],
     loads: &mut Vec<AccessPlan>,
-) -> Option<(FastExpr, bool)> {
+    code: &mut Code,
+) -> Option<usize> {
     match e {
-        Expr::Int(v) => Some((FastExpr::I(*v), true)),
-        Expr::Float(v) => Some((FastExpr::F(*v), false)),
-        Expr::Var(v) => Some((FastExpr::Var(v.0), true)),
+        Expr::Int(v) => Some(code.push(Op::Int(*v), true, 0)),
+        Expr::Float(v) => Some(code.push(Op::Float(*v), false, 0)),
+        Expr::Var(v) if v.0 == inner => Some(code.push(Op::Inner, true, 0)),
+        Expr::Var(v) => Some(code.push(Op::Var(v.0), true, 0)),
         Expr::Load(a) => {
             let plan = compile_access(prog, a, costs)?;
             costs[slot(CostEvent::Load)] += 1;
+            let k = loads.len();
+            if k == MAX_LOADS {
+                return None;
+            }
             loads.push(plan);
-            Some((FastExpr::Load(loads.len() - 1), false))
+            Some(code.push(Op::Load(k), false, 1 << k))
         }
         Expr::Unary(UnOp::Neg, e) => {
-            let (n, is_int) = compile_expr(prog, e, costs, loads)?;
-            costs[slot(if is_int { CostEvent::IntAlu } else { CostEvent::FpAdd })] += 1;
-            Some((FastExpr::Neg(Box::new(n)), is_int))
+            let n = compile_expr(prog, inner, e, costs, loads, code)?;
+            let Node { int, slots, .. } = code.nodes[n];
+            costs[slot(if int { CostEvent::IntAlu } else { CostEvent::FpAdd })] += 1;
+            Some(code.push(Op::Neg(n), int, slots))
         }
         Expr::Bin(op, l, r) => {
-            let (ln, li) = compile_expr(prog, l, costs, loads)?;
-            let (rn, ri) = compile_expr(prog, r, costs, loads)?;
-            let is_int = li && ri;
-            let ev = if is_int {
+            let a = compile_expr(prog, inner, l, costs, loads, code)?;
+            let b = compile_expr(prog, inner, r, costs, loads, code)?;
+            let int = code.nodes[a].int && code.nodes[b].int;
+            let ev = if int {
                 match op {
                     BinOp::Add | BinOp::Sub | BinOp::Min | BinOp::Max => CostEvent::IntAlu,
                     BinOp::Mul => CostEvent::IntMul,
@@ -238,49 +310,76 @@ fn compile_expr(
                 }
             };
             costs[slot(ev)] += 1;
-            Some((FastExpr::Bin(*op, Box::new(ln), Box::new(rn)), is_int))
+            let (a, b) = if int { (a, b) } else { (code.float(a), code.float(b)) };
+            let slots = code.nodes[a].slots | code.nodes[b].slots;
+            Some(code.push(Op::Bin(*op, a, b), int, slots))
         }
     }
 }
 
-/// Evaluates a template with loads resolved by `ld` (slot index → value):
-/// a backend load in the scalar path, a pre-gathered run buffer in the
-/// batched path.
-fn eval_expr(e: &FastExpr, env: &[i64], ld: &mut dyn FnMut(usize) -> f64) -> Value {
-    match e {
-        FastExpr::I(v) => Value::I(*v),
-        FastExpr::F(v) => Value::F(*v),
-        FastExpr::Var(v) => Value::I(env[*v]),
-        FastExpr::Load(k) => Value::F(ld(*k)),
-        FastExpr::Neg(e) => match eval_expr(e, env, ld) {
-            Value::I(v) => Value::I(-v),
-            Value::F(v) => Value::F(-v),
-        },
-        FastExpr::Bin(op, l, r) => {
-            let a = eval_expr(l, env, ld);
-            let b = eval_expr(r, env, ld);
-            if let (Value::I(x), Value::I(y)) = (a, b) {
-                return Value::I(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    BinOp::Div => unreachable!("integer division is rejected at compile time"),
-                });
-            }
-            let (x, y) = (a.as_f64(), b.as_f64());
-            // Same f32 rounding rules as the slow path's apply_bin.
-            Value::F(match op {
-                BinOp::Add => (x as f32 + y as f32) as f64,
-                BinOp::Sub => (x as f32 - y as f32) as f64,
-                BinOp::Mul => (x as f32 * y as f32) as f64,
-                BinOp::Div => (x as f32 / y as f32) as f64,
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-            })
-        }
+/// Column buffers for [`FastBody`] evaluation, shared by every fast loop
+/// of one interpreter run (fast loops are innermost, so they never
+/// nest). Each row holds [`CHUNK`] elements. [`Scratch::fit`] sizes the
+/// buffers when a body is compiled, so running a loop never allocates.
+#[derive(Default)]
+pub(super) struct Scratch {
+    /// Gathered loads, one row per load slot.
+    gather: Vec<f32>,
+    /// Float columns, one row per float node.
+    floats: Vec<f64>,
+    /// Integer columns, one row per integer node.
+    ints: Vec<i64>,
+    /// The chunk's values as stored.
+    out: Vec<f32>,
+    /// `(array, base, stride)` of each load slot at this loop entry.
+    lflat: Vec<(ArrayId, i64, i64)>,
+    /// Nodes that read a register-carried slot, in evaluation order.
+    spine: Vec<usize>,
+    /// Per-element values of the spine nodes, by node index.
+    spine_vals: Vec<f64>,
+}
+
+impl Scratch {
+    /// Grows the buffers to hold `body`'s columns.
+    pub(super) fn fit(&mut self, body: &FastBody) {
+        let grow_to = |len: usize, rows: usize| len.max(rows * CHUNK);
+        let n = body.code.nodes.len();
+        self.gather.resize(grow_to(self.gather.len(), body.loads.len()), 0.0);
+        self.floats.resize(grow_to(self.floats.len(), body.code.floats), 0.0);
+        self.ints.resize(grow_to(self.ints.len(), body.code.ints), 0);
+        self.out.resize(CHUNK, 0.0);
+        self.lflat.reserve(body.loads.len());
+        self.spine.reserve(n);
+        self.spine_vals.resize(self.spine_vals.len().max(n), 0.0);
     }
+}
+
+/// Row `out` of `buf` (first `m` elements) and every row before it.
+fn split_row<T>(buf: &mut [T], out: usize, m: usize) -> (&[T], &mut [T]) {
+    let (head, tail) = buf.split_at_mut(out * CHUNK);
+    (head, &mut tail[..m])
+}
+
+/// Row `r` of `head`, first `m` elements.
+fn row<T>(head: &[T], r: usize, m: usize) -> &[T] {
+    &head[r * CHUNK..r * CHUNK + m]
+}
+
+fn map2<T: Copy, U>(out: &mut [U], a: &[T], b: &[T], f: impl Fn(T, T) -> U) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// `acc = f(acc, x) as f32` for each `x` of `xs`, storing every value the
+/// register takes.
+fn fold(out: &mut [f32], xs: &[f64], acc: &mut f32, f: impl Fn(f64, f64) -> f64) {
+    let mut a = *acc;
+    for (o, &x) in out.iter_mut().zip(xs) {
+        a = f(f64::from(a), x) as f32;
+        *o = a;
+    }
+    *acc = a;
 }
 
 /// A compiled innermost loop: `for i in lo..hi step s { target = value }`
@@ -288,7 +387,9 @@ fn eval_expr(e: &FastExpr, env: &[i64], ld: &mut dyn FnMut(usize) -> f64) -> Val
 pub(super) struct FastBody {
     target: AccessPlan,
     loads: Vec<AccessPlan>,
-    value: FastExpr,
+    code: Code,
+    /// The value's node; always float-typed.
+    root: usize,
     /// Cost events one iteration emits on the slow path, by [`EVENTS`] slot.
     costs: [u64; 10],
 }
@@ -307,16 +408,20 @@ impl FastBody {
         costs[slot(CostEvent::Branch)] += 1;
         costs[slot(CostEvent::IntAlu)] += 1;
         let mut loads = Vec::new();
+        let mut code = Code::default();
         // Body order mirrors the slow path: value first, then target.
-        let (value, _) = compile_expr(prog, &a.value, &mut costs, &mut loads)?;
+        let value = compile_expr(prog, l.var.0, &a.value, &mut costs, &mut loads, &mut code)?;
+        // The stored value is `as_f64() as f32`: an integer widens first.
+        let root = code.float(value);
         let target = compile_access(prog, &a.target, &mut costs)?;
         costs[slot(CostEvent::Store)] += 1;
-        Some(FastBody { target, loads, value, costs })
+        Some(FastBody { target, loads, code, root, costs })
     }
 
     /// Executes the loop if the whole iteration space is provably in
     /// bounds; returns `false` to defer to the slow path. `lo`/`hi` are
-    /// the already-evaluated loop bounds.
+    /// the already-evaluated loop bounds. `s` must have been
+    /// [`Scratch::fit`] to this body.
     pub(super) fn run<B: Backend>(
         &self,
         l: &ForLoop,
@@ -324,6 +429,7 @@ impl FastBody {
         hi: i64,
         env: &mut [i64],
         backend: &mut B,
+        s: &mut Scratch,
     ) -> bool {
         let inner = l.var.0;
         if hi <= lo {
@@ -350,14 +456,14 @@ impl FastBody {
             Some((plan.flat.base(env, inner), plan.flat.coeffs[inner]))
         };
         let Some(tflat) = resolve(&self.target) else { return false };
-        let mut lflat = Vec::with_capacity(self.loads.len());
+        s.lflat.clear();
         for plan in &self.loads {
             let Some((base, stride)) = resolve(plan) else { return false };
-            lflat.push((plan.array, base, stride));
+            s.lflat.push((plan.array, base, stride));
         }
         // Retire the whole loop's census in bulk. The cost model only
         // accumulates totals; ordering is observable solely through
-        // load/store, which the loop below still issues one by one.
+        // load/store, whose order the paths below keep.
         for (ev, n) in EVENTS.iter().zip(&self.costs) {
             if *n > 0 {
                 backend.cost(*ev, n * trips as u64);
@@ -366,21 +472,22 @@ impl FastBody {
         // Loop exit check.
         backend.cost(CostEvent::Cmp, 1);
         backend.cost(CostEvent::Branch, 1);
-        if backend.prefers_bulk_runs() && self.runs_may_batch(tflat, &lflat, lo, last) {
-            self.run_batched(l.step, lo, trips, tflat, &lflat, env, inner, backend);
-            return true;
+        if backend.prefers_bulk_runs() && self.runs_may_batch(tflat, &s.lflat, lo, last) {
+            self.run_batched(l.step, lo, trips, tflat, env, backend, s);
+        } else {
+            // Element order: each iteration's loads in evaluation order,
+            // then its store, exactly as the slow path issues them.
+            let mut i = lo;
+            while i < hi {
+                for (k, &(arr, base, stride)) in s.lflat.iter().enumerate() {
+                    s.gather[k * CHUNK] = backend.load(arr, (base + stride * i) as usize);
+                }
+                self.eval(s, env, i, l.step, 1, 0, &mut 0.0);
+                backend.store(self.target.array, (tflat.0 + tflat.1 * i) as usize, s.out[0]);
+                i += l.step;
+            }
         }
-        let mut i = lo;
-        while i < hi {
-            env[inner] = i;
-            let v = eval_expr(&self.value, env, &mut |k| {
-                let (arr, base, stride) = lflat[k];
-                backend.load(arr, (base + stride * i) as usize) as f64
-            })
-            .as_f64();
-            backend.store(self.target.array, (tflat.0 + tflat.1 * i) as usize, v as f32);
-            i += l.step;
-        }
+        env[inner] = last;
         true
     }
 
@@ -426,7 +533,7 @@ impl FastBody {
     }
 
     /// Batched execution: gather each load plan's chunk with one
-    /// [`Backend::load_run`], evaluate the chunk from the buffers, write
+    /// [`Backend::load_run`], evaluate the chunk column by column, write
     /// it back with one [`Backend::store_run`]. Values and cost totals
     /// are identical to the element loop (guarded by
     /// [`FastBody::runs_may_batch`]); only the access interleaving
@@ -439,59 +546,185 @@ impl FastBody {
         lo: i64,
         trips: i64,
         tflat: (i64, i64),
-        lflat: &[(ArrayId, i64, i64)],
-        env: &mut [i64],
-        inner: usize,
+        env: &[i64],
         backend: &mut B,
+        s: &mut Scratch,
     ) {
-        const CHUNK: usize = 512;
-        let width = CHUNK.min(trips as usize);
         // With a zero store stride, loads of the same (base, stride) form a
         // loop-carried accumulation (`C[i][j] += A[i][k] * B[k][j]` over k):
         // each iteration reads the value the previous one stored. Those
-        // slots resolve from a register instead of the gathered buffer —
-        // the f32 operation chain is the scalar loop's, bit for bit — while
+        // slots resolve from a register instead of the gathered row — the
+        // f32 operation chain is the scalar loop's, bit for bit — while
         // the gather and writeback still issue the same number of accesses
         // to the target's line as the element loop did.
-        let carried: Vec<bool> = lflat
-            .iter()
-            .map(|&(arr, base, stride)| {
-                tflat.1 == 0 && arr == self.target.array && (base, stride) == tflat
-            })
-            .collect();
-        let carry = carried.iter().any(|&c| c);
+        let mut carried = 0u64;
+        if tflat.1 == 0 {
+            for (k, &(arr, base, stride)) in s.lflat.iter().enumerate() {
+                if arr == self.target.array && (base, stride) == tflat {
+                    carried |= 1 << k;
+                }
+            }
+        }
+        s.spine.clear();
+        s.spine.extend(
+            (0..self.code.nodes.len()).filter(|&n| self.code.nodes[n].slots & carried != 0),
+        );
         let mut acc = 0f32;
-        let mut bufs: Vec<Vec<f32>> = vec![vec![0.0; width]; lflat.len()];
-        let mut out = vec![0.0f32; width];
         let mut t0: i64 = 0;
         while t0 < trips {
             let m = CHUNK.min((trips - t0) as usize);
             let i0 = lo + t0 * step;
-            for (buf, &(arr, base, stride)) in bufs.iter_mut().zip(lflat) {
-                backend.load_run(arr, base + stride * i0, stride * step, &mut buf[..m]);
+            for (k, &(arr, base, stride)) in s.lflat.iter().enumerate() {
+                let buf = &mut s.gather[k * CHUNK..k * CHUNK + m];
+                backend.load_run(arr, base + stride * i0, stride * step, buf);
             }
-            if carry {
+            if carried != 0 {
                 // The target cell's current value; at chunk boundaries the
                 // previous writeback left it equal to the carried register.
-                let k = carried.iter().position(|&c| c).expect("carry set");
-                acc = bufs[k][0];
+                acc = s.gather[carried.trailing_zeros() as usize * CHUNK];
             }
-            for (j, slot) in out[..m].iter_mut().enumerate() {
-                env[inner] = i0 + j as i64 * step;
-                *slot = eval_expr(&self.value, env, &mut |k| {
-                    if carried[k] {
-                        acc as f64
-                    } else {
-                        bufs[k][j] as f64
+            self.eval(s, env, i0, step, m, carried, &mut acc);
+            backend.store_run(
+                self.target.array,
+                tflat.0 + tflat.1 * i0,
+                tflat.1 * step,
+                &s.out[..m],
+            );
+            t0 += m as i64;
+        }
+    }
+
+    /// Evaluates the value for the `m` iterations `i0, i0 + step, …` into
+    /// `s.out[..m]`, reading load slot `k` from gather row `k`. Every node
+    /// that reads no slot in `carried` fills its column once; the rest —
+    /// the carried spine, listed in `s.spine` — run element by element,
+    /// each carried load reading the register `acc`, which then takes the
+    /// element's stored value.
+    #[allow(clippy::too_many_arguments)]
+    fn eval(
+        &self,
+        s: &mut Scratch,
+        env: &[i64],
+        i0: i64,
+        step: i64,
+        m: usize,
+        carried: u64,
+        acc: &mut f32,
+    ) {
+        let Scratch { gather, floats, ints, out, spine, spine_vals, .. } = s;
+        let nodes = &self.code.nodes;
+        for node in nodes.iter().filter(|n| n.slots & carried == 0) {
+            if node.int {
+                let (head, col) = split_row(ints, node.col, m);
+                match node.op {
+                    Op::Int(v) => col.fill(v),
+                    Op::Var(v) => col.fill(env[v]),
+                    Op::Inner => {
+                        for (j, x) in col.iter_mut().enumerate() {
+                            *x = i0 + j as i64 * step;
+                        }
                     }
-                })
-                .as_f64() as f32;
-                if carry {
-                    acc = *slot;
+                    Op::Neg(a) => {
+                        for (x, &v) in col.iter_mut().zip(row(head, nodes[a].col, m)) {
+                            *x = -v;
+                        }
+                    }
+                    Op::Bin(op, a, b) => {
+                        let (a, b) = (row(head, nodes[a].col, m), row(head, nodes[b].col, m));
+                        match op {
+                            BinOp::Add => map2(col, a, b, |x, y| x + y),
+                            BinOp::Sub => map2(col, a, b, |x, y| x - y),
+                            BinOp::Mul => map2(col, a, b, |x, y| x * y),
+                            BinOp::Min => map2(col, a, b, i64::min),
+                            BinOp::Max => map2(col, a, b, i64::max),
+                            BinOp::Div => {
+                                unreachable!("integer division is rejected at compile time")
+                            }
+                        }
+                    }
+                    Op::Float(_) | Op::Load(_) | Op::ToF(_) => unreachable!("float-typed op"),
+                }
+                continue;
+            }
+            let (head, col) = split_row(floats, node.col, m);
+            match node.op {
+                Op::Float(v) => col.fill(v),
+                Op::Load(k) => {
+                    for (x, &v) in col.iter_mut().zip(row(gather, k, m)) {
+                        *x = f64::from(v);
+                    }
+                }
+                Op::ToF(a) => {
+                    for (x, &v) in col.iter_mut().zip(row(ints, nodes[a].col, m)) {
+                        *x = v as f64;
+                    }
+                }
+                Op::Neg(a) => {
+                    for (x, &v) in col.iter_mut().zip(row(head, nodes[a].col, m)) {
+                        *x = -v;
+                    }
+                }
+                Op::Bin(op, a, b) => {
+                    let (a, b) = (row(head, nodes[a].col, m), row(head, nodes[b].col, m));
+                    // One closure per operator so each loop is branch-free;
+                    // all share `float_op`'s rounding.
+                    match op {
+                        BinOp::Add => map2(col, a, b, |x, y| float_op(BinOp::Add, x, y)),
+                        BinOp::Sub => map2(col, a, b, |x, y| float_op(BinOp::Sub, x, y)),
+                        BinOp::Mul => map2(col, a, b, |x, y| float_op(BinOp::Mul, x, y)),
+                        BinOp::Div => map2(col, a, b, |x, y| float_op(BinOp::Div, x, y)),
+                        BinOp::Min => map2(col, a, b, |x, y| float_op(BinOp::Min, x, y)),
+                        BinOp::Max => map2(col, a, b, |x, y| float_op(BinOp::Max, x, y)),
+                    }
+                }
+                Op::Int(_) | Op::Inner | Op::Var(_) => unreachable!("integer-typed op"),
+            }
+        }
+        let out = &mut out[..m];
+        if carried == 0 {
+            for (o, &v) in out.iter_mut().zip(row(floats, nodes[self.root].col, m)) {
+                *o = v as f32;
+            }
+            return;
+        }
+        // `C[i][j] += …` desugars to `C = C op x`: the spine is the carried
+        // load and one operation folding column `x` into the register.
+        if let [load, top] = spine[..] {
+            if let Op::Bin(op, a, x) = nodes[top].op {
+                if a == load && x != load {
+                    let xs = row(floats, nodes[x].col, m);
+                    match op {
+                        BinOp::Add => fold(out, xs, acc, |a, x| float_op(BinOp::Add, a, x)),
+                        BinOp::Sub => fold(out, xs, acc, |a, x| float_op(BinOp::Sub, a, x)),
+                        BinOp::Mul => fold(out, xs, acc, |a, x| float_op(BinOp::Mul, a, x)),
+                        BinOp::Div => fold(out, xs, acc, |a, x| float_op(BinOp::Div, a, x)),
+                        BinOp::Min => fold(out, xs, acc, |a, x| float_op(BinOp::Min, a, x)),
+                        BinOp::Max => fold(out, xs, acc, |a, x| float_op(BinOp::Max, a, x)),
+                    }
+                    return;
                 }
             }
-            backend.store_run(self.target.array, tflat.0 + tflat.1 * i0, tflat.1 * step, &out[..m]);
-            t0 += m as i64;
+        }
+        for (j, o) in out.iter_mut().enumerate() {
+            for &n in spine.iter() {
+                let arg = |a: usize| {
+                    let node = nodes[a];
+                    if node.slots & carried != 0 {
+                        spine_vals[a]
+                    } else {
+                        floats[node.col * CHUNK + j]
+                    }
+                };
+                let v = match nodes[n].op {
+                    Op::Load(_) => f64::from(*acc),
+                    Op::Neg(a) => -arg(a),
+                    Op::Bin(op, a, b) => float_op(op, arg(a), arg(b)),
+                    _ => unreachable!("only loads and the operations above them read a slot"),
+                };
+                spine_vals[n] = v;
+            }
+            *o = spine_vals[self.root] as f32;
+            *acc = *o;
         }
     }
 }

@@ -5,12 +5,16 @@
 //! array contents bit for bit, same cost-event totals, same ordered
 //! load/store sequence, same error. The generator covers the shapes the
 //! fast path accelerates (axpy, strided, triangular, GEMM, loop-carried
-//! recurrences, reversed subscripts) and the shapes it must decline
+//! recurrences, reversed subscripts), the value shapes its column
+//! evaluator must round exactly as the tree-walker does (integer
+//! subexpressions, negation, f64 `min`/`max`, a carried target deep in
+//! the value, stride-0 loads), and the shapes it must decline
 //! (non-affine subscripts, integer division, runtime out-of-bounds).
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 use tdo_ir::interp::{self, Backend, CostEvent, InterpError, ResolvedArg};
-use tdo_ir::{Access, ArrayId, Expr, Program, Stmt};
+use tdo_ir::{Access, ArrayId, Expr, Program, Stmt, VarId};
 
 /// Records everything a backend can observe.
 #[derive(Default, Clone, PartialEq, Debug)]
@@ -27,8 +31,9 @@ impl Recorder {
         let arrays = (0..p.arrays.len())
             .map(|i| {
                 let len: usize = p.array(ArrayId(i)).dims.iter().product();
-                // Deterministic non-trivial fill so loads matter.
-                (0..len.max(1)).map(|j| (j % 13) as f32 - 6.0).collect()
+                // Deterministic non-integral fill so loads and rounding
+                // order matter.
+                (0..len.max(1)).map(|j| (j % 13) as f32 * 0.7 - 4.1).collect()
             })
             .collect();
         Recorder { arrays, ..Recorder::default() }
@@ -53,30 +58,58 @@ impl Backend for Recorder {
     }
 }
 
+/// Number of shapes [`build_program`] knows.
+const SHAPES: usize = 14;
+
+/// `for i in 0..n: A[i] = value(X, A, i)` over arrays `X` and `A` of `n`.
+fn elementwise(n: usize, value: impl Fn(ArrayId, ArrayId, VarId) -> Expr) -> Program {
+    let mut p = Program::new("fast-loop-case");
+    let x = p.add_array("X", vec![n]);
+    let a = p.add_array("A", vec![n]);
+    let i = p.fresh_var("i");
+    p.body = vec![Stmt::for_loop(
+        i,
+        Expr::Int(0),
+        Expr::Int(n as i64),
+        1,
+        vec![Stmt::assign(Access { array: a, idx: vec![Expr::Var(i)] }, value(x, a, i))],
+    )];
+    p
+}
+
+/// `for i, j, k in 0..n: C[i][j] = value(C[i][j], A[i][k], B[k][j])`
+/// over `n`-square arrays `A`, `B`, `C` and a scalar `alpha`, passed to
+/// `value` as a stride-0 load.
+fn matmul(n: usize, value: impl Fn(Expr, Expr, Expr, Expr) -> Expr) -> Program {
+    let mut p = Program::new("fast-loop-case");
+    let a = p.add_array("A", vec![n, n]);
+    let b = p.add_array("B", vec![n, n]);
+    let c = p.add_array("C", vec![n, n]);
+    let alpha = p.add_scalar("alpha", None);
+    let i = p.fresh_var("i");
+    let j = p.fresh_var("j");
+    let k = p.fresh_var("k");
+    let ni = n as i64;
+    let at = |arr, r: VarId, s: VarId| Expr::load(arr, vec![Expr::Var(r), Expr::Var(s)]);
+    let v = value(at(c, i, j), at(a, i, k), at(b, k, j), Expr::load(alpha, vec![]));
+    let nest = |var, body| Stmt::for_loop(var, Expr::Int(0), Expr::Int(ni), 1, vec![body]);
+    let target = Access { array: c, idx: vec![Expr::Var(i), Expr::Var(j)] };
+    p.body = vec![nest(i, nest(j, nest(k, Stmt::assign(target, v))))];
+    p
+}
+
 /// Builds one of the generator's program shapes over problem size `n`
 /// and stride `step`.
 fn build_program(shape: usize, n: usize, step: i64) -> Program {
     let mut p = Program::new("fast-loop-case");
     let ni = n as i64;
     match shape {
-        // axpy: Y[i] = Y[i] + 2.5 * X[i]
+        // axpy: A[i] = A[i] + 2.5 * X[i]
         0 => {
-            let x = p.add_array("X", vec![n]);
-            let y = p.add_array("Y", vec![n]);
-            let i = p.fresh_var("i");
-            p.body = vec![Stmt::for_loop(
-                i,
-                Expr::Int(0),
-                Expr::Int(ni),
-                1,
-                vec![Stmt::assign(
-                    Access { array: y, idx: vec![Expr::Var(i)] },
-                    Expr::add(
-                        Expr::load(y, vec![Expr::Var(i)]),
-                        Expr::mul(Expr::Float(2.5), Expr::load(x, vec![Expr::Var(i)])),
-                    ),
-                )],
-            )];
+            return elementwise(n, |x, a, i| {
+                let at = |arr| Expr::load(arr, vec![Expr::Var(i)]);
+                Expr::add(at(a), Expr::mul(Expr::Float(2.5), at(x)))
+            })
         }
         // strided store with affine offset: A[i] = X[i] * 2.0, step > 1
         1 => {
@@ -118,42 +151,7 @@ fn build_program(shape: usize, n: usize, step: i64) -> Program {
             )];
         }
         // GEMM inner product: C[i][j] += A[i][k] * B[k][j]
-        3 => {
-            let a = p.add_array("A", vec![n, n]);
-            let b = p.add_array("B", vec![n, n]);
-            let c = p.add_array("C", vec![n, n]);
-            let i = p.fresh_var("i");
-            let j = p.fresh_var("j");
-            let k = p.fresh_var("k");
-            p.body = vec![Stmt::for_loop(
-                i,
-                Expr::Int(0),
-                Expr::Int(ni),
-                1,
-                vec![Stmt::for_loop(
-                    j,
-                    Expr::Int(0),
-                    Expr::Int(ni),
-                    1,
-                    vec![Stmt::for_loop(
-                        k,
-                        Expr::Int(0),
-                        Expr::Int(ni),
-                        1,
-                        vec![Stmt::assign(
-                            Access { array: c, idx: vec![Expr::Var(i), Expr::Var(j)] },
-                            Expr::add(
-                                Expr::load(c, vec![Expr::Var(i), Expr::Var(j)]),
-                                Expr::mul(
-                                    Expr::load(a, vec![Expr::Var(i), Expr::Var(k)]),
-                                    Expr::load(b, vec![Expr::Var(k), Expr::Var(j)]),
-                                ),
-                            ),
-                        )],
-                    )],
-                )],
-            )];
-        }
+        3 => return matmul(n, |c, a, b, _| Expr::add(c, Expr::mul(a, b))),
         // reversed subscript (negative inner coefficient): A[n-1-i] = X[i]
         4 => {
             let x = p.add_array("X", vec![n]);
@@ -220,7 +218,7 @@ fn build_program(shape: usize, n: usize, step: i64) -> Program {
             )];
         }
         // runtime out-of-bounds on the last iteration: A[i+1] = 0.0
-        _ => {
+        8 => {
             let a = p.add_array("A", vec![n]);
             let i = p.fresh_var("i");
             p.body = vec![Stmt::for_loop(
@@ -234,7 +232,61 @@ fn build_program(shape: usize, n: usize, step: i64) -> Program {
                 )],
             )];
         }
+        // integer subexpression in a float value: A[i] = A[i] + i * 3
+        9 => {
+            return elementwise(n, |_, a, i| {
+                Expr::add(Expr::load(a, vec![Expr::Var(i)]), Expr::mul(Expr::Var(i), Expr::Int(3)))
+            })
+        }
+        // negation of a float and of an int: A[i] = -X[i] - -i
+        10 => {
+            return elementwise(n, |x, _, i| {
+                Expr::sub(Expr::neg(Expr::load(x, vec![Expr::Var(i)])), Expr::neg(Expr::Var(i)))
+            })
+        }
+        // f64 min/max, 0.1 unrepresentable in f32, an int widened for
+        // max: A[i] = min(0.1, X[i]) * max(X[i], i - 3)
+        11 => {
+            return elementwise(n, |x, _, i| {
+                let xi = || Expr::load(x, vec![Expr::Var(i)]);
+                Expr::mul(
+                    Expr::min(Expr::Float(0.1), xi()),
+                    Expr::max(xi(), Expr::sub(Expr::Var(i), Expr::Int(3))),
+                )
+            })
+        }
+        // carried target as the right operand, two operations deep:
+        // C[i][j] = 0.5 * (A[i][k] + C[i][j])
+        12 => return matmul(n, |c, a, _, _| Expr::mul(Expr::Float(0.5), Expr::add(a, c))),
+        // stride-0 load of another array: C[i][j] += alpha * A[i][k] * B[k][j]
+        13 => return matmul(n, |c, a, b, alpha| Expr::add(c, Expr::mul(Expr::mul(alpha, a), b))),
+        _ => unreachable!("shape {shape} of {SHAPES}"),
     }
+    p
+}
+
+/// `S[0] = S[0] + X[k] * Y[k]` for `k in 0..n`: a register-carried
+/// reduction whose run spans `n / 512` chunks.
+fn dot_product(n: usize) -> Program {
+    let mut p = Program::new("dot");
+    let x = p.add_array("X", vec![n]);
+    let y = p.add_array("Y", vec![n]);
+    let s = p.add_array("S", vec![1]);
+    let k = p.fresh_var("k");
+    let cell = || Access { array: s, idx: vec![Expr::Int(0)] };
+    p.body = vec![Stmt::for_loop(
+        k,
+        Expr::Int(0),
+        Expr::Int(n as i64),
+        1,
+        vec![Stmt::assign(
+            cell(),
+            Expr::add(
+                Expr::Load(cell()),
+                Expr::mul(Expr::load(x, vec![Expr::Var(k)]), Expr::load(y, vec![Expr::Var(k)])),
+            ),
+        )],
+    )];
     p
 }
 
@@ -263,59 +315,94 @@ impl Backend for BulkRecorder {
     }
 }
 
+/// `interp::run` and `interp::run_reference` on a [`Recorder`] agree on
+/// everything it observes, access order included.
+fn check_identical(p: &Program) -> TestCaseResult {
+    let mut fast = Recorder::for_program(p);
+    let mut slow = fast.clone();
+    let fr = interp::run(p, &mut fast);
+    let sr = interp::run_reference(p, &mut slow);
+    prop_assert_eq!(&fr, &sr);
+    prop_assert_eq!(&fast.arrays, &slow.arrays);
+    prop_assert_eq!(&fast.costs, &slow.costs);
+    prop_assert_eq!(&fast.accesses, &slow.accesses);
+    Ok(())
+}
+
+/// A run-capable backend accepts access *reordering* at run
+/// granularity (and, for a register-carried reduction, loads of the
+/// target cell that observe the pre-run value) — but array contents,
+/// cost totals, per-location access counts, and the per-location
+/// store-value sequences must all still match the reference
+/// tree-walker bit for bit.
+fn check_batched(p: &Program) -> TestCaseResult {
+    let mut fast = BulkRecorder(Recorder::for_program(p));
+    let mut slow = fast.0.clone();
+    let fr = interp::run(p, &mut fast);
+    let sr = interp::run_reference(p, &mut slow);
+    prop_assert_eq!(&fr, &sr);
+    prop_assert_eq!(&fast.0.arrays, &slow.arrays);
+    prop_assert_eq!(&fast.0.costs, &slow.costs);
+    // Per-location traffic: same number of loads and stores of each
+    // cell, and stores write the same value sequence per cell.
+    let census = |log: &[(bool, usize, usize, u32)]| {
+        let mut counts = std::collections::BTreeMap::new();
+        let mut stored = std::collections::BTreeMap::new();
+        for &(is_store, a, flat, bits) in log {
+            *counts.entry((is_store, a, flat)).or_insert(0u64) += 1;
+            if is_store {
+                stored.entry((a, flat)).or_insert_with(Vec::new).push(bits);
+            }
+        }
+        (counts, stored)
+    };
+    prop_assert_eq!(census(&fast.0.accesses), census(&slow.accesses));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::Config { cases: 64 })]
     #[test]
     fn fast_path_is_observationally_identical(
-        shape in 0usize..9,
+        shape in 0usize..SHAPES,
         n in 1usize..10,
         step in 1i64..4,
     ) {
-        let p = build_program(shape, n, step);
-        let mut fast = Recorder::for_program(&p);
-        let mut slow = fast.clone();
-        let fr = interp::run(&p, &mut fast);
-        let sr = interp::run_reference(&p, &mut slow);
-        prop_assert_eq!(&fr, &sr);
-        prop_assert_eq!(&fast.arrays, &slow.arrays);
-        prop_assert_eq!(&fast.costs, &slow.costs);
-        prop_assert_eq!(&fast.accesses, &slow.accesses);
+        check_identical(&build_program(shape, n, step))?;
     }
 
-    /// A run-capable backend accepts access *reordering* at run
-    /// granularity (and, for a register-carried reduction, loads of the
-    /// target cell that observe the pre-run value) — but array contents,
-    /// cost totals, per-location access counts, and the per-location
-    /// store-value sequences must all still match the reference
-    /// tree-walker bit for bit.
     #[test]
     fn batched_path_preserves_scalar_results(
-        shape in 0usize..9,
+        shape in 0usize..SHAPES,
         n in 1usize..10,
         step in 1i64..4,
     ) {
-        let p = build_program(shape, n, step);
-        let mut fast = BulkRecorder(Recorder::for_program(&p));
-        let mut slow = fast.0.clone();
-        let fr = interp::run(&p, &mut fast);
-        let sr = interp::run_reference(&p, &mut slow);
-        prop_assert_eq!(&fr, &sr);
-        prop_assert_eq!(&fast.0.arrays, &slow.arrays);
-        prop_assert_eq!(&fast.0.costs, &slow.costs);
-        // Per-location traffic: same number of loads and stores of each
-        // cell, and stores write the same value sequence per cell.
-        let census = |log: &[(bool, usize, usize, u32)]| {
-            let mut counts = std::collections::BTreeMap::new();
-            let mut stored = std::collections::BTreeMap::new();
-            for &(is_store, a, flat, bits) in log {
-                *counts.entry((is_store, a, flat)).or_insert(0u64) += 1;
-                if is_store {
-                    stored.entry((a, flat)).or_insert_with(Vec::new).push(bits);
-                }
-            }
-            (counts, stored)
-        };
-        prop_assert_eq!(census(&fast.0.accesses), census(&slow.accesses));
+        check_batched(&build_program(shape, n, step))?;
+    }
+}
+
+/// Both properties on every shape, not only the ones the sampler draws.
+#[test]
+fn every_shape_satisfies_both_properties() {
+    for shape in 0..SHAPES {
+        for (n, step) in [(1, 1), (4, 2), (9, 3)] {
+            let p = build_program(shape, n, step);
+            let case = format!("shape {shape}, n {n}, step {step}");
+            check_identical(&p).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+            check_batched(&p).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+        }
+    }
+}
+
+/// Runs around and across the 512-iteration chunk of the batched path:
+/// the carried register is reloaded from the gathered target at every
+/// chunk start, and must hold exactly what the element loop left.
+#[test]
+fn carried_reduction_across_chunks_matches_reference() {
+    for n in [511, 512, 513, 1025] {
+        let p = dot_product(n);
+        check_identical(&p).unwrap_or_else(|e| panic!("{n} trips: {e:?}"));
+        check_batched(&p).unwrap_or_else(|e| panic!("{n} trips: {e:?}"));
     }
 }
 

@@ -32,13 +32,16 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets implied by the geometry.
+    /// Number of sets implied by the geometry. Line size and set count
+    /// must both be powers of two: in hardware the line offset and the
+    /// set index are bit fields of the address, and the simulator splits
+    /// an address with the same shifts and masks.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
-    /// line size, more than 64 ways, or capacity not divisible by
-    /// `ways * line_bytes`).
+    /// line size or set count, more than 64 ways, or capacity not
+    /// divisible by `ways * line_bytes`).
     pub fn sets(&self) -> usize {
         assert!(self.line_bytes.is_power_of_two() && self.line_bytes >= 4);
         assert!(self.ways >= 1 && self.ways <= 64, "valid/dirty bitmasks hold up to 64 ways");
@@ -47,7 +50,16 @@ impl CacheConfig {
             per_way.is_multiple_of(self.line_bytes) && per_way > 0,
             "cache capacity must divide evenly into ways of whole lines"
         );
-        (per_way / self.line_bytes) as usize
+        let sets = per_way / self.line_bytes;
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a power of two (the set index is a bit field): \
+             {} B / {} ways / {} B lines gives {sets} sets",
+            self.size_bytes,
+            self.ways,
+            self.line_bytes
+        );
+        sets as usize
     }
 }
 
@@ -105,6 +117,10 @@ pub struct Cache {
     cfg: CacheConfig,
     nsets: usize,
     ways: usize,
+    /// `log2(line_bytes)`: address to line number.
+    line_shift: u32,
+    /// `log2(nsets)`: line number to tag.
+    set_shift: u32,
     /// Packed tag array, `nsets * ways`, row-major by set.
     tags: Vec<u64>,
     /// Packed LRU stamps, same layout as `tags`.
@@ -134,6 +150,8 @@ impl Cache {
             cfg,
             nsets,
             ways: cfg.ways,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: nsets.trailing_zeros(),
             tags: vec![0; nsets * cfg.ways],
             stamps: vec![0; nsets * cfg.ways],
             valid: vec![0; nsets],
@@ -159,11 +177,30 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// `(set, tag)` of the line holding `addr`: bit fields of the line
+    /// number, as [`CacheConfig::sets`] guarantees.
     fn index(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes;
-        let set = (line % self.nsets as u64) as usize;
-        let tag = line / self.nsets as u64;
-        (set, tag)
+        let line = addr >> self.line_shift;
+        ((line & (self.nsets as u64 - 1)) as usize, line >> self.set_shift)
+    }
+
+    /// Way of `set` holding `tag`, if any (valid ways only).
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let mut m = self.valid[set];
+        while m != 0 {
+            let w = m.trailing_zeros() as usize;
+            if self.tags[base + w] == tag {
+                return Some(w);
+            }
+            m &= m - 1;
+        }
+        None
+    }
+
+    /// Line number of the line at `set` holding `tag`.
+    fn line_of(&self, set: usize, tag: u64) -> u64 {
+        tag << self.set_shift | set as u64
     }
 
     /// `count` back-to-back accesses to the line containing `addr` — the
@@ -177,19 +214,14 @@ impl Cache {
         let tick = self.tick;
         let (set, tag) = self.index(addr);
         let base = set * self.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                self.stamps[base + w] = tick;
-                if write {
-                    self.dirty_count += u64::from(self.dirty[set] & (1 << w) == 0);
-                    self.dirty[set] |= 1 << w;
-                }
-                self.stats.hits += count;
-                return LineOutcome::Hit;
+        if let Some(w) = self.find(set, tag) {
+            self.stamps[base + w] = tick;
+            if write {
+                self.dirty_count += u64::from(self.dirty[set] & (1 << w) == 0);
+                self.dirty[set] |= 1 << w;
             }
-            m &= m - 1;
+            self.stats.hits += count;
+            return LineOutcome::Hit;
         }
         self.stats.misses += 1;
         self.stats.hits += count - 1;
@@ -197,15 +229,7 @@ impl Cache {
         // (ties on stamp break toward the lower way, as `min_by_key` does).
         let victim = match (!self.valid[set]).trailing_zeros() as usize {
             w if w < self.ways => w,
-            _ => {
-                let mut best = 0;
-                for w in 1..self.ways {
-                    if self.stamps[base + w] < self.stamps[base + best] {
-                        best = w;
-                    }
-                }
-                best
-            }
+            _ => lru_way(&self.stamps[base..base + self.ways]),
         };
         let vbit = 1u64 << victim;
         let writeback = self.valid[set] & vbit != 0 && self.dirty[set] & vbit != 0;
@@ -260,16 +284,7 @@ impl Cache {
     /// Returns whether the line containing `addr` is present (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return true;
-            }
-            m &= m - 1;
-        }
-        false
+        self.find(set, tag).is_some()
     }
 
     /// Invalidates the whole cache, returning `(valid_lines, dirty_lines)`.
@@ -310,8 +325,8 @@ impl Cache {
         }
         let mut valid = 0;
         let mut dirty = 0;
-        let first = start / self.cfg.line_bytes;
-        let last = (start + len - 1) / self.cfg.line_bytes;
+        let first = start >> self.line_shift;
+        let last = (start + len - 1) >> self.line_shift;
         if last - first >= (self.nsets * self.ways) as u64 {
             for set in 0..self.nsets {
                 let base = set * self.ways;
@@ -319,7 +334,7 @@ impl Cache {
                 while m != 0 {
                     let w = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let lineno = self.tags[base + w] * self.nsets as u64 + set as u64;
+                    let lineno = self.line_of(set, self.tags[base + w]);
                     if (first..=last).contains(&lineno) {
                         valid += 1;
                         dirty += u64::from(self.invalidate_way(set, w));
@@ -328,17 +343,10 @@ impl Cache {
             }
         } else {
             for lineno in first..=last {
-                let addr = lineno * self.cfg.line_bytes;
-                let (set, tag) = self.index(addr);
-                let base = set * self.ways;
-                let mut m = self.valid[set];
-                while m != 0 {
-                    let w = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.tags[base + w] == tag {
-                        valid += 1;
-                        dirty += u64::from(self.invalidate_way(set, w));
-                    }
+                let (set, tag) = self.index(lineno << self.line_shift);
+                if let Some(w) = self.find(set, tag) {
+                    valid += 1;
+                    dirty += u64::from(self.invalidate_way(set, w));
                 }
             }
         }
@@ -360,8 +368,8 @@ impl Cache {
             while m != 0 {
                 let w = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let lineno = self.tags[base + w] * self.nsets as u64 + set as u64;
-                out.push((lineno * self.cfg.line_bytes, self.dirty[set] & (1 << w) != 0));
+                let addr = self.line_of(set, self.tags[base + w]) << self.line_shift;
+                out.push((addr, self.dirty[set] & (1 << w) != 0));
             }
         }
         out.sort_unstable();
@@ -369,22 +377,45 @@ impl Cache {
     }
 }
 
+/// Lowest-indexed way holding the minimum stamp of a full set's row.
+/// Branch-free: the comparisons select, they do not jump.
+fn lru_way(stamps: &[u64]) -> usize {
+    let mut best = 0;
+    let mut oldest = stamps[0];
+    for (w, &s) in stamps.iter().enumerate().skip(1) {
+        let older = s < oldest;
+        best = if older { w } else { best };
+        oldest = if older { s } else { oldest };
+    }
+    best
+}
+
 /// Number of leading elements of the run `addr, addr+stride, …` (at most
 /// `remaining`) that fall on the line containing `addr`. A constant
 /// stride is monotonic, so these are exactly the consecutive accesses the
 /// line receives. Also used with `line_bytes = PAGE_BYTES` to group a run
-/// into per-page translation bursts.
+/// into per-page translation bursts. `line_bytes` is a power of two
+/// ([`CacheConfig::sets`]), so the line offset is a mask; a stride of a
+/// line or more leaves after one element, and a power-of-two stride
+/// divides by shifting.
 pub(crate) fn burst_len(addr: u64, line_bytes: u64, stride: i64, remaining: u64) -> u64 {
     if stride == 0 {
         return remaining;
     }
-    let line_base = addr / line_bytes * line_bytes;
-    let k = if stride > 0 {
-        let to_next = line_base + line_bytes - addr;
-        to_next.div_ceil(stride as u64)
+    debug_assert!(line_bytes.is_power_of_two());
+    let step = stride.unsigned_abs();
+    if step >= line_bytes {
+        return 1.min(remaining);
+    }
+    let offset = addr & (line_bytes - 1);
+    // Bytes the run can still advance within the line, then elements.
+    let (span, round_up) = if stride > 0 { (line_bytes - offset, step - 1) } else { (offset, 0) };
+    let k = if step.is_power_of_two() {
+        (span + round_up) >> step.trailing_zeros()
     } else {
-        (addr - line_base) / stride.unsigned_abs() + 1
+        (span + round_up) / step
     };
+    let k = if stride > 0 { k } else { k + 1 };
     k.min(remaining)
 }
 
@@ -454,14 +485,13 @@ impl Hierarchy {
     /// Accesses that straddle line boundaries touch every line involved; the
     /// outcome reports the *worst* level reached and total stall cycles.
     pub fn access(&mut self, addr: u64, bytes: u64, write: bool) -> AccessOutcome {
-        let line = self.l1d.config().line_bytes;
-        let first = addr / line;
-        let last = if bytes == 0 { first } else { (addr + bytes - 1) / line };
+        let shift = self.l1d.line_shift;
+        let first = addr >> shift;
+        let last = if bytes == 0 { first } else { (addr + bytes - 1) >> shift };
         let mut stall = 0;
         let mut worst = HitLevel::L1;
         for lineno in first..=last {
-            let a = lineno * line;
-            self.line_access(a, write, 1, &mut stall, &mut worst);
+            self.line_access(lineno << shift, write, 1, &mut stall, &mut worst);
         }
         AccessOutcome { level: worst, stall_cycles: stall }
     }
@@ -482,7 +512,7 @@ impl Hierarchy {
             LineOutcome::Miss { writeback } => {
                 *stall += (count - 1) * self.lat.l1_hit_cycles;
                 // L2 sees line-aligned traffic, as in the scalar path.
-                let a = addr / self.l1d.config().line_bytes * self.l1d.config().line_bytes;
+                let a = addr & !(self.l1d.config().line_bytes - 1);
                 if writeback {
                     // Dirty victim written back into L2.
                     self.l2.access_line(a, true);
@@ -590,6 +620,50 @@ mod tests {
     fn config_sets() {
         let cfg = CacheConfig { size_bytes: 32 * 1024, line_bytes: 64, ways: 4 };
         assert_eq!(cfg.sets(), 128);
+    }
+
+    #[test]
+    fn shift_mask_index_matches_division() {
+        use crate::config::MachineConfig;
+        let (default, small) = (MachineConfig::default(), MachineConfig::test_small());
+        // xorshift64*, seeded: addresses across the whole 64-bit space.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for cfg in [default.l1d, default.l2, small.l1d, small.l2] {
+            let c = Cache::new(cfg);
+            let sets = cfg.sets() as u64;
+            for _ in 0..10_000 {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                let addr = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                let line = addr / cfg.line_bytes;
+                assert_eq!(
+                    c.index(addr),
+                    ((line % sets) as usize, line / sets),
+                    "{cfg:?} {addr:#x}"
+                );
+                let (set, tag) = c.index(addr);
+                assert_eq!(c.line_of(set, tag), line);
+            }
+        }
+    }
+
+    #[test]
+    fn burst_len_matches_division() {
+        // The mask/shift burst length against the per-element walk.
+        for stride in [-640i64, -64, -12, -8, -4, 4, 8, 12, 24, 48, 64, 100, 512] {
+            for offset in (0..64).step_by(4) {
+                let addr = 4096u64 + offset;
+                let mut walk = 0;
+                let mut a = addr;
+                while walk < 40 && a / 64 == addr / 64 {
+                    walk += 1;
+                    a = a.wrapping_add(stride as u64);
+                }
+                assert_eq!(burst_len(addr, 64, stride, 40), walk, "stride {stride} at {addr}");
+            }
+        }
+        assert_eq!(burst_len(4096, 64, 0, 40), 40);
     }
 
     #[test]

@@ -108,6 +108,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 48 KiB / 4 ways / 64 B lines = 192 sets: no bit-field set index.
+        let l1d = CacheConfig { size_bytes: 48 * 1024, line_bytes: 64, ways: 4 };
+        MachineConfig { l1d, ..MachineConfig::default() }.validate();
+    }
+
+    #[test]
     #[should_panic(expected = "CMA carve-out")]
     fn cma_outside_memory_panics() {
         let cfg = MachineConfig { cma_base: 4 * 1024 * 1024 * 1024, ..MachineConfig::test_small() };

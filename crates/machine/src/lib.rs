@@ -187,11 +187,7 @@ impl Machine {
             let k = cache::burst_len(addr, PAGE_BYTES, stride, (out.len() - done) as u64) as usize;
             let pa = self.translate(addr);
             stall += self.hier.access_block(pa, 4, k as u64, stride, false).stall_cycles;
-            let mut a = pa;
-            for slot in &mut out[done..done + k] {
-                *slot = self.mem.read_f32(a);
-                a = a.wrapping_add(stride as u64);
-            }
+            self.mem.read_f32_strided(pa, stride, &mut out[done..done + k]);
             addr = addr.wrapping_add((k as i64).wrapping_mul(stride) as u64);
             done += k;
         }
@@ -217,11 +213,7 @@ impl Machine {
             let k = cache::burst_len(addr, PAGE_BYTES, stride, (data.len() - done) as u64) as usize;
             let pa = self.translate(addr);
             stall += self.hier.access_block(pa, 4, k as u64, stride, true).stall_cycles;
-            let mut a = pa;
-            for v in &data[done..done + k] {
-                self.mem.write_f32(a, *v);
-                a = a.wrapping_add(stride as u64);
-            }
+            self.mem.write_f32_strided(pa, stride, &data[done..done + k]);
             addr = addr.wrapping_add((k as i64).wrapping_mul(stride) as u64);
             done += k;
         }

@@ -151,6 +151,68 @@ impl PhysMem {
         self.write(addr, &v.to_le_bytes());
     }
 
+    /// Frame index and in-frame offset of `addr` when the `n ≥ 1` words
+    /// `addr, addr + stride, …` all lie inside that one frame (and inside
+    /// memory), as the per-page bursts of a strided host run do.
+    fn frame_span(&self, addr: u64, stride: i64, n: usize) -> Option<(usize, usize)> {
+        let last = addr.wrapping_add((stride * (n as i64 - 1)) as u64);
+        let (lo, hi) = (addr.min(last), addr.max(last));
+        let frame = lo / FRAME_BYTES as u64;
+        let inside = hi / FRAME_BYTES as u64 == frame
+            && hi % FRAME_BYTES as u64 + 4 <= FRAME_BYTES as u64
+            && hi + 4 <= self.size;
+        inside.then_some((frame as usize, (addr % FRAME_BYTES as u64) as usize))
+    }
+
+    /// Reads the `f32`s at `addr`, `addr + stride`, … into `out`. When they
+    /// share one frame (a page burst of a strided run), the bounds check,
+    /// stats update and frame lookup happen once for the whole burst;
+    /// otherwise this is the [`PhysMem::read_f32`] loop.
+    pub fn read_f32_strided(&mut self, addr: u64, stride: i64, out: &mut [f32]) {
+        if out.is_empty() {
+            return;
+        }
+        let Some((idx, start)) = self.frame_span(addr, stride, out.len()) else {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = self.read_f32(addr.wrapping_add((i as i64 * stride) as u64));
+            }
+            return;
+        };
+        self.stats.bytes_read += 4 * out.len() as u64;
+        let Some(frame) = &self.frames[idx] else {
+            out.fill(0.0);
+            return;
+        };
+        let mut off = start as i64;
+        for slot in out {
+            let o = off as usize;
+            *slot = f32::from_le_bytes(frame[o..o + 4].try_into().expect("4 bytes"));
+            off += stride;
+        }
+    }
+
+    /// Writes `data` to `addr`, `addr + stride`, … in order; the
+    /// store-side dual of [`PhysMem::read_f32_strided`].
+    pub fn write_f32_strided(&mut self, addr: u64, stride: i64, data: &[f32]) {
+        if data.is_empty() {
+            return;
+        }
+        let Some((_, start)) = self.frame_span(addr, stride, data.len()) else {
+            for (i, v) in data.iter().enumerate() {
+                self.write_f32(addr.wrapping_add((i as i64 * stride) as u64), *v);
+            }
+            return;
+        };
+        self.stats.bytes_written += 4 * data.len() as u64;
+        let frame = self.frame_mut(addr);
+        let mut off = start as i64;
+        for v in data {
+            let o = off as usize;
+            frame[o..o + 4].copy_from_slice(&v.to_le_bytes());
+            off += stride;
+        }
+    }
+
     /// Reads a little-endian `u64` at `addr`.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
         let mut b = [0u8; 8];
@@ -295,6 +357,37 @@ mod tests {
         let mut out = vec![0f32; 8];
         m.read_f32_slice(13, &mut out);
         assert_eq!(out, &data[..8]);
+    }
+
+    #[test]
+    fn strided_f32_matches_scalar_loop() {
+        // In-frame bursts (forward, backward, stride 0) and runs that
+        // leave the frame or memory take the same values and stats as the
+        // per-word loop.
+        let data: Vec<f32> = (0..16).map(|i| i as f32 * 1.5 - 4.0).collect();
+        let frame = FRAME_BYTES as u64;
+        for (addr, stride) in
+            [(64u64, 4i64), (64, 512), (frame - 4, -256), (128, 0), (frame - 64, 16), (8190, 4)]
+        {
+            let (mut bulk, mut scalar) = (PhysMem::new(4 * frame), PhysMem::new(4 * frame));
+            let mut got = vec![0f32; data.len()];
+            bulk.write_f32_strided(addr, stride, &data);
+            bulk.read_f32_strided(addr, stride, &mut got);
+            let mut want = vec![0f32; data.len()];
+            for (i, v) in data.iter().enumerate() {
+                scalar.write_f32(addr.wrapping_add((i as i64 * stride) as u64), *v);
+            }
+            for (i, slot) in want.iter_mut().enumerate() {
+                *slot = scalar.read_f32(addr.wrapping_add((i as i64 * stride) as u64));
+            }
+            assert_eq!(got, want, "{addr} {stride}");
+            assert_eq!(bulk.stats(), scalar.stats(), "{addr} {stride}");
+        }
+        // An untouched frame reads as zeros.
+        let mut m = PhysMem::new(2 * frame);
+        let mut out = [1f32; 4];
+        m.read_f32_strided(frame, 8, &mut out);
+        assert_eq!(out, [0.0; 4]);
     }
 
     #[test]

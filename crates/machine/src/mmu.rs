@@ -9,6 +9,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page size used for translation (matches Linux 4 KiB pages).
 pub const PAGE_BYTES: u64 = 4096;
@@ -28,10 +29,36 @@ impl std::fmt::Display for TranslateError {
 
 impl std::error::Error for TranslateError {}
 
+/// Multiplicative (Fibonacci) hash of a virtual page number. The page
+/// table is looked up after every miss of the one-entry TLB, and with
+/// SipHash the lookup cost more than the rest of a translation. Keys are
+/// page numbers the simulator allocates itself, never outside input, so
+/// SipHash's collision resistance buys nothing here. Multiplying by an
+/// odd constant is a bijection on the low bits the table indexes with,
+/// so consecutive pages land in distinct buckets.
+#[derive(Default)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(*b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// Single-address-space page table with bump-pointer frame allocation.
 #[derive(Debug)]
 pub struct Mmu {
-    table: HashMap<u64, u64>, // vpn -> pfn
+    table: HashMap<u64, u64, BuildHasherDefault<VpnHasher>>, // vpn -> pfn
     next_frame: u64,
     frame_limit: u64,
     // One-entry TLB: the interpreter's inner loops walk arrays
@@ -53,7 +80,7 @@ impl Mmu {
         assert_eq!(frame_base % PAGE_BYTES, 0, "frame base must be page aligned");
         assert_eq!(frame_limit % PAGE_BYTES, 0, "frame limit must be page aligned");
         Mmu {
-            table: HashMap::new(),
+            table: HashMap::default(),
             next_frame: frame_base / PAGE_BYTES,
             frame_limit,
             tlb: Cell::new((u64::MAX, 0)),
