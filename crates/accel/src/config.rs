@@ -1,6 +1,6 @@
 //! Accelerator configuration (Table I, "CIM Parameter").
 
-use cim_pcm::{AdcConfig, CellConfig, DeviceKind, Fidelity, PcmEnergyModel};
+use cim_pcm::{AdcConfig, DeviceKind, Fidelity, PcmEnergyModel};
 
 /// Most per-tile DMA channels a configuration may request: the driver
 /// surfaces per-channel busy time in a fixed-size
@@ -11,7 +11,7 @@ pub const MAX_DMA_CHANNELS: usize = 8;
 ///
 /// Besides the per-tile crossbar geometry, the configuration carries two
 /// sweepable knobs: the resistive [`DeviceKind`] whose physics fills the
-/// `cell`/`adc`/`energy` fields ([`AccelConfig::for_device`]) and the
+/// `adc`/`energy` fields ([`AccelConfig::for_device`]) and the
 /// tile-grid shape `grid` over which oversized GEMMs are sharded
 /// ([`AccelConfig::with_grid`]). `docs/DEVICES.md` tabulates both axes.
 ///
@@ -82,12 +82,10 @@ pub struct AccelConfig {
     /// in parallel.
     pub grid: (usize, usize),
     /// Which resistive device technology the tiles are built from. This
-    /// is a descriptive tag; the operative parameters live in `cell`,
-    /// `adc` and `energy` (use [`AccelConfig::for_device`] to keep them
-    /// in sync).
+    /// is a descriptive tag; the operative parameters live in `adc` and
+    /// `energy` (use [`AccelConfig::for_device`] to keep them in sync).
+    /// Every device stores [`cim_pcm::LEVELS`] levels per cell.
     pub device: DeviceKind,
-    /// Cell parameters (4-bit multi-level devices).
-    pub cell: CellConfig,
     /// Shared-ADC configuration.
     pub adc: AdcConfig,
     /// Energy/latency constants.
@@ -110,14 +108,6 @@ pub struct AccelConfig {
     /// always parallel across tiles; this knob only de-serializes the
     /// DMA leg of [`crate::shard::InstallClock`].
     pub dma_channels: usize,
-    /// Host threads used to simulate independent tiles of one wave.
-    /// `0` = auto (use the host's available parallelism when the wave is
-    /// wide enough to pay for thread spawns), `1` = always serial, `n > 1`
-    /// = force exactly `n` workers whenever a wave has more than one
-    /// independent tile (used by the determinism tests). This is a
-    /// *simulator throughput* knob only: results, `AccelStats` and wear
-    /// counters are bit-for-bit identical for every setting.
-    pub sim_threads: usize,
 }
 
 impl Default for AccelConfig {
@@ -127,7 +117,6 @@ impl Default for AccelConfig {
             cols: 256,
             grid: (1, 1),
             device: DeviceKind::Pcm,
-            cell: CellConfig::default(),
             adc: AdcConfig::default(),
             energy: PcmEnergyModel::default(),
             buffer_bytes: 1536,
@@ -135,7 +124,6 @@ impl Default for AccelConfig {
             double_buffering: true,
             timeline_capacity: 4096,
             dma_channels: 1,
-            sim_threads: 0,
         }
     }
 }
@@ -147,23 +135,17 @@ impl AccelConfig {
     }
 
     /// Paper-geometry configuration built from the given device model's
-    /// parameters (cell window, ADC, energy/latency constants).
+    /// parameters (ADC, energy/latency constants).
     pub fn for_device(kind: DeviceKind) -> Self {
         AccelConfig::default().with_device(kind)
     }
 
-    /// Replaces the device technology, refreshing `cell`, `adc` and
-    /// `energy` from the device model while keeping geometry, buffers,
-    /// fidelity and all other knobs.
+    /// Replaces the device technology, refreshing `adc` and `energy` from
+    /// the device model while keeping geometry, buffers, fidelity and all
+    /// other knobs.
     pub fn with_device(self, kind: DeviceKind) -> Self {
         let model = kind.model();
-        AccelConfig {
-            device: kind,
-            cell: model.cell(),
-            adc: model.adc(),
-            energy: model.energy(),
-            ..self
-        }
+        AccelConfig { device: kind, adc: model.adc(), energy: model.energy(), ..self }
     }
 
     /// Sets the tile-grid shape `(k_tiles, m_tiles)`.
@@ -188,11 +170,12 @@ impl AccelConfig {
         AccelConfig { dma_channels: channels, ..self }
     }
 
-    /// Sets the host-side tile-simulation worker count (`0` = auto,
-    /// `1` = serial, `n > 1` = force `n` workers). Purely a simulator
-    /// throughput knob — modeled results never depend on it.
-    pub fn with_sim_threads(self, threads: usize) -> Self {
-        AccelConfig { sim_threads: threads, ..self }
+    /// Returns the configuration unchanged: the engine simulates every
+    /// tile on the calling thread, so there is no worker count to set.
+    /// Kept so that existing callers (the `perfbench` benchmark among
+    /// them) still build.
+    pub fn with_sim_threads(self, _threads: usize) -> Self {
+        self
     }
 
     /// Number of physical tiles in the grid.
@@ -223,7 +206,6 @@ impl AccelConfig {
             (1..=MAX_DMA_CHANNELS).contains(&self.dma_channels),
             "dma_channels must be in 1..={MAX_DMA_CHANNELS}"
         );
-        assert_eq!(self.cell.bits, 4, "8-bit cells are built from two 4-bit devices");
     }
 }
 
@@ -263,7 +245,7 @@ mod tests {
         assert_eq!(c.rows, 8);
         assert_eq!(c.grid, (2, 3));
         assert_eq!(c.energy, DeviceKind::Reram.model().energy());
-        assert_eq!(c.cell, DeviceKind::Reram.model().cell());
+        assert_eq!(c.adc, DeviceKind::Reram.model().adc());
         c.validate();
     }
 

@@ -26,28 +26,9 @@ use cim_machine::Machine;
 use crate::buffers::BufferKind;
 use crate::estimate::gemv_step_time;
 use crate::shard::{partition_grid, plan_waves, GridRegion, InstallClock, Wave};
-use crate::tile::{GemvReceipt, InstallReceipt, TileKey};
+use crate::tile::TileKey;
 use crate::timeline::EventKind;
 use crate::CimAccelerator;
-
-/// One pending tile install of a wave: the gathered operand plus every
-/// datum phase 3 needs to account for it. Produced serially (DMA order),
-/// consumed by the (possibly parallel) programming phase.
-struct InstallJob {
-    key: TileKey,
-    idx: usize,
-    lane: (usize, usize),
-    ch: usize,
-    g: Vec<f32>,
-    kt: usize,
-    mt: usize,
-    m0: usize,
-    k0: usize,
-    dma_t: SimTime,
-}
-
-/// One tile GEMV of a wave step: `(tile index, x offset, x length)`.
-type GemvUnit = (usize, usize, usize);
 
 /// Errors detected by the micro-engine while decoding a command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,6 +81,33 @@ pub struct GemmParams {
     pub ldc: usize,
 }
 
+/// Exact byte extent of a row-major `rows x cols` operand with leading
+/// dimension `ld` (in elements): from its first `f32` to one past its
+/// last, `((rows - 1) * ld + cols) * 4`. Zero for an empty operand;
+/// `None` when the extent does not fit in a `u64`.
+pub fn operand_bytes(rows: usize, cols: usize, ld: usize) -> Option<u64> {
+    if rows == 0 || cols == 0 {
+        return Some(0);
+    }
+    (rows as u64 - 1).checked_mul(ld as u64)?.checked_add(cols as u64)?.checked_mul(4)
+}
+
+/// Requires the `bytes`-long operand `name` at physical address `base` to
+/// lie inside the machine's `mem_bytes` of memory.
+fn check_in_memory(
+    name: &str,
+    base: u64,
+    bytes: Option<u64>,
+    mem_bytes: u64,
+) -> Result<(), EngineError> {
+    match bytes.and_then(|b| base.checked_add(b)) {
+        Some(end) if end <= mem_bytes => Ok(()),
+        _ => Err(EngineError::BadDims(format!(
+            "operand {name} at {base:#x} extends past the {mem_bytes}-byte memory"
+        ))),
+    }
+}
+
 impl GemmParams {
     /// Conservative physical byte ranges `(base, len)` touched by this
     /// GEMM as `[A, B, C]`, over-approximated to whole leading-dimension
@@ -107,7 +115,7 @@ impl GemmParams {
     /// may be modeled as running concurrently on disjoint tile regions.
     fn ranges(&self) -> [(u64, u64); 3] {
         let a_rows = if self.trans_a { self.k } else { self.m };
-        let span = |rows: usize, ld: usize| 4 * (rows.saturating_mul(ld)) as u64;
+        let span = |rows: usize, ld: usize| (rows.saturating_mul(ld) as u64).saturating_mul(4);
         [
             (self.a, span(a_rows, self.lda)),
             (self.b, span(self.k, self.ldb)),
@@ -115,7 +123,10 @@ impl GemmParams {
         ]
     }
 
-    fn validate(&self) -> Result<(), EngineError> {
+    /// Checks the command before any DMA: a supported variant, positive
+    /// dimensions, leading dimensions no smaller than their rows, and
+    /// every operand's exact extent inside the `mem_bytes` of memory.
+    fn validate(&self, mem_bytes: u64) -> Result<(), EngineError> {
         if self.trans_b {
             return Err(EngineError::Unsupported("transposed B operand".into()));
         }
@@ -132,6 +143,14 @@ impl GemmParams {
                 "lda={} (min {min_lda}), ldb={} (min {}), ldc={} (min {})",
                 self.lda, self.ldb, self.n, self.ldc, self.n
             )));
+        }
+        let (a_rows, a_cols) = if self.trans_a { (self.k, self.m) } else { (self.m, self.k) };
+        for (name, base, rows, cols, ld) in [
+            ("A", self.a, a_rows, a_cols, self.lda),
+            ("B", self.b, self.k, self.n, self.ldb),
+            ("C", self.c, self.m, self.n, self.ldc),
+        ] {
+            check_in_memory(name, base, operand_bytes(rows, cols, ld), mem_bytes)?;
         }
         Ok(())
     }
@@ -163,7 +182,9 @@ pub struct ConvParams {
 /// other). Ranges are conservative over-approximations, so a false
 /// negative merely serializes the schedule — never the reverse.
 fn batch_is_independent(params: &[GemmParams]) -> bool {
-    let overlap = |(b1, l1): (u64, u64), (b2, l2): (u64, u64)| b1 < b2 + l2 && b2 < b1 + l1;
+    let overlap = |(b1, l1): (u64, u64), (b2, l2): (u64, u64)| {
+        b1 < b2.saturating_add(l2) && b2 < b1.saturating_add(l1)
+    };
     let ranges: Vec<[(u64, u64); 3]> = params.iter().map(GemmParams::ranges).collect();
     for (i, r_i) in ranges.iter().enumerate() {
         let c = r_i[2];
@@ -177,115 +198,16 @@ fn batch_is_independent(params: &[GemmParams]) -> bool {
 }
 
 impl CimAccelerator {
-    /// How many host worker threads to simulate `units` independent tiles
-    /// of one wave with. `sim_threads = 0` engages the host's parallelism
-    /// only for paper-geometry tiles (small test crossbars would pay more
-    /// in thread spawns than they save); an explicit `n > 1` always
-    /// forces `n` workers so the determinism tests can exercise the
-    /// parallel path on any shape.
-    fn tile_workers(&self, units: usize) -> usize {
-        if units <= 1 {
-            return 1;
-        }
-        match self.cfg.sim_threads {
-            0 => {
-                let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                if hw <= 1 || self.cfg.rows * self.cfg.cols < 64 * 64 {
-                    1
-                } else {
-                    hw.min(units)
-                }
-            }
-            n => n.min(units),
-        }
-    }
-
-    /// Programs the jobs' operands into their (pairwise distinct) target
-    /// tiles, serially or on scoped worker threads, returning one receipt
-    /// per job in job order. Tile programming is pure host-side work —
-    /// it never touches the machine or the stats — so the execution order
-    /// is unobservable and the receipts are bit-for-bit identical for any
-    /// worker count.
-    fn install_jobs(&mut self, jobs: &[InstallJob]) -> Vec<InstallReceipt> {
-        let workers = self.tile_workers(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .map(|j| self.tiles[j.idx].install(j.key, &j.g, j.kt, j.mt))
-                .collect();
-        }
-        let mut jpos_of_tile: Vec<Option<usize>> = vec![None; self.tiles.len()];
-        for (jpos, job) in jobs.iter().enumerate() {
-            debug_assert!(jpos_of_tile[job.idx].is_none(), "a wave installs one block per tile");
-            jpos_of_tile[job.idx] = Some(jpos);
-        }
-        // `iter_mut` hands out provably disjoint `&mut` tiles to pair
-        // with their jobs; chunks then split both sides identically.
-        let mut paired: Vec<(usize, &mut crate::tile::CimTile)> = self
-            .tiles
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, t)| jpos_of_tile[i].map(|jpos| (jpos, t)))
-            .collect();
-        let mut done: Vec<Option<(usize, InstallReceipt)>> = Vec::new();
-        done.resize_with(paired.len(), || None);
-        let chunk = paired.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for (pc, dc) in paired.chunks_mut(chunk).zip(done.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for ((jpos, tile), slot) in pc.iter_mut().zip(dc.iter_mut()) {
-                        let job = &jobs[*jpos];
-                        *slot = Some((*jpos, tile.install(job.key, &job.g, job.kt, job.mt)));
-                    }
-                });
-            }
-        });
-        let zero = InstallReceipt { rows_programmed: 0, cells_written: 0, resident_hit: false };
-        let mut receipts = vec![zero; jobs.len()];
-        for (jpos, receipt) in done.into_iter().flatten() {
-            receipts[jpos] = receipt;
-        }
-        receipts
-    }
-
-    /// Computes one wave step's tile GEMVs ahead of the accounting loop,
-    /// in parallel, returning results in unit order. `None` means "stay
-    /// serial": the caller computes each GEMV inline at its original
-    /// program point. GEMV reads tiles immutably and never touches the
-    /// machine, so hoisting it off the accounting loop changes nothing
-    /// observable.
-    fn gemv_units(&self, units: &[GemvUnit], x: &[f32]) -> Option<Vec<(Vec<f32>, GemvReceipt)>> {
-        let workers = self.tile_workers(units.len());
-        if workers <= 1 {
-            return None;
-        }
-        let mut out: Vec<Option<(Vec<f32>, GemvReceipt)>> = Vec::new();
-        out.resize_with(units.len(), || None);
-        let chunk = units.len().div_ceil(workers);
-        let tiles = &self.tiles;
-        std::thread::scope(|s| {
-            for (uc, oc) in units.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (&(idx, s0, len), slot) in uc.iter().zip(oc.iter_mut()) {
-                        *slot = Some(tiles[idx].gemv(&x[s0..s0 + len]));
-                    }
-                });
-            }
-        });
-        Some(out.into_iter().map(|o| o.expect("worker filled every slot")).collect())
-    }
-
     /// Installs one wave's missing blocks on the [`InstallClock`]
     /// schedule (serial DMA, parallel row programming). Returns the
     /// phase duration (zero when everything was resident). Lanes are
     /// relative to `region`, which pins the wave to a sub-array of the
     /// physical grid.
     ///
-    /// Three phases: (1) serial residency checks + DMA gathers in block
-    /// order — DMA mutates the machine, so its issue order is part of the
-    /// model; (2) pure tile programming, parallelizable across the wave's
-    /// distinct tiles; (3) serial accounting in block order, so stats,
-    /// timeline and the install clock are identical for any worker count.
+    /// Blocks install one at a time, in block order, on the calling
+    /// thread: residency check, DMA gather, staging, programming, then
+    /// accounting and the timeline event. A wave holds at most one block
+    /// per tile, so no install can change another block's residency.
     #[allow(clippy::too_many_arguments)]
     fn install_wave(
         &mut self,
@@ -299,7 +221,8 @@ impl CimAccelerator {
     ) -> SimTime {
         let channels = self.cfg.dma_channels;
         let mut clock = InstallClock::with_channels(channels);
-        let mut jobs: Vec<InstallJob> = Vec::new();
+        let mut channel_mask = 0u32;
+        let mut g: Vec<f32> = Vec::new();
         for ms in &wave.m_spans {
             for ks in &wave.k_spans {
                 let (k0, kt) = (ks.start, ks.len);
@@ -319,7 +242,8 @@ impl CimAccelerator {
                     continue;
                 }
                 // Gather op(A)[m0..m0+mt][k0..k0+kt] transposed into G.
-                let mut g = vec![0f32; kt * mt];
+                g.clear();
+                g.resize(kt * mt, 0.0);
                 for r in 0..kt {
                     if p.trans_a {
                         // op(A)[m][k] = A[k][m]: row k0+r of A, cols m0..
@@ -337,37 +261,32 @@ impl CimAccelerator {
                         );
                     }
                 }
-                let tile_bytes = (kt * mt * 4) as u64;
-                let dma_t = self.bus_cfg.dma_time(tile_bytes);
+                let dma_t = self.bus_cfg.dma_time((kt * mt * 4) as u64);
                 // Per-tile DMA channel: the wave-local tile picks its
                 // channel, identically replayed by the estimator.
                 let ch = (ks.lane * region.shape.1 + ms.lane) % channels;
                 self.buffers.stage(BufferKind::Column, kt * mt);
                 self.stats.buffers += self.cfg.energy.buffer_energy(2 * (kt * mt) as u64);
-                jobs.push(InstallJob { key, idx, lane, ch, g, kt, mt, m0, k0, dma_t });
+                let receipt = self.tiles[idx].install(key, &g, kt, mt);
+                debug_assert!(!receipt.resident_hit);
+                let install_t = self.cfg.energy.write_time(receipt.rows_programmed);
+                self.stats.cell_writes += receipt.cells_written;
+                self.stats.rows_programmed += receipt.rows_programmed;
+                self.stats.crossbar_write += self.cfg.energy.write_energy(receipt.cells_written);
+                self.stats.install_time += install_t;
+                self.stats.dma_exposed_time += dma_t;
+                self.channel_busy[ch] += dma_t;
+                channel_mask |= 1 << ch;
+                let program_start = clock.add_on(ch, dma_t, install_t);
+                self.timeline.push_on(
+                    EventKind::WriteCrossbar,
+                    Some(lane),
+                    cmd,
+                    t0 + t + program_start,
+                    t0 + t + program_start + install_t,
+                    format!("install A tile m0={m0} k0={k0} ({kt}x{mt})"),
+                );
             }
-        }
-        let receipts = self.install_jobs(&jobs);
-        let mut channel_mask = 0u32;
-        for (job, receipt) in jobs.iter().zip(&receipts) {
-            debug_assert!(!receipt.resident_hit);
-            let install_t = self.cfg.energy.write_time(receipt.rows_programmed);
-            self.stats.cell_writes += receipt.cells_written;
-            self.stats.rows_programmed += receipt.rows_programmed;
-            self.stats.crossbar_write += self.cfg.energy.write_energy(receipt.cells_written);
-            self.stats.install_time += install_t;
-            self.stats.dma_exposed_time += job.dma_t;
-            self.channel_busy[job.ch] += job.dma_t;
-            channel_mask |= 1 << job.ch;
-            let program_start = clock.add_on(job.ch, job.dma_t, install_t);
-            self.timeline.push_on(
-                EventKind::WriteCrossbar,
-                Some(job.lane),
-                cmd,
-                t0 + t + program_start,
-                t0 + t + program_start + install_t,
-                format!("install A tile m0={} k0={} ({}x{})", job.m0, job.k0, job.kt, job.mt),
-            );
         }
         self.stats.max_dma_channels_active =
             self.stats.max_dma_channels_active.max(u64::from(channel_mask.count_ones()));
@@ -407,7 +326,7 @@ impl CimAccelerator {
         cmd: Option<u64>,
         t0: SimTime,
     ) -> Result<(SimTime, u64), EngineError> {
-        p.validate()?;
+        p.validate(mach.mem.size())?;
         let tr = self.cfg.rows;
         let tc = self.cfg.cols;
         let waves = plan_waves(tr, tc, region.shape, p.m, p.k);
@@ -420,18 +339,6 @@ impl CimAccelerator {
             tiles_peak = tiles_peak.max(wave.tiles_active() as u64);
             t += self.install_wave(mach, p, region, cmd, wave, t0, t);
 
-            // The wave's tile GEMVs in accounting order — used to compute
-            // each step's results ahead of the serial loop when worker
-            // threads are engaged.
-            let mut units: Vec<GemvUnit> = Vec::with_capacity(wave.tiles_active());
-            for ms in &wave.m_spans {
-                for ks in &wave.k_spans {
-                    let idx =
-                        self.tile_index((region.origin.0 + ks.lane, region.origin.1 + ms.lane));
-                    units.push((idx, ks.lane * tr, ks.len));
-                }
-            }
-
             let reads_c = !(wave.first_k && p.beta == 0.0);
             for j in 0..p.n {
                 // Stream column j of B: one segment per reduction lane,
@@ -443,7 +350,6 @@ impl CimAccelerator {
                     self.dma.read_f32s_strided(mach, bbase, ks.len, p.ldb, seg);
                     in_bytes += (ks.len * 4) as u64;
                 }
-                let mut precomputed = self.gemv_units(&units, &x).map(Vec::into_iter);
                 let mut out_bytes = 0u64;
                 for ms in &wave.m_spans {
                     let (m0, mt) = (ms.start, ms.len);
@@ -463,10 +369,7 @@ impl CimAccelerator {
                         let idx =
                             self.tile_index((region.origin.0 + ks.lane, region.origin.1 + ms.lane));
                         let seg = &x[ks.lane * tr..ks.lane * tr + ks.len];
-                        let (y, receipt) = match precomputed.as_mut() {
-                            Some(it) => it.next().expect("one result per unit"),
-                            None => self.tiles[idx].gemv(seg),
-                        };
+                        let (y, receipt) = self.tiles[idx].gemv(seg);
                         // Accumulate the partial column; lanes beyond the
                         // first cost one extra adder pass in the digital
                         // block.
@@ -553,6 +456,13 @@ impl CimAccelerator {
         if count == 0 {
             return Err(EngineError::BadDims("empty batch".into()));
         }
+        // Everything is checked before the first DMA: the shape (with the
+        // operands placed at address zero), the descriptor table, then
+        // every element's operands.
+        let mem_bytes = mach.mem.size();
+        GemmParams { a: 0, b: 0, c: 0, ..*template }.validate(mem_bytes)?;
+        let table_bytes = u64::try_from(count).ok().and_then(|n| n.checked_mul(24));
+        check_in_memory("batch table", table_pa, table_bytes, mem_bytes)?;
         let (descr, table_t) = self.dma.read_u64s(mach, table_pa, count * 3);
         let params: Vec<GemmParams> = (0..count)
             .map(|i| GemmParams {
@@ -562,6 +472,9 @@ impl CimAccelerator {
                 ..*template
             })
             .collect();
+        for p in &params {
+            p.validate(mem_bytes)?;
+        }
         let regions = if batch_is_independent(&params) {
             partition_grid(self.cfg.grid, count)
         } else {
@@ -615,9 +528,17 @@ impl CimAccelerator {
                 p.h, p.w, p.fh, p.fw
             )));
         }
-        let cmd = self.next_cmd();
         let out_h = p.h - p.fh + 1;
         let out_w = p.w - p.fw + 1;
+        let mem_bytes = mach.mem.size();
+        for (name, base, rows, cols) in [
+            ("image", p.img, p.h, p.w),
+            ("filter", p.filt, p.fh, p.fw),
+            ("output", p.out, out_h, out_w),
+        ] {
+            check_in_memory(name, base, operand_bytes(rows, cols, cols), mem_bytes)?;
+        }
+        let cmd = self.next_cmd();
         let seg_in = self.cfg.rows / p.fh;
         if seg_in < p.fw {
             return Err(EngineError::Unsupported(format!(

@@ -61,7 +61,7 @@ pub mod timeline;
 
 pub use cim_pcm::{DeviceKind, DeviceModel};
 pub use config::{AccelConfig, MAX_DMA_CHANNELS};
-pub use engine::{ConvParams, EngineError, GemmParams};
+pub use engine::{operand_bytes, ConvParams, EngineError, GemmParams};
 pub use estimate::OpEstimate;
 pub use shard::{partition_grid, GridRegion};
 pub use stats::AccelStats;
@@ -696,6 +696,121 @@ mod tests {
         assert_eq!(acc.regs().status(), Status::Error);
         assert_eq!(dur, SimTime::ZERO);
         assert!(matches!(acc.last_error(), Some(EngineError::Unsupported(_))));
+    }
+
+    /// Executes the armed command, expecting it to be refused as
+    /// [`EngineError::BadDims`] with no work done.
+    fn assert_bad_dims(acc: &mut CimAccelerator, mach: &mut Machine) {
+        let dur = acc.execute(mach);
+        assert_eq!(acc.regs().status(), Status::Error);
+        assert_eq!(dur, SimTime::ZERO);
+        assert!(
+            matches!(acc.last_error(), Some(EngineError::BadDims(_))),
+            "{:?}",
+            acc.last_error()
+        );
+        assert_eq!(acc.stats().gemv_count, 0);
+        assert_eq!(acc.stats().cell_writes, 0);
+    }
+
+    /// Writes a batch descriptor table of `(a, b, c)` address triples
+    /// into fresh CMA memory, returning its physical address.
+    fn batch_table(mach: &mut Machine, descr: &[u64]) -> u64 {
+        let raw: Vec<u8> = descr.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (_va, table) = mach.alloc_cma(raw.len() as u64).expect("cma");
+        mach.uncached_write(table, &raw);
+        table
+    }
+
+    #[test]
+    fn huge_batch_count_is_rejected() {
+        // 2^62 descriptors overflowed the table size computation.
+        let (mut mach, mut acc) = setup();
+        let a = alloc_mat(&mut mach, &[1.0, 0.0, 0.0, 1.0]);
+        arm_gemm(&mut acc, 2, 2, 2, a, a, a);
+        acc.pmio_write(Reg::BatchCount, 1 << 62);
+        acc.pmio_write(Reg::AddrBatch, a);
+        acc.pmio_write(Reg::Command, Command::GemmBatched as u64);
+        assert_bad_dims(&mut acc, &mut mach);
+        assert_eq!(acc.dma.stats().bytes_in, 0, "the table was never read");
+    }
+
+    #[test]
+    fn batched_template_past_memory_is_rejected() {
+        // M = LDA = 2^40 overflowed the operand ranges and planned 2^32
+        // waves before any element was checked.
+        let (mut mach, mut acc) = setup();
+        let a = alloc_mat(&mut mach, &[1.0, 0.0, 0.0, 1.0]);
+        let table = batch_table(&mut mach, &[a, a, a]);
+        arm_gemm(&mut acc, 2, 2, 2, a, a, a);
+        acc.pmio_write(Reg::M, 1 << 40);
+        acc.pmio_write(Reg::Lda, 1 << 40);
+        acc.pmio_write(Reg::BatchCount, 1);
+        acc.pmio_write(Reg::AddrBatch, table);
+        acc.pmio_write(Reg::Command, Command::GemmBatched as u64);
+        assert_bad_dims(&mut acc, &mut mach);
+    }
+
+    #[test]
+    fn batched_one_row_with_huge_lda_runs() {
+        // One row of A reads only its first k elements, however large
+        // lda is; the batch's overlap ranges (rows * lda * 4) must not
+        // overflow on such a valid command.
+        let (mut mach, mut acc) = setup();
+        let a = alloc_mat(&mut mach, &[2.0, 3.0]);
+        let b = alloc_mat(&mut mach, &[1.0, 1.0]);
+        let c = alloc_mat(&mut mach, &[0.0]);
+        let table = batch_table(&mut mach, &[a, b, c]);
+        arm_gemm(&mut acc, 1, 1, 2, a, b, c);
+        acc.pmio_write(Reg::Lda, 1 << 62);
+        acc.pmio_write(Reg::BatchCount, 1);
+        acc.pmio_write(Reg::AddrBatch, table);
+        acc.pmio_write(Reg::Command, Command::GemmBatched as u64);
+        acc.execute(&mut mach);
+        assert_eq!(acc.regs().status(), Status::Done, "{:?}", acc.last_error());
+        assert_eq!(read_mat(&mut mach, c, 1), vec![5.0]);
+    }
+
+    #[test]
+    fn batch_element_past_memory_stops_the_whole_batch() {
+        let (mut mach, mut acc) = setup();
+        let a = alloc_mat(&mut mach, &[1.0, 0.0, 0.0, 1.0]);
+        let b = alloc_mat(&mut mach, &[1.0, 2.0, 3.0, 4.0]);
+        let c = alloc_mat(&mut mach, &[0.0; 4]);
+        // Element 1 writes its C across the end of memory.
+        let end = mach.mem.size() - 8;
+        let table = batch_table(&mut mach, &[a, b, c, a, b, end]);
+        arm_gemm(&mut acc, 2, 2, 2, a, b, c);
+        acc.pmio_write(Reg::BatchCount, 2);
+        acc.pmio_write(Reg::AddrBatch, table);
+        acc.pmio_write(Reg::Command, Command::GemmBatched as u64);
+        assert_bad_dims(&mut acc, &mut mach);
+        assert_eq!(read_mat(&mut mach, c, 4), vec![0.0; 4], "element 0 never ran");
+    }
+
+    #[test]
+    fn gemm_past_end_of_memory_is_rejected() {
+        // M = LDA = 2^20 addresses 4 TiB of A on a 64 MiB machine; the
+        // gather used to read past the end of memory.
+        let (mut mach, mut acc) = setup();
+        let a = alloc_mat(&mut mach, &[1.0, 0.0, 0.0, 1.0]);
+        arm_gemm(&mut acc, 2, 2, 2, a, a, a);
+        acc.pmio_write(Reg::M, 1 << 20);
+        acc.pmio_write(Reg::Lda, 1 << 20);
+        assert_bad_dims(&mut acc, &mut mach);
+        // The same bound holds for GEMV's vectors and conv's operands.
+        arm_gemm(&mut acc, 2, 1, 2, a, mach.mem.size() - 4, a);
+        acc.pmio_write(Reg::Command, Command::Gemv as u64);
+        assert_bad_dims(&mut acc, &mut mach);
+        acc.pmio_write(Reg::AddrA, a);
+        acc.pmio_write(Reg::AddrB, a);
+        acc.pmio_write(Reg::AddrC, mach.mem.size() - 4);
+        acc.pmio_write(Reg::ImgH, 4);
+        acc.pmio_write(Reg::ImgW, 4);
+        acc.pmio_write(Reg::FiltH, 2);
+        acc.pmio_write(Reg::FiltW, 2);
+        acc.pmio_write(Reg::Command, Command::Conv2d as u64);
+        assert_bad_dims(&mut acc, &mut mach);
     }
 
     #[test]

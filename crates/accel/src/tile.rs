@@ -117,8 +117,8 @@ impl CimTile {
         CimTile {
             rows: cfg.rows,
             cols: cfg.cols,
-            msb: Crossbar::new(cfg.rows, cfg.cols, cfg.cell),
-            lsb: Crossbar::new(cfg.rows, cfg.cols, cfg.cell),
+            msb: Crossbar::new(cfg.rows, cfg.cols),
+            lsb: Crossbar::new(cfg.rows, cfg.cols),
             adc: AdcArray::new(cfg.adc),
             fidelity: cfg.fidelity,
             shadow: vec![0.0; cfg.rows * cfg.cols],
@@ -165,21 +165,20 @@ impl CimTile {
         }
         let (params, q) = quantize_tensor(g);
         self.weight_params = params;
-        let mut msb_levels = vec![0u8; self.cols];
-        let mut lsb_levels = vec![0u8; self.cols];
-        // The column buffers supply a column-enable mask (Section II-B), so
-        // only the active columns are programmed.
-        let mask: Vec<bool> = (0..self.cols).map(|c| c < out_dim).collect();
+        // The column buffers enable only the active columns (Section
+        // II-B), so each row programs the prefix `0..out_dim`.
+        let mut msb_levels = vec![0u8; out_dim];
+        let mut lsb_levels = vec![0u8; out_dim];
         for r in 0..in_dim {
-            for c in 0..out_dim {
-                let (m, l) = split_nibbles(to_offset(q[r * out_dim + c]));
+            for (c, v) in q[r * out_dim..(r + 1) * out_dim].iter().enumerate() {
+                let (m, l) = split_nibbles(to_offset(*v));
                 msb_levels[c] = m;
                 lsb_levels[c] = l;
             }
             // Both nibble arrays share row drivers and program in lockstep;
             // latency is one row-program, energy covers the 8-bit cells.
-            self.msb.program_row_masked(r, &msb_levels, &mask);
-            self.lsb.program_row_masked(r, &lsb_levels, &mask);
+            self.msb.program_row(r, &msb_levels);
+            self.lsb.program_row(r, &lsb_levels);
         }
         for r in 0..in_dim {
             for c in 0..out_dim {

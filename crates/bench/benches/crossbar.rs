@@ -3,7 +3,7 @@
 
 use cim_accel::tile::{CimTile, TileKey};
 use cim_accel::AccelConfig;
-use cim_pcm::{CellConfig, Crossbar, Fidelity};
+use cim_pcm::{Crossbar, Fidelity};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -47,8 +47,23 @@ fn bench_install(c: &mut Criterion) {
     });
 }
 
+/// One 64x64 operand reinstalled onto a default 256x256 tile: the install
+/// every `serving` request makes (a fresh generation defeats residency).
+fn bench_install_64(c: &mut Criterion) {
+    let g: Vec<f32> = (0..64 * 64).map(|i| (i % 17) as f32 - 8.0).collect();
+    let mut tile = CimTile::new(&AccelConfig::default());
+    let mut generation = 0;
+    c.bench_function("tile_install_64x64", |b| {
+        b.iter(|| {
+            generation += 1;
+            let key = TileKey { ld: 64, extent: (64, 64), generation, ..key() };
+            tile.install(key, black_box(&g), 64, 64)
+        })
+    });
+}
+
 fn bench_raw_crossbar(c: &mut Criterion) {
-    let mut xbar = Crossbar::new(256, 256, CellConfig::default());
+    let mut xbar = Crossbar::new(256, 256);
     let levels: Vec<u8> = (0..256).map(|i| (i % 16) as u8).collect();
     for r in 0..256 {
         xbar.program_row(r, &levels);
@@ -59,5 +74,5 @@ fn bench_raw_crossbar(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_gemv, bench_install, bench_raw_crossbar);
+criterion_group!(benches, bench_gemv, bench_install, bench_install_64, bench_raw_crossbar);
 criterion_main!(benches);

@@ -1,18 +1,21 @@
 //! Memristive crossbar array.
 //!
 //! Fig. 2 (c): PCM devices sit at the junctions of word lines (rows) and
-//! bit lines (columns). A matrix is stored as conductances `G[x][y]`; the
-//! input vector is applied as row voltages and each column current is the
-//! analog dot product `I_j = sum_i v_i * G[i][j]` (Ohm + Kirchhoff).
+//! bit lines (columns). A matrix is stored as conductance levels
+//! `G[x][y]`; the input vector is applied as row voltages and each column
+//! current is the dot product `I_j = sum_i v_i * G[i][j]` (Ohm +
+//! Kirchhoff). [`Crossbar::dot_levels`] computes it as the exact integer
+//! dot product of the stored levels, which the digital-fidelity pipeline
+//! reads through the ADCs.
 //!
-//! Two computation paths are provided:
-//! * [`Crossbar::dot_levels`] — the idealized integer dot product of the
-//!   stored levels, used by the digital-fidelity pipeline;
-//! * [`Crossbar::analog_gemv`] — conductance-domain accumulation with
-//!   optional programming noise, used to study analog non-idealities.
+//! The array keeps one state: the packed levels (one byte per device)
+//! plus per-row program counts. Programming is row-granular and always
+//! covers a column prefix (the column buffers enable `0..len`), so a
+//! row's first cell is written by every non-empty program of that row and
+//! the row count is exactly the write count of its most-written cell.
 
-use crate::cell::{CellConfig, PcmCell};
-use rand::Rng;
+/// Distinct levels a device stores (the paper's 4-bit IBM PCM part).
+pub const LEVELS: u8 = 16;
 
 /// Wear statistics of a crossbar.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,20 +29,16 @@ pub struct WearStats {
 }
 
 /// A `rows x cols` array of multi-level PCM cells.
-///
-/// Besides the cell array (which carries per-device wear), the crossbar
-/// keeps a packed copy of the stored levels (`levels[r * cols + c]`, one
-/// byte per device). The compute path walks the packed array instead of
-/// the 16-byte cell structs, which matters for simulator throughput: a
-/// 256x256 GEMV touches 64 KiB of cells but only 4 KiB of packed levels.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     rows: usize,
     cols: usize,
-    cfg: CellConfig,
-    cells: Vec<PcmCell>,
+    /// Stored levels, `levels[r * cols + c]`.
     levels: Vec<u8>,
-    row_programs: u64,
+    /// Non-empty programs per row: the write count of the row's
+    /// column 0, its most-written cell.
+    row_writes: Vec<u64>,
+    wear: WearStats,
 }
 
 impl Crossbar {
@@ -48,15 +47,14 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize, cfg: CellConfig) -> Self {
+    pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "crossbar dimensions must be positive");
         Crossbar {
             rows,
             cols,
-            cfg,
-            cells: vec![PcmCell::new(); rows * cols],
             levels: vec![0u8; rows * cols],
-            row_programs: 0,
+            row_writes: vec![0; rows],
+            wear: WearStats::default(),
         }
     }
 
@@ -70,68 +68,38 @@ impl Crossbar {
         self.cols
     }
 
-    /// Cell configuration.
-    pub fn cell_config(&self) -> &CellConfig {
-        &self.cfg
-    }
-
-    fn idx(&self, r: usize, c: usize) -> usize {
-        assert!(r < self.rows && c < self.cols, "cell ({r},{c}) out of range");
-        r * self.cols + c
-    }
-
-    /// Programs a single cell.
-    pub fn program_cell(&mut self, r: usize, c: usize, level: u8) {
-        let i = self.idx(r, c);
-        let cfg = self.cfg;
-        self.cells[i].program_level(&cfg, level);
-        self.levels[i] = level;
-    }
-
-    /// Programs one full row from `levels` (column-buffer contents with the
-    /// row-enable on this word line, Section II-B). Counts one row-program
-    /// event for latency purposes.
+    /// Programs columns `0..levels.len()` of row `r` (column-buffer
+    /// contents with the row-enable on this word line, Section II-B);
+    /// the remaining columns keep their levels. Counts one row-program
+    /// event for latency purposes, and one write per programmed cell.
     ///
     /// # Panics
     ///
-    /// Panics if `levels.len() != cols`.
+    /// Panics if `r` is out of range, `levels` is wider than the row, or
+    /// any level is not below [`LEVELS`].
     pub fn program_row(&mut self, r: usize, levels: &[u8]) {
-        assert_eq!(levels.len(), self.cols, "row width mismatch");
+        assert!(levels.len() <= self.cols, "row width mismatch");
         assert!(r < self.rows, "row {r} out of range");
-        let cfg = self.cfg;
+        let max = levels.iter().copied().max().unwrap_or(0);
+        assert!(max < LEVELS, "level {max} out of range");
         let base = r * self.cols;
-        for (c, lv) in levels.iter().enumerate() {
-            self.cells[base + c].program_level(&cfg, *lv);
-            self.levels[base + c] = *lv;
+        self.levels[base..base + levels.len()].copy_from_slice(levels);
+        self.wear.row_programs += 1;
+        if !levels.is_empty() {
+            self.row_writes[r] += 1;
+            self.wear.cell_writes += levels.len() as u64;
+            self.wear.max_cell_writes = self.wear.max_cell_writes.max(self.row_writes[r]);
         }
-        self.row_programs += 1;
-    }
-
-    /// Programs only selected cells of a row (`mask[c]` true = program).
-    /// Unselected devices stay untouched — this is what makes sparse
-    /// Toeplitz operands cheap to install for convolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ from the column count.
-    pub fn program_row_masked(&mut self, r: usize, levels: &[u8], mask: &[bool]) {
-        assert_eq!(levels.len(), self.cols, "row width mismatch");
-        assert_eq!(mask.len(), self.cols, "mask width mismatch");
-        assert!(r < self.rows, "row {r} out of range");
-        let cfg = self.cfg;
-        let base = r * self.cols;
-        for c in 0..self.cols {
-            if mask[c] {
-                self.cells[base + c].program_level(&cfg, levels[c]);
-                self.levels[base + c] = levels[c];
-            }
-        }
-        self.row_programs += 1;
     }
 
     /// Stored level of a cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is out of range.
     pub fn level(&self, r: usize, c: usize) -> u8 {
-        self.levels[self.idx(r, c)]
+        assert!(r < self.rows && c < self.cols, "cell ({r},{c}) out of range");
+        self.levels[r * self.cols + c]
     }
 
     /// Idealized integer GEMV over stored levels:
@@ -147,9 +115,7 @@ impl Crossbar {
     }
 
     /// Allocation-free form of [`Crossbar::dot_levels`]: accumulates the
-    /// integer dot products into `out` (which is zeroed first). Walks the
-    /// packed level array, so results are bit-identical to the cell-array
-    /// path while touching a fraction of the memory.
+    /// integer dot products into `out` (which is zeroed first).
     ///
     /// # Panics
     ///
@@ -169,48 +135,19 @@ impl Crossbar {
         }
     }
 
-    /// Analog GEMV: row voltages in volts, column currents in microamps,
-    /// using real conductances (optionally noisy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `volts.len() != rows`.
-    pub fn analog_gemv<R: Rng + ?Sized>(&self, volts: &[f64], mut rng: Option<&mut R>) -> Vec<f64> {
-        assert_eq!(volts.len(), self.rows, "input length mismatch");
-        let mut out = vec![0f64; self.cols];
-        for (r, v) in volts.iter().enumerate() {
-            let row = &self.cells[r * self.cols..(r + 1) * self.cols];
-            for (o, cell) in out.iter_mut().zip(row) {
-                let g = cell.conductance_us(&self.cfg, rng.as_deref_mut());
-                *o += v * g;
-            }
-        }
-        out
-    }
-
-    /// Current wear statistics.
+    /// Current wear statistics (running totals, O(1)).
     pub fn wear(&self) -> WearStats {
-        WearStats {
-            cell_writes: self.cells.iter().map(|c| c.writes()).sum(),
-            max_cell_writes: self.cells.iter().map(|c| c.writes()).max().unwrap_or(0),
-            row_programs: self.row_programs,
-        }
-    }
-
-    /// Number of cells whose wear exceeds `endurance_writes`.
-    pub fn worn_cells(&self, endurance_writes: u64) -> usize {
-        self.cells.iter().filter(|c| c.is_worn_out(endurance_writes)).count()
+        self.wear
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
 
     fn bar() -> Crossbar {
-        Crossbar::new(4, 3, CellConfig::default())
+        Crossbar::new(4, 3)
     }
 
     #[test]
@@ -234,13 +171,36 @@ mod tests {
     }
 
     #[test]
+    fn wear_tracks_max_cell() {
+        let mut b = bar();
+        for _ in 0..5 {
+            b.program_row(1, &[3, 3]);
+        }
+        b.program_row(0, &[1]);
+        let w = b.wear();
+        assert_eq!(w.cell_writes, 11);
+        assert_eq!(w.max_cell_writes, 5);
+        assert_eq!(w.row_programs, 6);
+    }
+
+    /// The column buffers enable `0..len`: columns past the prefix keep
+    /// their levels and take no write.
+    #[test]
     fn masked_program_skips_unselected() {
         let mut b = bar();
-        b.program_row_masked(2, &[7, 7, 7], &[true, false, true]);
+        b.program_row(2, &[7, 7]);
         assert_eq!(b.level(2, 0), 7);
-        assert_eq!(b.level(2, 1), 0);
-        assert_eq!(b.level(2, 2), 7);
+        assert_eq!(b.level(2, 1), 7);
+        assert_eq!(b.level(2, 2), 0);
         assert_eq!(b.wear().cell_writes, 2);
+        b.program_row(2, &[3]);
+        assert_eq!(b.level(2, 0), 3);
+        assert_eq!(b.level(2, 1), 7);
+        assert_eq!(b.level(2, 2), 0);
+        let w = b.wear();
+        assert_eq!(w.cell_writes, 3);
+        assert_eq!(w.max_cell_writes, 2);
+        assert_eq!(w.row_programs, 2);
     }
 
     #[test]
@@ -250,69 +210,102 @@ mod tests {
         assert_eq!(b.dot_levels(&[-2, 0, 0, 0]), vec![-10, 0, -2]);
     }
 
-    #[test]
-    fn analog_matches_ideal_shape_without_noise() {
-        let mut b = Crossbar::new(2, 2, CellConfig::default());
-        b.program_row(0, &[15, 0]);
-        b.program_row(1, &[0, 15]);
-        let out = b.analog_gemv::<StdRng>(&[0.2, 0.1], None);
-        let g_max = CellConfig::default().g_max_us;
-        let g_min = CellConfig::default().g_min_us;
-        assert!((out[0] - (0.2 * g_max + 0.1 * g_min)).abs() < 1e-9);
-        assert!((out[1] - (0.2 * g_min + 0.1 * g_max)).abs() < 1e-9);
+    /// Per-cell reference model: a level and a write count for every
+    /// device, updated cell by cell.
+    struct Reference {
+        cols: usize,
+        levels: Vec<u8>,
+        writes: Vec<u64>,
+        row_programs: u64,
     }
 
-    #[test]
-    fn analog_noise_perturbs_but_tracks() {
-        let cfg = CellConfig { noise_sigma: 0.02, ..CellConfig::default() };
-        let mut b = Crossbar::new(8, 1, cfg);
-        for r in 0..8 {
-            b.program_row(r, &[15]);
+    impl Reference {
+        fn program_row(&mut self, r: usize, levels: &[u8]) {
+            for (c, lv) in levels.iter().enumerate() {
+                self.levels[r * self.cols + c] = *lv;
+                self.writes[r * self.cols + c] += 1;
+            }
+            self.row_programs += 1;
         }
-        let mut rng = StdRng::seed_from_u64(1);
-        let noisy = b.analog_gemv(&[1.0; 8], Some(&mut rng));
-        let ideal = 8.0 * cfg.g_max_us;
-        assert!(noisy[0] != ideal);
-        assert!((noisy[0] - ideal).abs() / ideal < 0.05);
-    }
 
-    #[test]
-    fn wear_tracks_max_cell() {
-        let mut b = bar();
-        for _ in 0..5 {
-            b.program_cell(1, 1, 3);
-        }
-        b.program_cell(0, 0, 1);
-        let w = b.wear();
-        assert_eq!(w.cell_writes, 6);
-        assert_eq!(w.max_cell_writes, 5);
-        assert_eq!(b.worn_cells(5), 1);
-        assert_eq!(b.worn_cells(6), 0);
-    }
-
-    #[test]
-    fn packed_levels_mirror_cell_state() {
-        // The packed array is a pure cache of the per-cell levels; every
-        // mutator must keep the two in lockstep.
-        let mut b = bar();
-        b.program_row(0, &[1, 2, 3]);
-        b.program_row_masked(1, &[4, 5, 6], &[true, false, true]);
-        b.program_cell(3, 2, 9);
-        for r in 0..4 {
-            for c in 0..3 {
-                assert_eq!(b.level(r, c), b.cells[r * b.cols + c].level(), "cell ({r},{c})");
+        fn wear(&self) -> WearStats {
+            WearStats {
+                cell_writes: self.writes.iter().sum(),
+                max_cell_writes: self.writes.iter().copied().max().unwrap_or(0),
+                row_programs: self.row_programs,
             }
         }
-        let mut out = vec![0i64; 3];
-        b.dot_levels_into(&[1, 1, 1, 1], &mut out);
-        assert_eq!(out, b.dot_levels(&[1, 1, 1, 1]));
+
+        fn dot(&self, inputs: &[i32]) -> Vec<i64> {
+            (0..self.cols)
+                .map(|c| {
+                    inputs
+                        .iter()
+                        .enumerate()
+                        .map(|(r, x)| *x as i64 * self.levels[r * self.cols + c] as i64)
+                        .sum()
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The running wear counters and packed levels agree with a
+        /// per-cell reference after every prefix program, empty ones
+        /// included. Step `i` programs row `row_picks[i] % rows` with the
+        /// first `len_picks[i] % (cols + 1)` levels of its pool slice.
+        #[test]
+        fn prefix_programs_match_per_cell_reference(
+            rows in 1usize..5,
+            cols in 1usize..6,
+            steps in 1usize..25,
+            row_picks in collection::vec(0usize..64, 24..25),
+            len_picks in collection::vec(0usize..64, 24..25),
+            pool in collection::vec(0u8..LEVELS, 144..145),
+            inputs in collection::vec(-127i32..128, 5..6),
+        ) {
+            let mut bar = Crossbar::new(rows, cols);
+            let mut reference = Reference {
+                cols,
+                levels: vec![0; rows * cols],
+                writes: vec![0; rows * cols],
+                row_programs: 0,
+            };
+            let inputs = &inputs[..rows];
+            for i in 0..steps {
+                let (r, len) = (row_picks[i] % rows, len_picks[i] % (cols + 1));
+                let levels = &pool[6 * i..6 * i + len];
+                bar.program_row(r, levels);
+                reference.program_row(r, levels);
+                prop_assert_eq!(bar.wear(), reference.wear());
+                for r in 0..rows {
+                    for c in 0..cols {
+                        prop_assert_eq!(bar.level(r, c), reference.levels[r * cols + c]);
+                    }
+                }
+                prop_assert_eq!(bar.dot_levels(inputs), reference.dot(inputs));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "level 16 out of range")]
+    fn overrange_level_panics() {
+        bar().program_row(0, &[1, 16]);
     }
 
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn wrong_row_width_panics() {
-        let mut b = bar();
-        b.program_row(0, &[1, 2]);
+        bar().program_row(0, &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_row_panics() {
+        bar().program_row(4, &[1]);
     }
 
     #[test]

@@ -3,21 +3,18 @@
 //! The TDO-CIM paper evaluates one part — a 256x256 crossbar of 4-bit IBM
 //! PCM devices (Table I) — but nothing in the stack above the device
 //! physics depends on *which* resistive technology sits at the junctions.
-//! [`DeviceModel`] gathers the per-technology parameter set (cell
-//! conductance window, ADC sharing, energy/latency constants, endurance
-//! budget) behind one trait so the accelerator, runtime and figure
-//! binaries can sweep technologies the way Eva-CiM and CIMFlow sweep
-//! array parameters.
+//! [`DeviceModel`] gathers the per-technology parameter set (ADC sharing,
+//! energy/latency constants, endurance budget) behind one trait so the
+//! accelerator, runtime and figure binaries can sweep technologies the
+//! way Eva-CiM and CIMFlow sweep array parameters.
 //!
 //! Two instances ship with the crate:
 //!
 //! * [`PcmDevice`] — the paper's doped-GST phase-change memory exactly as
-//!   in Table I (the defaults of [`CellConfig`], [`AdcConfig`] and
-//!   [`PcmEnergyModel`]);
-//! * [`ReramDevice`] — an HfOx ReRAM-style parameter set: a wider
-//!   conductance window, much faster and cheaper SET/RESET programming,
-//!   ISAAC-class 100 ns array reads, but a lower per-cell endurance
-//!   budget.
+//!   in Table I (the defaults of [`AdcConfig`] and [`PcmEnergyModel`]);
+//! * [`ReramDevice`] — an HfOx ReRAM-style parameter set: much faster
+//!   and cheaper SET/RESET programming, ISAAC-class 100 ns array reads,
+//!   but a lower per-cell endurance budget.
 //!
 //! [`DeviceKind`] is the `Copy` tag configs and CLI flags carry; it
 //! resolves to a `&'static dyn DeviceModel` via [`DeviceKind::model`].
@@ -43,25 +40,21 @@
 //! ```
 
 use crate::adc::AdcConfig;
-use crate::cell::CellConfig;
 use crate::energy::PcmEnergyModel;
 use crate::wear::LifetimeModel;
 
 /// A resistive memory technology usable as the crossbar device.
 ///
 /// Implementations bundle everything the accelerator needs to simulate a
-/// technology: how a cell stores levels ([`DeviceModel::cell`]), how
-/// columns are read out ([`DeviceModel::adc`]), what each operation costs
-/// ([`DeviceModel::energy`]) and how many programs a cell survives
-/// ([`DeviceModel::endurance_writes`]). The compute datapath is shared:
-/// every device stores two 4-bit levels per logical 8-bit cell and is read
-/// through the same quantize / nibble-dot / ADC / recombine chain.
+/// technology: how columns are read out ([`DeviceModel::adc`]), what
+/// each operation costs ([`DeviceModel::energy`]) and how many programs a
+/// cell survives ([`DeviceModel::endurance_writes`]). The compute
+/// datapath is shared: every device stores two 4-bit levels per logical
+/// 8-bit cell and is read through the same quantize / nibble-dot / ADC /
+/// recombine chain.
 pub trait DeviceModel {
     /// Short human-readable technology name (e.g. `"pcm"`).
     fn name(&self) -> &'static str;
-
-    /// Cell-level parameters: bits per device and conductance window.
-    fn cell(&self) -> CellConfig;
 
     /// Column ADC configuration.
     fn adc(&self) -> AdcConfig;
@@ -87,10 +80,6 @@ pub struct PcmDevice;
 impl DeviceModel for PcmDevice {
     fn name(&self) -> &'static str {
         "pcm"
-    }
-
-    fn cell(&self) -> CellConfig {
-        CellConfig::default()
     }
 
     fn adc(&self) -> AdcConfig {
@@ -120,11 +109,6 @@ pub struct ReramDevice;
 impl DeviceModel for ReramDevice {
     fn name(&self) -> &'static str {
         "reram"
-    }
-
-    fn cell(&self) -> CellConfig {
-        // HfOx window ~2..100 uS: larger on/off ratio than doped-GST PCM.
-        CellConfig { bits: 4, g_min_us: 2.0, g_max_us: 100.0, noise_sigma: 0.0 }
     }
 
     fn adc(&self) -> AdcConfig {
@@ -203,7 +187,6 @@ mod tests {
     fn pcm_device_is_the_table_i_part() {
         let d = DeviceKind::Pcm.model();
         assert_eq!(d.name(), "pcm");
-        assert_eq!(d.cell(), CellConfig::default());
         assert_eq!(d.energy(), PcmEnergyModel::default());
         assert_eq!(d.adc(), AdcConfig::default());
     }
@@ -215,8 +198,6 @@ mod tests {
         assert!(reram.energy().write_pj_per_cell < pcm.energy().write_pj_per_cell);
         assert!(reram.energy().write_ns_per_row < pcm.energy().write_ns_per_row);
         assert!(reram.endurance_writes() < pcm.endurance_writes());
-        // Both devices keep the two-4-bit-per-8-bit datapath.
-        assert_eq!(reram.cell().bits, 4);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # cim-pcm — phase-change-memory device and crossbar models
 //!
 //! The analog heart of the TDO-CIM accelerator (Sections II-A/II-B of the
-//! paper): multi-level PCM cells programmed by set/reset pulses, organized
-//! in a crossbar that computes matrix-vector products via Ohm's and
-//! Kirchhoff's laws, read out through shared ADCs, with 8-bit operands
-//! bit-sliced across pairs of 4-bit devices.
+//! paper): multi-level PCM cells organized in a crossbar that computes
+//! matrix-vector products via Ohm's and Kirchhoff's laws, read out through
+//! shared ADCs, with 8-bit operands bit-sliced across pairs of 4-bit
+//! devices.
 //!
 //! The crate also owns the Table I energy/latency constants
 //! ([`PcmEnergyModel`]) and the Equation-1 lifetime model ([`wear`]),
@@ -12,33 +12,29 @@
 //! the TDO-CIM compiler transformations conserve.
 //!
 //! Despite the crate name, the device physics is pluggable: the
-//! [`DeviceModel`] trait ([`device`]) bundles cell, ADC, energy and
-//! endurance parameters per technology, with the paper's PCM part
-//! ([`PcmDevice`]) and an HfOx ReRAM-style part ([`ReramDevice`]) as the
-//! built-in instances.
+//! [`DeviceModel`] trait ([`device`]) bundles ADC, energy and endurance
+//! parameters per technology, with the paper's PCM part ([`PcmDevice`])
+//! and an HfOx ReRAM-style part ([`ReramDevice`]) as the built-in
+//! instances.
 //!
 //! ```
-//! use cim_pcm::cell::CellConfig;
 //! use cim_pcm::crossbar::Crossbar;
 //!
-//! let mut xbar = Crossbar::new(4, 4, CellConfig::default());
+//! let mut xbar = Crossbar::new(4, 4);
 //! xbar.program_row(0, &[1, 2, 3, 4]);
 //! let out = xbar.dot_levels(&[2, 0, 0, 0]);
 //! assert_eq!(out, vec![2, 4, 6, 8]);
 //! ```
 
 pub mod adc;
-pub mod cell;
 pub mod crossbar;
 pub mod device;
 pub mod energy;
-pub mod pulse;
 pub mod quant;
 pub mod wear;
 
 pub use adc::{AdcArray, AdcConfig};
-pub use cell::{CellConfig, PcmCell};
-pub use crossbar::Crossbar;
+pub use crossbar::{Crossbar, LEVELS};
 pub use device::{DeviceKind, DeviceModel, PcmDevice, ReramDevice};
 pub use energy::PcmEnergyModel;
 pub use quant::QuantParams;

@@ -115,151 +115,3 @@ mod tests {
         system_lifetime_seconds(1e6, 1.0, 0.0);
     }
 }
-
-/// Start-Gap wear leveling (Qureshi et al., MICRO 2009 — reference \[9\] of
-/// the paper).
-///
-/// TDO-CIM attacks endurance at *compile time*; Start-Gap is the classic
-/// *hardware* technique the paper cites as orthogonal: an extra spare
-/// line plus two registers (`start`, `gap`) rotate the logical-to-physical
-/// line mapping so that a write-hot logical line spreads its wear over
-/// every physical line. This implementation provides the address
-/// remapping and the gap-movement schedule, so the two approaches can be
-/// composed and compared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StartGap {
-    lines: usize,
-    start: usize,
-    gap: usize,
-    psi: u64,
-    writes_since_move: u64,
-    gap_moves: u64,
-}
-
-impl StartGap {
-    /// Creates a mapper for `lines` logical lines (one spare physical
-    /// line is implied), moving the gap every `psi` writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lines` or `psi` is zero.
-    pub fn new(lines: usize, psi: u64) -> Self {
-        assert!(lines > 0, "need at least one line");
-        assert!(psi > 0, "gap must move eventually");
-        StartGap { lines, start: 0, gap: lines, psi, writes_since_move: 0, gap_moves: 0 }
-    }
-
-    /// Number of logical lines.
-    pub fn lines(&self) -> usize {
-        self.lines
-    }
-
-    /// Physical line currently holding the gap (the spare).
-    pub fn gap(&self) -> usize {
-        self.gap
-    }
-
-    /// How many times the gap has moved.
-    pub fn gap_moves(&self) -> u64 {
-        self.gap_moves
-    }
-
-    /// Maps a logical line to its physical line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logical >= lines`.
-    pub fn map(&self, logical: usize) -> usize {
-        assert!(logical < self.lines, "logical line out of range");
-        let mut pa = (logical + self.start) % self.lines;
-        if pa >= self.gap {
-            pa += 1;
-        }
-        pa
-    }
-
-    /// Records one line write; every `psi` writes the gap moves one
-    /// position (copying its neighbour into the spare in hardware).
-    /// Returns `true` when a gap movement happened.
-    pub fn on_write(&mut self) -> bool {
-        self.writes_since_move += 1;
-        if self.writes_since_move < self.psi {
-            return false;
-        }
-        self.writes_since_move = 0;
-        self.gap_moves += 1;
-        if self.gap == 0 {
-            self.gap = self.lines;
-            self.start = (self.start + 1) % self.lines;
-        } else {
-            self.gap -= 1;
-        }
-        true
-    }
-}
-
-#[cfg(test)]
-mod start_gap_tests {
-    use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn mapping_is_injective_in_every_state() {
-        let mut sg = StartGap::new(16, 1);
-        for _ in 0..(17 * 16 + 3) {
-            let phys: HashSet<usize> = (0..16).map(|l| sg.map(l)).collect();
-            assert_eq!(phys.len(), 16, "collision at state {sg:?}");
-            assert!(phys.iter().all(|p| *p <= 16));
-            assert!(!phys.contains(&sg.gap()), "gap line must stay unused");
-            sg.on_write();
-        }
-    }
-
-    #[test]
-    fn gap_walks_and_start_rotates() {
-        let mut sg = StartGap::new(4, 1);
-        assert_eq!(sg.gap(), 4);
-        for expected in [3usize, 2, 1, 0].iter() {
-            assert!(sg.on_write());
-            assert_eq!(sg.gap(), *expected);
-        }
-        // Next move wraps the gap and advances start.
-        assert!(sg.on_write());
-        assert_eq!(sg.gap(), 4);
-        assert_eq!(sg.map(0), 1); // start advanced by one
-    }
-
-    #[test]
-    fn psi_throttles_gap_movement() {
-        let mut sg = StartGap::new(8, 100);
-        for _ in 0..99 {
-            assert!(!sg.on_write());
-        }
-        assert!(sg.on_write());
-        assert_eq!(sg.gap_moves(), 1);
-    }
-
-    #[test]
-    fn hot_line_wear_spreads_over_all_physical_lines() {
-        // Adversarial stream: every write hits logical line 0. With
-        // start-gap, the physical victim changes as the mapping rotates.
-        let lines = 8;
-        let mut sg = StartGap::new(lines, 4);
-        let mut wear = vec![0u64; lines + 1];
-        for _ in 0..10_000 {
-            wear[sg.map(0)] += 1;
-            sg.on_write();
-        }
-        let touched = wear.iter().filter(|w| **w > 0).count();
-        assert_eq!(touched, lines + 1, "all physical lines absorb wear");
-        let max = *wear.iter().max().expect("non-empty");
-        // Without leveling one line would take all 10k writes.
-        assert!(max < 3000, "wear concentrated: {wear:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_logical_panics() {
-        StartGap::new(4, 1).map(4);
-    }
-}

@@ -14,7 +14,7 @@
 //! for Nvidia GPU and Intel CPU, respectively" (Section III).
 
 use cim_accel::regs::{Command, Reg};
-use cim_accel::{partition_grid, AccelConfig, CimAccelerator, GridRegion};
+use cim_accel::{operand_bytes, partition_grid, AccelConfig, CimAccelerator, GridRegion};
 use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
@@ -55,6 +55,35 @@ impl Transpose {
             Transpose::No => 0,
             Transpose::Yes => 1,
         }
+    }
+
+    /// Stored `(rows, cols)` of an operand whose `op()` is `rows x cols`.
+    fn stored(self, rows: usize, cols: usize) -> (usize, usize) {
+        match self {
+            Transpose::No => (rows, cols),
+            Transpose::Yes => (cols, rows),
+        }
+    }
+}
+
+/// Requires the buffer of operand `name` to hold the operand's exact
+/// extent: a row-major `rows x cols` matrix with leading dimension `ld`
+/// (in elements). The accelerator reads and writes that many bytes from
+/// the buffer's start, so a shorter buffer would let it touch memory the
+/// call does not own.
+fn check_extent(
+    name: &str,
+    ptr: &DevPtr,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+) -> Result<(), CimError> {
+    match operand_bytes(rows, cols, ld) {
+        Some(bytes) if bytes <= ptr.len => Ok(()),
+        _ => Err(CimError::InvalidArg(format!(
+            "operand {name} ({rows}x{cols}, ld {ld}) does not fit its {}-byte buffer",
+            ptr.len
+        ))),
     }
 }
 
@@ -762,6 +791,13 @@ impl CimContext {
         for p in [&a, &b, &c] {
             self.check_live(p)?;
         }
+        let (a_rows, a_cols) = trans_a.stored(m, k);
+        check_extent("A", &a, a_rows, a_cols, lda)?;
+        // A transposed B is the engine's to reject.
+        if trans_b == Transpose::No {
+            check_extent("B", &b, k, n, ldb)?;
+        }
+        check_extent("C", &c, m, n, ldc)?;
         self.stats.gemm_calls += 1;
         self.tenant_admission(mach);
         self.device.borrow_mut().driver.ioctl(mach);
@@ -830,6 +866,10 @@ impl CimContext {
         for p in [&a, &x, &y] {
             self.check_live(p)?;
         }
+        let (a_rows, a_cols) = trans_a.stored(m, k);
+        check_extent("A", &a, a_rows, a_cols, lda)?;
+        check_extent("x", &x, k, 1, 1)?;
+        check_extent("y", &y, m, 1, 1)?;
         self.stats.gemv_calls += 1;
         self.tenant_admission(mach);
         self.device.borrow_mut().driver.ioctl(mach);
@@ -914,6 +954,14 @@ impl CimContext {
             self.check_live(p)?;
             flush.push((p.pa, p.len));
         }
+        let (a_rows, a_cols) = trans_a.stored(m, k);
+        for i in 0..count {
+            check_extent(&format!("A[{i}]"), &a_list[i], a_rows, a_cols, lda)?;
+            if trans_b == Transpose::No {
+                check_extent(&format!("B[{i}]"), &b_list[i], k, n, ldb)?;
+            }
+            check_extent(&format!("C[{i}]"), &c_list[i], m, n, ldc)?;
+        }
         for p in a_list.iter().chain(b_list) {
             reads.push((p.pa, p.len));
         }
@@ -997,6 +1045,13 @@ impl CimContext {
         self.ensure_init()?;
         for p in [&img, &filt, &out] {
             self.check_live(p)?;
+        }
+        // A filter that does not fit the image is the engine's to reject.
+        if fh > 0 && fw > 0 && fh <= h && fw <= w {
+            let (out_h, out_w) = (h - fh + 1, w - fw + 1);
+            check_extent("image", &img, h, w, w)?;
+            check_extent("filter", &filt, fh, fw, fw)?;
+            check_extent("output", &out, out_h, out_w, out_w)?;
         }
         self.stats.conv_calls += 1;
         self.tenant_admission(mach);
@@ -1349,6 +1404,108 @@ mod tests {
             ctx.cim_host_to_dev(&mut mach, p, host, 128),
             Err(CimError::InvalidArg(_))
         ));
+    }
+
+    /// Asserts `r` is an `InvalidArg` naming operand `name`.
+    fn assert_names_operand(r: Result<SimTime, CimError>, name: &str) {
+        match r {
+            Err(CimError::InvalidArg(msg)) => {
+                assert!(msg.contains(&format!("operand {name} ")), "{msg}")
+            }
+            other => panic!("expected InvalidArg for operand {name}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn undersized_gemm_operand_rejected() {
+        // A 16-byte A (2x2) passed as 4x4 with lda 4 used to return Ok,
+        // with the accelerator reading past A into whatever followed it.
+        let (mut mach, mut ctx) = setup();
+        ctx.cim_init(&mut mach, 0).expect("init");
+        let a = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+        let b = dev_mat(&mut ctx, &mut mach, &[1.0; 16]);
+        let c = dev_mat(&mut ctx, &mut mach, &[0.0; 16]);
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        let r = ctx.cim_blas_sgemm(&mut mach, no, no, 4, 4, 4, 1.0, a, 4, b, 4, 0.0, c, 4);
+        assert_names_operand(r, "A");
+        // Transposed A is stored k x m: a 2x4 op(A) needs 4 rows of lda 2.
+        let r = ctx.cim_blas_sgemm(&mut mach, yes, no, 2, 4, 4, 1.0, a, 2, b, 4, 0.0, c, 4);
+        assert_names_operand(r, "A");
+        let r = ctx.cim_blas_sgemm(&mut mach, no, no, 2, 2, 2, 1.0, a, 2, b, 15, 0.0, c, 2);
+        assert_names_operand(r, "B");
+        let r = ctx.cim_blas_sgemm(&mut mach, no, no, 2, 4, 2, 1.0, a, 2, b, 4, 0.0, a, 4);
+        assert_names_operand(r, "C");
+        // The exact extent suffices: the last row need not span ld.
+        let r = ctx.cim_blas_sgemm(&mut mach, no, no, 2, 2, 2, 1.0, b, 14, b, 14, 0.0, c, 2);
+        assert!(r.is_ok(), "{r:?}");
+        assert_eq!(ctx.stats().gemm_calls, 1, "rejected calls never reach the device");
+    }
+
+    #[test]
+    fn undersized_gemv_operand_rejected() {
+        let (mut mach, mut ctx) = setup();
+        ctx.cim_init(&mut mach, 0).expect("init");
+        let a = dev_mat(&mut ctx, &mut mach, &[1.0; 16]);
+        let short = dev_mat(&mut ctx, &mut mach, &[1.0; 2]);
+        let long = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+        let no = Transpose::No;
+        let r = ctx.cim_blas_sgemv(&mut mach, no, 4, 4, 1.0, short, 4, long, 0.0, long);
+        assert_names_operand(r, "A");
+        let r = ctx.cim_blas_sgemv(&mut mach, no, 4, 4, 1.0, a, 4, short, 0.0, long);
+        assert_names_operand(r, "x");
+        let r = ctx.cim_blas_sgemv(&mut mach, no, 4, 4, 1.0, a, 4, long, 0.0, short);
+        assert_names_operand(r, "y");
+        assert_eq!(ctx.stats().gemv_calls, 0);
+    }
+
+    #[test]
+    fn undersized_batched_operand_rejected() {
+        let (mut mach, mut ctx) = setup();
+        ctx.cim_init(&mut mach, 0).expect("init");
+        let a = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+        let b = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+        let c = dev_mat(&mut ctx, &mut mach, &[0.0; 4]);
+        let short = dev_mat(&mut ctx, &mut mach, &[0.0; 2]);
+        let cma_before = mach.cma.used();
+        let no = Transpose::No;
+        let r = ctx.cim_blas_gemm_batched(
+            &mut mach,
+            no,
+            no,
+            2,
+            2,
+            2,
+            1.0,
+            &[a, a],
+            2,
+            &[b, b],
+            2,
+            0.0,
+            &[c, short],
+            2,
+        );
+        assert_names_operand(r, "C[1]");
+        assert_eq!(mach.cma.used(), cma_before, "no descriptor table was allocated");
+        assert_eq!(ctx.stats().gemm_batched_calls, 0);
+    }
+
+    #[test]
+    fn undersized_conv_operand_rejected() {
+        let (mut mach, mut ctx) = setup();
+        ctx.cim_init(&mut mach, 0).expect("init");
+        let img = dev_mat(&mut ctx, &mut mach, &[1.0; 36]);
+        let filt = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+        let out = dev_mat(&mut ctx, &mut mach, &[0.0; 25]);
+        let r = ctx.cim_conv2d(&mut mach, filt, 6, 6, filt, 2, 2, out);
+        assert_names_operand(r, "image");
+        let r = ctx.cim_conv2d(&mut mach, img, 6, 6, filt, 3, 2, out);
+        assert_names_operand(r, "filter");
+        let r = ctx.cim_conv2d(&mut mach, img, 6, 6, filt, 2, 1, out);
+        assert_names_operand(r, "output");
+        // A filter larger than the image stays the engine's error.
+        let r = ctx.cim_conv2d(&mut mach, filt, 2, 2, img, 3, 3, out);
+        assert!(matches!(r, Err(CimError::Device(_))), "{r:?}");
+        assert!(ctx.cim_conv2d(&mut mach, img, 6, 6, filt, 2, 2, out).is_ok());
     }
 
     #[test]
