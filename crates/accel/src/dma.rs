@@ -21,9 +21,19 @@ pub struct DmaStats {
 }
 
 /// The load/store engine.
+///
+/// Every transfer moves its payload through the bulk
+/// [`cim_machine::mem::PhysMem`] paths (contiguous runs frame by frame,
+/// strided runs per frame burst). Memory sees the same bytes as with one
+/// 4-byte uncacheable access per element, and each call charges the bus
+/// its bursts in a fixed order, so the memory, bus and DMA counters match
+/// an element-at-a-time engine exactly.
 #[derive(Debug, Clone, Default)]
 pub struct DmaEngine {
     stats: DmaStats,
+    /// Row-major staging for [`DmaEngine::read_f32s_transposed`], reused
+    /// across gathers.
+    staging: Vec<f32>,
 }
 
 impl DmaEngine {
@@ -42,26 +52,30 @@ impl DmaEngine {
         self.stats = DmaStats::default();
     }
 
+    /// Charges one burst of `bytes` moving into (`into_accel`) or out of
+    /// the accelerator.
+    fn burst(&mut self, mach: &mut Machine, bytes: u64, into_accel: bool) -> SimTime {
+        let t = mach.bus.dma_burst(bytes, into_accel);
+        if into_accel {
+            self.stats.bytes_in += bytes;
+        } else {
+            self.stats.bytes_out += bytes;
+        }
+        self.stats.busy += t;
+        t
+    }
+
     /// Reads `out.len() * 4` bytes of `f32`s from physical address `pa`.
     /// Returns the burst time.
     pub fn read_f32s(&mut self, mach: &mut Machine, pa: u64, out: &mut [f32]) -> SimTime {
-        let bytes = (out.len() * 4) as u64;
-        let mut raw = vec![0u8; out.len() * 4];
-        mach.uncached_read(pa, &mut raw);
-        for (i, chunk) in raw.chunks_exact(4).enumerate() {
-            out[i] = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        let t = mach.bus.dma_burst(bytes, true);
-        self.stats.bytes_in += bytes;
-        self.stats.busy += t;
-        t
+        mach.mem.read_f32_slice(pa, out);
+        self.burst(mach, (out.len() * 4) as u64, true)
     }
 
     /// Reads a *strided* sequence: `count` f32s spaced `stride_elems`
     /// apart (used to gather a matrix column). One burst per element group
     /// is pessimistic, so this is modelled as a single burst of the
     /// gathered payload plus one setup.
-    #[allow(clippy::needless_range_loop)]
     pub fn read_f32s_strided(
         &mut self,
         mach: &mut Machine,
@@ -71,30 +85,58 @@ impl DmaEngine {
         out: &mut [f32],
     ) -> SimTime {
         assert!(out.len() >= count, "output buffer too small");
-        for i in 0..count {
-            let mut b = [0u8; 4];
-            mach.uncached_read(pa + (i * stride_elems * 4) as u64, &mut b);
-            out[i] = f32::from_le_bytes(b);
+        let out = &mut out[..count];
+        if stride_elems == 1 {
+            mach.mem.read_f32_slice(pa, out);
+        } else {
+            mach.mem.read_f32_strided(pa, 4 * stride_elems as i64, out);
         }
-        let bytes = (count * 4) as u64;
-        let t = mach.bus.dma_burst(bytes, true);
-        self.stats.bytes_in += bytes;
-        self.stats.busy += t;
+        self.burst(mach, (count * 4) as u64, true)
+    }
+
+    /// Gathers the `rows x cols` block at `pa` (row stride `ld` elements)
+    /// *transposed*, `out[c * rows + r] = block[r][c]`: what `cols`
+    /// column reads through [`DmaEngine::read_f32s_strided`] deliver.
+    /// Memory is read row by row in contiguous runs (one run when the
+    /// rows abut) and transposed in host memory; the bus is charged
+    /// those column reads' bursts, one of `rows * 4` bytes per column in
+    /// column order. Returns the summed burst time.
+    pub fn read_f32s_transposed(
+        &mut self,
+        mach: &mut Machine,
+        pa: u64,
+        rows: usize,
+        cols: usize,
+        ld: usize,
+        out: &mut [f32],
+    ) -> SimTime {
+        let n = rows * cols;
+        assert!(out.len() >= n, "output buffer too small");
+        if self.staging.len() < n {
+            self.staging.resize(n, 0.0);
+        }
+        let staging = &mut self.staging[..n];
+        if ld == cols {
+            // The rows abut: the block is one contiguous run.
+            mach.mem.read_f32_slice(pa, staging);
+        } else {
+            for r in 0..rows {
+                let row = &mut staging[r * cols..(r + 1) * cols];
+                mach.mem.read_f32_slice(pa + (4 * r * ld) as u64, row);
+            }
+        }
+        transpose(staging, rows, cols, &mut out[..n]);
+        let mut t = SimTime::ZERO;
+        for _ in 0..cols {
+            t += self.burst(mach, (rows * 4) as u64, true);
+        }
         t
     }
 
     /// Writes `data` as little-endian `f32`s to physical address `pa`.
     pub fn write_f32s(&mut self, mach: &mut Machine, pa: u64, data: &[f32]) -> SimTime {
-        let bytes = (data.len() * 4) as u64;
-        let mut raw = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        mach.uncached_write(pa, &raw);
-        let t = mach.bus.dma_burst(bytes, false);
-        self.stats.bytes_out += bytes;
-        self.stats.busy += t;
-        t
+        mach.mem.write_f32_slice(pa, data);
+        self.burst(mach, (data.len() * 4) as u64, false)
     }
 
     /// Reads `count` little-endian `u64`s (batch descriptors).
@@ -106,17 +148,47 @@ impl DmaEngine {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
             .collect();
-        let t = mach.bus.dma_burst(bytes, true);
-        self.stats.bytes_in += bytes;
-        self.stats.busy += t;
-        (vals, t)
+        (vals, self.burst(mach, bytes, true))
+    }
+}
+
+/// `dst[c * rows + r] = src[r * cols + c]`: 4x4 register tiles, walked
+/// in 32x32 cache blocks so that the power-of-two strides of full
+/// crossbar blocks do not thrash a few cache sets, then the ragged edges
+/// element by element.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    const BLOCK: usize = 32;
+    let (r4, c4) = (rows / 4 * 4, cols / 4 * 4);
+    for rb in (0..r4).step_by(BLOCK) {
+        for cb in (0..c4).step_by(BLOCK) {
+            for r0 in (rb..(rb + BLOCK).min(r4)).step_by(4) {
+                for c0 in (cb..(cb + BLOCK).min(c4)).step_by(4) {
+                    let mut t = [[0f32; 4]; 4];
+                    for (i, ti) in t.iter_mut().enumerate() {
+                        ti.copy_from_slice(&src[(r0 + i) * cols + c0..][..4]);
+                    }
+                    for j in 0..4 {
+                        dst[(c0 + j) * rows + r0..][..4]
+                            .copy_from_slice(&[t[0][j], t[1][j], t[2][j], t[3][j]]);
+                    }
+                }
+            }
+        }
+    }
+    for r in 0..rows {
+        let c_start = if r < r4 { c4 } else { 0 };
+        for c in c_start..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_machine::mem::FRAME_BYTES;
     use cim_machine::MachineConfig;
+    use proptest::prelude::*;
 
     fn setup() -> (Machine, DmaEngine, u64) {
         let mut m = Machine::new(MachineConfig::test_small());
@@ -159,6 +231,140 @@ mod tests {
         m.uncached_write(pa, &raw);
         let (vals, _) = dma.read_u64s(&mut m, pa, 3);
         assert_eq!(vals, descr);
+    }
+
+    /// Per-element reference for the bulk paths: one 4-byte uncacheable
+    /// access per element and one bus burst per column, as the engine
+    /// moved operands before the bulk paths existed.
+    #[derive(Default)]
+    struct Reference {
+        stats: DmaStats,
+    }
+
+    impl Reference {
+        fn burst(&mut self, m: &mut Machine, bytes: u64, into_accel: bool) -> SimTime {
+            let t = m.bus.dma_burst(bytes, into_accel);
+            if into_accel {
+                self.stats.bytes_in += bytes;
+            } else {
+                self.stats.bytes_out += bytes;
+            }
+            self.stats.busy += t;
+            t
+        }
+
+        /// `out.len()` elements spaced `stride` apart, one burst.
+        fn read_column(
+            &mut self,
+            m: &mut Machine,
+            pa: u64,
+            stride: usize,
+            out: &mut [f32],
+        ) -> SimTime {
+            for (i, slot) in out.iter_mut().enumerate() {
+                let mut b = [0u8; 4];
+                m.uncached_read(pa + (4 * i * stride) as u64, &mut b);
+                *slot = f32::from_le_bytes(b);
+            }
+            self.burst(m, (out.len() * 4) as u64, true)
+        }
+
+        /// `data` stored contiguously, one burst.
+        fn write(&mut self, m: &mut Machine, pa: u64, data: &[f32]) {
+            for (i, v) in data.iter().enumerate() {
+                m.uncached_write(pa + 4 * i as u64, &v.to_le_bytes());
+            }
+            self.burst(m, (data.len() * 4) as u64, false);
+        }
+    }
+
+    /// Start of the eight frames the property test works in.
+    const REGION: u64 = 0x10_0000;
+
+    /// A machine whose region frames `i` with `filled[i]` hold data from
+    /// `pool`; the other frames were never written.
+    fn filled_machine(filled: &[bool], pool: &[f32]) -> Machine {
+        let mut m = Machine::new(MachineConfig::test_small());
+        let words = FRAME_BYTES / 4;
+        for (f, _) in filled.iter().enumerate().filter(|(_, on)| **on) {
+            let data: Vec<f32> = (0..words).map(|i| pool[(f * 31 + i) % pool.len()]).collect();
+            m.mem.write_f32_slice(REGION + (f * FRAME_BYTES) as u64, &data);
+        }
+        m.mem.reset_stats();
+        m
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Each bulk path moves the same bits as the per-element
+        /// reference and leaves identical memory, bus and DMA counters
+        /// (burst times compared by bits), for `rows x cols` blocks with
+        /// leading dimension `ld >= cols` whose base sits `back` bytes
+        /// before a frame boundary: 4-aligned or not, straddling frames,
+        /// over frames that were never written.
+        #[test]
+        fn bulk_paths_match_per_element_reference(
+            rows in 1usize..25,
+            cols in 1usize..25,
+            ld_pad in 0usize..9,
+            frame in 1u64..4,
+            back in 0u64..160,
+            filled in collection::vec(bool::ANY, 8..9),
+            pool in collection::vec(-1.0e3f32..1.0e3, 97..98),
+        ) {
+            let ld = cols + ld_pad;
+            let base = REGION + frame * FRAME_BYTES as u64 - back;
+            let mut bulk = filled_machine(&filled, &pool);
+            let mut per_elem = filled_machine(&filled, &pool);
+            let (mut dma, mut reference) = (DmaEngine::new(), Reference::default());
+            let n = rows * cols;
+
+            // The op(A) gather: the block transposed, one burst per column.
+            let (mut got, mut want) = (vec![0f32; n], vec![0f32; n]);
+            let t = dma.read_f32s_transposed(&mut bulk, base, rows, cols, ld, &mut got);
+            let mut t_ref = SimTime::ZERO;
+            for c in 0..cols {
+                let col = &mut want[c * rows..(c + 1) * rows];
+                t_ref += reference.read_column(&mut per_elem, base + 4 * c as u64, ld, col);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(t.as_ns().to_bits(), t_ref.as_ns().to_bits());
+
+            // Strided column reads (stride `ld`, and the unit-stride slice
+            // path) and a contiguous read.
+            for stride in [ld, 1] {
+                let (mut got, mut want) = (vec![0f32; rows], vec![0f32; rows]);
+                dma.read_f32s_strided(&mut bulk, base, rows, stride, &mut got);
+                reference.read_column(&mut per_elem, base, stride, &mut want);
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+            let (mut got, mut want) = (vec![0f32; n], vec![0f32; n]);
+            dma.read_f32s(&mut bulk, base, &mut got);
+            reference.read_column(&mut per_elem, base, 1, &mut want);
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            // A contiguous write.
+            let data: Vec<f32> = (0..n).map(|i| pool[i % pool.len()]).collect();
+            dma.write_f32s(&mut bulk, base, &data);
+            reference.write(&mut per_elem, base, &data);
+
+            prop_assert_eq!(bulk.mem.stats(), per_elem.mem.stats());
+            prop_assert_eq!(bulk.bus.stats(), per_elem.bus.stats());
+            let (s, r) = (dma.stats(), reference.stats);
+            prop_assert_eq!((s.bytes_in, s.bytes_out), (r.bytes_in, r.bytes_out));
+            prop_assert_eq!(s.busy.as_ns().to_bits(), r.busy.as_ns().to_bits());
+            prop_assert_eq!(bulk.mem.resident_frames(), per_elem.mem.resident_frames());
+            let span = filled.len() * FRAME_BYTES;
+            let (mut got, mut want) = (vec![0u8; span], vec![0u8; span]);
+            bulk.uncached_read(REGION, &mut got);
+            per_elem.uncached_read(REGION, &mut want);
+            prop_assert!(got == want, "memory contents differ");
+        }
     }
 
     #[test]

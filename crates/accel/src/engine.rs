@@ -241,25 +241,19 @@ impl CimAccelerator {
                     self.stats.install_skips += 1;
                     continue;
                 }
-                // Gather op(A)[m0..m0+mt][k0..k0+kt] transposed into G.
-                g.clear();
+                // Gather op(A)[m0..m0+mt][k0..k0+kt] transposed into G,
+                // one burst per row of G.
                 g.resize(kt * mt, 0.0);
-                for r in 0..kt {
-                    if p.trans_a {
-                        // op(A)[m][k] = A[k][m]: row k0+r of A, cols m0..
+                if p.trans_a {
+                    // op(A)[m][k] = A[k][m]: rows k0.. of A, cols m0..
+                    for r in 0..kt {
                         let base = p.a + 4 * ((k0 + r) * p.lda + m0) as u64;
                         self.dma.read_f32s(mach, base, &mut g[r * mt..(r + 1) * mt]);
-                    } else {
-                        // op(A)[m][k] = A[m][k]: column k0+r of A, rows m0..
-                        let base = p.a + 4 * (m0 * p.lda + k0 + r) as u64;
-                        self.dma.read_f32s_strided(
-                            mach,
-                            base,
-                            mt,
-                            p.lda,
-                            &mut g[r * mt..(r + 1) * mt],
-                        );
                     }
+                } else {
+                    // op(A)[m][k] = A[m][k]: rows m0.. of A, cols k0..
+                    let base = p.a + 4 * (m0 * p.lda + k0) as u64;
+                    self.dma.read_f32s_transposed(mach, base, mt, kt, p.lda, &mut g);
                 }
                 let dma_t = self.bus_cfg.dma_time((kt * mt * 4) as u64);
                 // Per-tile DMA channel: the wave-local tile picks its
@@ -334,6 +328,7 @@ impl CimAccelerator {
         let mut tiles_peak = 0u64;
         let mut x = vec![0f32; region.shape.0 * tr];
         let mut cseg = vec![0f32; tc];
+        let mut y = vec![0f32; tc];
 
         for wave in &waves {
             tiles_peak = tiles_peak.max(wave.tiles_active() as u64);
@@ -369,7 +364,7 @@ impl CimAccelerator {
                         let idx =
                             self.tile_index((region.origin.0 + ks.lane, region.origin.1 + ms.lane));
                         let seg = &x[ks.lane * tr..ks.lane * tr + ks.len];
-                        let (y, receipt) = self.tiles[idx].gemv(seg);
+                        let receipt = self.tiles[idx].gemv_into(seg, &mut y[..mt]);
                         // Accumulate the partial column; lanes beyond the
                         // first cost one extra adder pass in the digital
                         // block.
@@ -395,11 +390,9 @@ impl CimAccelerator {
                             );
                         }
                     }
-                    // Scatter back (strided store, element-wise).
-                    for i in 0..mt {
-                        let addr = cbase + 4 * (i * p.ldc) as u64;
-                        mach.uncached_write(addr, &cseg[i].to_le_bytes());
-                    }
+                    // Scatter back (strided store; the step model charges
+                    // its bus time, so no burst).
+                    mach.mem.write_f32_strided(cbase, 4 * p.ldc as i64, &cseg[..mt]);
                     out_bytes += (mt * 4 * if reads_c { 2 } else { 1 }) as u64;
                 }
                 let (step, dma_t) = gemv_step_time(&self.cfg, &self.bus_cfg, in_bytes, out_bytes);
@@ -593,29 +586,29 @@ impl CimAccelerator {
         }
 
         let mut v = vec![0f32; in_dim];
+        let mut y = vec![0f32; seg_out];
+        let mut obuf = vec![0f32; seg_out];
         let mut first = true;
         for oi in 0..out_h {
             let mut s0 = 0;
             while s0 < out_w {
                 let n_out = seg_out.min(out_w - s0);
-                v.iter_mut().for_each(|x| *x = 0.0);
+                v.fill(0.0);
                 let valid = seg_in.min(p.w - s0);
                 for fr in 0..p.fh {
                     let base = p.img + 4 * ((oi + fr) * p.w + s0) as u64;
-                    let mut seg = vec![0f32; valid];
-                    self.dma.read_f32s(mach, base, &mut seg);
-                    v[fr * seg_in..fr * seg_in + valid].copy_from_slice(&seg);
+                    self.dma.read_f32s(mach, base, &mut v[fr * seg_in..fr * seg_in + valid]);
                 }
-                let (y, receipt) = self.tiles[0].gemv(&v);
+                let receipt = self.tiles[0].gemv_into(&v, &mut y);
                 // Accumulate into the existing output (the kernel is a
                 // reduction: out[i][j] += ...), read-modify-write via DMA.
                 let obase = p.out + 4 * (oi * out_w + s0) as u64;
-                let mut oseg = vec![0f32; n_out];
-                self.dma.read_f32s(mach, obase, &mut oseg);
+                let oseg = &mut obuf[..n_out];
+                self.dma.read_f32s(mach, obase, oseg);
                 for (o, yv) in oseg.iter_mut().zip(&y[..n_out]) {
                     *o += yv;
                 }
-                self.dma.write_f32s(mach, obase, &oseg);
+                self.dma.write_f32s(mach, obase, oseg);
                 let in_bytes = (p.fh * valid * 4) as u64;
                 let out_bytes = (2 * n_out * 4) as u64;
                 let (step, dma_t) = gemv_step_time(&self.cfg, &self.bus_cfg, in_bytes, out_bytes);

@@ -8,6 +8,13 @@
 //! tracks residency so that repeated use of the same operand (fused
 //! kernels, reused tiles) programs the devices only once — the paper's
 //! endurance optimization.
+//!
+//! A tile keeps one copy of its operand: the one its datapath reads. An
+//! [`Fidelity::Int8`] tile quantizes the operand and programs its nibble
+//! levels into the two crossbars. An [`Fidelity::Exact`] tile copies the
+//! operand into an f32 shadow and charges the crossbars the same row
+//! programs through [`Crossbar::record_program`], so both fidelities
+//! wear, cost and time identically.
 
 use cim_pcm::adc::full_scale_for;
 use cim_pcm::quant::{
@@ -94,7 +101,9 @@ pub struct GemvReceipt {
     pub extra_alu_ops: u64,
 }
 
-/// One computational memory tile.
+/// One computational memory tile: two nibble crossbars (which carry the
+/// wear of every install and, on an Int8 tile, the operand's levels),
+/// the ADCs, and on an Exact tile the f32 shadow the GEMV reads.
 #[derive(Debug, Clone)]
 pub struct CimTile {
     rows: usize,
@@ -103,9 +112,10 @@ pub struct CimTile {
     lsb: Crossbar,
     adc: AdcArray,
     fidelity: Fidelity,
-    /// Shadow of the stationary operand in crossbar orientation
-    /// (`shadow[r * cols + c]`), used by the exact path.
+    /// The stationary operand in crossbar orientation
+    /// (`shadow[r * cols + c]`); Exact tiles only, empty on Int8 tiles.
     shadow: Vec<f32>,
+    /// Scale of the quantized operand; read by the Int8 path only.
     weight_params: QuantParams,
     active: (usize, usize),
     resident: Option<TileKey>,
@@ -114,6 +124,10 @@ pub struct CimTile {
 impl CimTile {
     /// Creates a tile from the accelerator configuration.
     pub fn new(cfg: &AccelConfig) -> Self {
+        let shadow = match cfg.fidelity {
+            Fidelity::Exact => vec![0.0; cfg.rows * cfg.cols],
+            Fidelity::Int8 => Vec::new(),
+        };
         CimTile {
             rows: cfg.rows,
             cols: cfg.cols,
@@ -121,7 +135,7 @@ impl CimTile {
             lsb: Crossbar::new(cfg.rows, cfg.cols),
             adc: AdcArray::new(cfg.adc),
             fidelity: cfg.fidelity,
-            shadow: vec![0.0; cfg.rows * cfg.cols],
+            shadow,
             weight_params: QuantParams::from_max_abs(0.0),
             active: (0, 0),
             resident: None,
@@ -146,7 +160,10 @@ impl CimTile {
     /// Installs a stationary operand given in crossbar orientation:
     /// `g[r * out_dim + c]` with `r < in_dim` word lines and `c < out_dim`
     /// bit lines. If `key` matches the resident operand the install is a
-    /// no-op costing nothing (the endurance win).
+    /// no-op costing nothing (the endurance win). Otherwise rows
+    /// `0..in_dim` each program the column prefix `0..out_dim`: an Int8
+    /// tile quantizes `g` into nibble levels, an Exact tile copies `g`
+    /// into its shadow and records the same programs.
     ///
     /// # Panics
     ///
@@ -163,26 +180,33 @@ impl CimTile {
         if self.resident.as_ref() == Some(&key) {
             return InstallReceipt { rows_programmed: 0, cells_written: 0, resident_hit: true };
         }
-        let (params, q) = quantize_tensor(g);
-        self.weight_params = params;
         // The column buffers enable only the active columns (Section
-        // II-B), so each row programs the prefix `0..out_dim`.
-        let mut msb_levels = vec![0u8; out_dim];
-        let mut lsb_levels = vec![0u8; out_dim];
-        for r in 0..in_dim {
-            for (c, v) in q[r * out_dim..(r + 1) * out_dim].iter().enumerate() {
-                let (m, l) = split_nibbles(to_offset(*v));
-                msb_levels[c] = m;
-                lsb_levels[c] = l;
+        // II-B), so each row programs the prefix `0..out_dim`. Both nibble
+        // arrays share row drivers and program in lockstep; latency is one
+        // row-program, energy covers the 8-bit cells.
+        match self.fidelity {
+            Fidelity::Exact => {
+                for r in 0..in_dim {
+                    self.shadow[r * self.cols..r * self.cols + out_dim]
+                        .copy_from_slice(&g[r * out_dim..(r + 1) * out_dim]);
+                    self.msb.record_program(r, out_dim);
+                    self.lsb.record_program(r, out_dim);
+                }
             }
-            // Both nibble arrays share row drivers and program in lockstep;
-            // latency is one row-program, energy covers the 8-bit cells.
-            self.msb.program_row(r, &msb_levels);
-            self.lsb.program_row(r, &lsb_levels);
-        }
-        for r in 0..in_dim {
-            for c in 0..out_dim {
-                self.shadow[r * self.cols + c] = g[r * out_dim + c];
+            Fidelity::Int8 => {
+                let (params, q) = quantize_tensor(g);
+                self.weight_params = params;
+                let mut msb_levels = vec![0u8; out_dim];
+                let mut lsb_levels = vec![0u8; out_dim];
+                for r in 0..in_dim {
+                    for (c, v) in q[r * out_dim..(r + 1) * out_dim].iter().enumerate() {
+                        let (m, l) = split_nibbles(to_offset(*v));
+                        msb_levels[c] = m;
+                        lsb_levels[c] = l;
+                    }
+                    self.msb.program_row(r, &msb_levels);
+                    self.lsb.program_row(r, &lsb_levels);
+                }
             }
         }
         self.active = (in_dim, out_dim);
@@ -200,27 +224,25 @@ impl CimTile {
         self.resident = None;
     }
 
-    /// Computes `out[c] = sum_r input[r] * G[r][c]` over the active extent.
+    /// Computes `out[c] = sum_r input[r] * G[r][c]` over the active
+    /// extent, overwriting `out`.
     ///
-    /// The exact path multiplies the f32 shadow; the int8 path runs the
-    /// full quantize / nibble-dot / ADC / recombine / dequantize chain.
+    /// The exact path multiplies the f32 shadow row by row (rows
+    /// ascending, zero inputs skipped); the int8 path runs the full
+    /// quantize / nibble-dot / ADC / recombine / dequantize chain.
     ///
     /// # Panics
     ///
-    /// Panics if `input.len()` differs from the active input dimension or
-    /// nothing is installed.
-    pub fn gemv(&self, input: &[f32]) -> (Vec<f32>, GemvReceipt) {
+    /// Panics if nothing is installed, or if `input.len()` or
+    /// `out.len()` differs from the active input or output dimension.
+    pub fn gemv_into(&self, input: &[f32], out: &mut [f32]) -> GemvReceipt {
         let (in_dim, out_dim) = self.active;
         assert!(self.resident.is_some(), "no operand installed");
         assert_eq!(input.len(), in_dim, "input length mismatch");
-        let receipt = GemvReceipt {
-            active_cells: (in_dim * out_dim) as u64,
-            useful_macs: (in_dim * out_dim) as u64,
-            extra_alu_ops: RECOMBINE_ALU_OPS_PER_COLUMN * out_dim as u64,
-        };
-        let out = match self.fidelity {
+        assert_eq!(out.len(), out_dim, "output length mismatch");
+        match self.fidelity {
             Fidelity::Exact => {
-                let mut out = vec![0f32; out_dim];
+                out.fill(0.0);
                 for (r, x) in input.iter().enumerate() {
                     if *x == 0.0 {
                         continue;
@@ -230,14 +252,24 @@ impl CimTile {
                         *o += x * g;
                     }
                 }
-                out
             }
-            Fidelity::Int8 => self.gemv_int8(input, in_dim, out_dim),
-        };
+            Fidelity::Int8 => self.gemv_int8(input, out),
+        }
+        GemvReceipt {
+            active_cells: (in_dim * out_dim) as u64,
+            useful_macs: (in_dim * out_dim) as u64,
+            extra_alu_ops: RECOMBINE_ALU_OPS_PER_COLUMN * out_dim as u64,
+        }
+    }
+
+    /// [`CimTile::gemv_into`] into a fresh vector.
+    pub fn gemv(&self, input: &[f32]) -> (Vec<f32>, GemvReceipt) {
+        let mut out = vec![0f32; self.active.1];
+        let receipt = self.gemv_into(input, &mut out);
         (out, receipt)
     }
 
-    fn gemv_int8(&self, input: &[f32], in_dim: usize, out_dim: usize) -> Vec<f32> {
+    fn gemv_int8(&self, input: &[f32], out: &mut [f32]) {
         // Fused quantize: one pass for the scale, one pass filling the
         // padded row buffer and the offset-term input sum — no
         // intermediate `Vec<i8>`. The arithmetic (and therefore every
@@ -256,16 +288,14 @@ impl CimTile {
         let mut lsb_dots = vec![0i64; self.lsb.cols()];
         self.msb.dot_levels_into(&x, &mut msb_dots);
         self.lsb.dot_levels_into(&x, &mut lsb_dots);
-        let fs = full_scale_for(in_dim);
-        let mut out = vec![0f32; out_dim];
-        for c in 0..out_dim {
+        let fs = full_scale_for(input.len());
+        for (c, o) in out.iter_mut().enumerate() {
             let m = self.adc.convert(msb_dots[c], fs);
             let l = self.adc.convert(lsb_dots[c], fs);
             // Digital block: weighted sum of nibble columns + offset term.
             let dot_q = recombine_dot(m, l, x_sum);
-            out[c] = dot_q as f32 * self.weight_params.scale * x_params.scale;
+            *o = dot_q as f32 * self.weight_params.scale * x_params.scale;
         }
-        out
     }
 
     /// Total cell programs endured by both nibble arrays, in 8-bit cells
@@ -285,6 +315,7 @@ impl CimTile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(gen: u64) -> TileKey {
         TileKey {
@@ -378,6 +409,117 @@ mod tests {
         t.install(k2, &g2, 3, 3);
         let (y, _) = t.gemv(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![1.0, 2.0, 3.0]);
+    }
+
+    /// Reference tile: per-cell write counts and the resident operand,
+    /// updated install by install.
+    struct Reference {
+        writes: Vec<u64>,
+        resident: Option<(TileKey, Vec<f32>)>,
+    }
+
+    impl Reference {
+        fn install(&mut self, key: TileKey, g: &[f32]) -> InstallReceipt {
+            if self.resident.as_ref().is_some_and(|(k, _)| *k == key) {
+                return InstallReceipt { rows_programmed: 0, cells_written: 0, resident_hit: true };
+            }
+            let (in_dim, out_dim) = key.extent;
+            for r in 0..in_dim {
+                for c in 0..out_dim {
+                    self.writes[r * 8 + c] += 1;
+                }
+            }
+            self.resident = Some((key, g.to_vec()));
+            InstallReceipt {
+                rows_programmed: in_dim as u64,
+                cells_written: (in_dim * out_dim) as u64,
+                resident_hit: false,
+            }
+        }
+
+        /// Row-order GEMV: rows ascending, zero inputs skipped, multiply
+        /// then add.
+        fn gemv(&self, x: &[f32]) -> Vec<f32> {
+            let (key, g) = self.resident.as_ref().expect("installed");
+            let out_dim = key.extent.1;
+            let mut out = vec![0f32; out_dim];
+            for (r, xr) in x.iter().enumerate() {
+                if *xr == 0.0 {
+                    continue;
+                }
+                for (c, o) in out.iter_mut().enumerate() {
+                    *o += *xr * g[r * out_dim + c];
+                }
+            }
+            out
+        }
+    }
+
+    /// Pool value `i`, with every sixth a `0.0` and every sixth a `-0.0`.
+    fn value(pool: &[f32], zeros: &[usize], i: usize) -> f32 {
+        match zeros[i % zeros.len()] {
+            0 => 0.0,
+            1 => -0.0,
+            _ => pool[i % pool.len()],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// An Exact and an Int8 tile take the same random install
+        /// sequence on `test_small` (8x8) tiles. Step `i` installs
+        /// operand `key_picks[i]` (one of three bases with its own extent
+        /// up to 8x8) at generation `gen_picks[i]`, so keys repeat and
+        /// generations move; contents follow the key. After each install
+        /// both tiles report the reference's receipt and wear, and the
+        /// Exact GEMV matches the row-order reference bit for bit.
+        #[test]
+        fn one_operand_copy_per_tile_matches_reference(
+            steps in 1usize..13,
+            dims in collection::vec(1usize..9, 6..7),
+            key_picks in collection::vec(0usize..3, 12..13),
+            gen_picks in collection::vec(0u64..2, 12..13),
+            pool in collection::vec(-4.0f32..4.0, 61..62),
+            zeros in collection::vec(0usize..6, 53..54),
+        ) {
+            let mut exact = CimTile::new(&cfg());
+            let mut int8 = CimTile::new(&AccelConfig { fidelity: Fidelity::Int8, ..cfg() });
+            let mut reference = Reference { writes: vec![0; 64], resident: None };
+            for i in 0..steps {
+                let (k, generation) = (key_picks[i], gen_picks[i]);
+                let (in_dim, out_dim) = (dims[2 * k], dims[2 * k + 1]);
+                let key = TileKey {
+                    base_pa: 0x1000 * (k as u64 + 1),
+                    ld: 8,
+                    transposed: false,
+                    origin: (0, 0),
+                    extent: (in_dim, out_dim),
+                    generation,
+                };
+                let seed = 7 * k + 3 * generation as usize;
+                let g: Vec<f32> =
+                    (0..in_dim * out_dim).map(|j| value(&pool, &zeros, seed + j)).collect();
+                let want = reference.install(key, &g);
+                prop_assert_eq!(exact.install(key, &g, in_dim, out_dim), want);
+                prop_assert_eq!(int8.install(key, &g, in_dim, out_dim), want);
+                let total: u64 = reference.writes.iter().sum();
+                let max = reference.writes.iter().copied().max().unwrap_or(0);
+                for tile in [&exact, &int8] {
+                    prop_assert_eq!(tile.cell_writes(), total);
+                    prop_assert_eq!(tile.max_cell_writes(), max);
+                }
+
+                let resident_in = reference.resident.as_ref().map_or(0, |(k, _)| k.extent.0);
+                let x: Vec<f32> =
+                    (0..resident_in).map(|j| value(&pool, &zeros, 5 * i + 11 * j)).collect();
+                let want_y = reference.gemv(&x);
+                let mut y = vec![f32::NAN; want_y.len()];
+                exact.gemv_into(&x, &mut y);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&y), bits(&want_y));
+            }
+        }
     }
 
     #[test]

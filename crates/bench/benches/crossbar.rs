@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the PCM crossbar simulator itself
 //! (simulation throughput, not modelled hardware performance).
 
+use cim_accel::regs::{Command, Reg};
 use cim_accel::tile::{CimTile, TileKey};
-use cim_accel::AccelConfig;
+use cim_accel::{AccelConfig, CimAccelerator};
+use cim_machine::{Machine, MachineConfig};
 use cim_pcm::{Crossbar, Fidelity};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -62,6 +64,45 @@ fn bench_install_64(c: &mut Criterion) {
     });
 }
 
+/// The accelerator half of a `serving` request: one 64x64
+/// `Command::Gemv` through the micro-engine on a default device. The
+/// generation is bumped every iteration, so every run gathers `op(A)`
+/// over DMA, installs it, streams `x` and writes `y` back.
+fn bench_accel_gemv_64(c: &mut Criterion) {
+    const N: u64 = 64;
+    let mut mach = Machine::new(MachineConfig::default());
+    let mut acc = CimAccelerator::new(AccelConfig::default(), mach.cfg.bus);
+    let (_, a) = mach.alloc_cma(4 * N * N).expect("cma");
+    let (_, x) = mach.alloc_cma(4 * N).expect("cma");
+    let (_, y) = mach.alloc_cma(4 * N).expect("cma");
+    let a_data: Vec<f32> = (0..N * N).map(|i| (i % 17) as f32 - 8.0).collect();
+    let x_data: Vec<f32> = (0..N).map(|i| (i % 13) as f32 - 6.0).collect();
+    mach.mem.write_f32_slice(a, &a_data);
+    mach.mem.write_f32_slice(x, &x_data);
+    for (r, v) in [
+        (Reg::M, N),
+        (Reg::N, 1),
+        (Reg::K, N),
+        (Reg::Lda, N),
+        (Reg::Ldb, 1),
+        (Reg::Ldc, 1),
+        (Reg::AddrA, a),
+        (Reg::AddrB, x),
+        (Reg::AddrC, y),
+        (Reg::Alpha, u64::from(1.0f32.to_bits())),
+        (Reg::Beta, 0),
+        (Reg::Command, Command::Gemv as u64),
+    ] {
+        acc.pmio_write(r, v);
+    }
+    c.bench_function("accel_gemv_64x64", |b| {
+        b.iter(|| {
+            acc.bump_generation();
+            black_box(acc.execute(&mut mach))
+        })
+    });
+}
+
 fn bench_raw_crossbar(c: &mut Criterion) {
     let mut xbar = Crossbar::new(256, 256);
     let levels: Vec<u8> = (0..256).map(|i| (i % 16) as u8).collect();
@@ -74,5 +115,12 @@ fn bench_raw_crossbar(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_gemv, bench_install, bench_install_64, bench_raw_crossbar);
+criterion_group!(
+    benches,
+    bench_gemv,
+    bench_install,
+    bench_install_64,
+    bench_accel_gemv_64,
+    bench_raw_crossbar
+);
 criterion_main!(benches);

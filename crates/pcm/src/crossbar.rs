@@ -13,6 +13,10 @@
 //! covers a column prefix (the column buffers enable `0..len`), so a
 //! row's first cell is written by every non-empty program of that row and
 //! the row count is exactly the write count of its most-written cell.
+//! Every program is counted by [`Crossbar::record_program`]: called
+//! alone it charges the wear of a program whose levels nobody reads (an
+//! Exact-fidelity tile), and [`Crossbar::program_row`] stores the levels
+//! and then counts through it.
 
 /// Distinct levels a device stores (the paper's 4-bit IBM PCM part).
 pub const LEVELS: u8 = 16;
@@ -28,7 +32,8 @@ pub struct WearStats {
     pub row_programs: u64,
 }
 
-/// A `rows x cols` array of multi-level PCM cells.
+/// A `rows x cols` array of multi-level PCM cells: packed levels, which
+/// only the quantized datapath programs and reads, and running wear.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     rows: usize,
@@ -71,7 +76,8 @@ impl Crossbar {
     /// Programs columns `0..levels.len()` of row `r` (column-buffer
     /// contents with the row-enable on this word line, Section II-B);
     /// the remaining columns keep their levels. Counts one row-program
-    /// event for latency purposes, and one write per programmed cell.
+    /// event for latency purposes, and one write per programmed cell,
+    /// through [`Crossbar::record_program`].
     ///
     /// # Panics
     ///
@@ -84,10 +90,24 @@ impl Crossbar {
         assert!(max < LEVELS, "level {max} out of range");
         let base = r * self.cols;
         self.levels[base..base + levels.len()].copy_from_slice(levels);
+        self.record_program(r, levels.len());
+    }
+
+    /// Counts a program of columns `0..len` of row `r` without storing
+    /// levels: the wear of [`Crossbar::program_row`] with `len` levels,
+    /// for a tile whose datapath never reads the levels back (the Exact
+    /// fidelity computes from an f32 copy of the operand).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range or `len` is wider than the row.
+    pub fn record_program(&mut self, r: usize, len: usize) {
+        assert!(len <= self.cols, "row width mismatch");
+        assert!(r < self.rows, "row {r} out of range");
         self.wear.row_programs += 1;
-        if !levels.is_empty() {
+        if len > 0 {
             self.row_writes[r] += 1;
-            self.wear.cell_writes += levels.len() as u64;
+            self.wear.cell_writes += len as u64;
             self.wear.max_cell_writes = self.wear.max_cell_writes.max(self.row_writes[r]);
         }
     }
@@ -228,6 +248,13 @@ mod tests {
             self.row_programs += 1;
         }
 
+        fn record_program(&mut self, r: usize, len: usize) {
+            for c in 0..len {
+                self.writes[r * self.cols + c] += 1;
+            }
+            self.row_programs += 1;
+        }
+
         fn wear(&self) -> WearStats {
             WearStats {
                 cell_writes: self.writes.iter().sum(),
@@ -255,7 +282,9 @@ mod tests {
         /// The running wear counters and packed levels agree with a
         /// per-cell reference after every prefix program, empty ones
         /// included. Step `i` programs row `row_picks[i] % rows` with the
-        /// first `len_picks[i] % (cols + 1)` levels of its pool slice.
+        /// first `len_picks[i] % (cols + 1)` levels of its pool slice, or,
+        /// when `wear_only[i]`, records a program of that prefix and
+        /// leaves the levels untouched.
         #[test]
         fn prefix_programs_match_per_cell_reference(
             rows in 1usize..5,
@@ -263,6 +292,7 @@ mod tests {
             steps in 1usize..25,
             row_picks in collection::vec(0usize..64, 24..25),
             len_picks in collection::vec(0usize..64, 24..25),
+            wear_only in collection::vec(bool::ANY, 24..25),
             pool in collection::vec(0u8..LEVELS, 144..145),
             inputs in collection::vec(-127i32..128, 5..6),
         ) {
@@ -276,9 +306,14 @@ mod tests {
             let inputs = &inputs[..rows];
             for i in 0..steps {
                 let (r, len) = (row_picks[i] % rows, len_picks[i] % (cols + 1));
-                let levels = &pool[6 * i..6 * i + len];
-                bar.program_row(r, levels);
-                reference.program_row(r, levels);
+                if wear_only[i] {
+                    bar.record_program(r, len);
+                    reference.record_program(r, len);
+                } else {
+                    let levels = &pool[6 * i..6 * i + len];
+                    bar.program_row(r, levels);
+                    reference.program_row(r, levels);
+                }
                 prop_assert_eq!(bar.wear(), reference.wear());
                 for r in 0..rows {
                     for c in 0..cols {
@@ -306,6 +341,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_row_panics() {
         bar().program_row(4, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn wear_only_wrong_row_width_panics() {
+        bar().record_program(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn wear_only_out_of_range_row_panics() {
+        bar().record_program(4, 1);
     }
 
     #[test]

@@ -45,15 +45,18 @@ pub use quant::QuantParams;
 /// only on operation counts), so this knob exists for functional
 /// validation: `Exact` lets end-to-end tests require bit-identical results
 /// against host execution, while `Int8` exercises the real quantized
-/// bit-sliced datapath.
+/// bit-sliced datapath. A tile keeps only the operand copy its fidelity
+/// reads, and both fidelities charge the same wear, energy and latency.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Fidelity {
-    /// Compute in f32 from the shadow copy of the installed operand
-    /// (energy/latency/wear accounting unchanged).
+    /// Compute in f32 from an f32 copy of the installed operand. The
+    /// crossbars store no levels; installs charge their row programs
+    /// through [`Crossbar::record_program`].
     #[default]
     Exact,
-    /// Compute through 8-bit quantization, nibble crossbars, ADC and
-    /// digital recombination.
+    /// Quantize the operand into nibble levels programmed into the
+    /// crossbars, and compute through 8-bit input quantization, the
+    /// nibble crossbars, ADC and digital recombination.
     Int8,
 }
 
