@@ -94,9 +94,6 @@ pub struct AccelConfig {
     pub buffer_bytes: usize,
     /// Numerical fidelity of the compute path.
     pub fidelity: Fidelity,
-    /// Whether the micro-engine double-buffers DMA against compute
-    /// (Section II-C).
-    pub double_buffering: bool,
     /// Maximum number of timeline events retained.
     pub timeline_capacity: usize,
     /// Per-tile DMA channels feeding the crossbar install path. With one
@@ -121,7 +118,6 @@ impl Default for AccelConfig {
             energy: PcmEnergyModel::default(),
             buffer_bytes: 1536,
             fidelity: Fidelity::Exact,
-            double_buffering: true,
             timeline_capacity: 4096,
             dma_channels: 1,
         }

@@ -19,13 +19,18 @@
 //! beyond the grid serialize through read-modify-write of `C` (Listing
 //! 3's tiling is the compiler-side counterpart that maximizes tile
 //! reuse).
+//!
+//! The engine decodes and checks each command, then runs the cost walk of
+//! [`crate::estimate`] with a handler that moves the data: tile
+//! residency, DMA, the Toeplitz build, the GEMVs, the write-back of `C`
+//! and the timeline labels. Every time, energy and wear charge lives in
+//! the walk, which the estimator runs too.
 
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
 
-use crate::buffers::BufferKind;
-use crate::estimate::gemv_step_time;
-use crate::shard::{partition_grid, plan_waves, GridRegion, InstallClock, Wave};
+use crate::estimate::{close_command, conv_geometry, walk_batch, walk_conv, walk_gemm, Step};
+use crate::shard::{partition_grid, GridRegion};
 use crate::tile::TileKey;
 use crate::timeline::EventKind;
 use crate::CimAccelerator;
@@ -198,99 +203,9 @@ fn batch_is_independent(params: &[GemmParams]) -> bool {
 }
 
 impl CimAccelerator {
-    /// Installs one wave's missing blocks on the [`InstallClock`]
-    /// schedule (serial DMA, parallel row programming). Returns the
-    /// phase duration (zero when everything was resident). Lanes are
-    /// relative to `region`, which pins the wave to a sub-array of the
-    /// physical grid.
-    ///
-    /// Blocks install one at a time, in block order, on the calling
-    /// thread: residency check, DMA gather, staging, programming, then
-    /// accounting and the timeline event. A wave holds at most one block
-    /// per tile, so no install can change another block's residency.
-    #[allow(clippy::too_many_arguments)]
-    fn install_wave(
-        &mut self,
-        mach: &mut Machine,
-        p: &GemmParams,
-        region: GridRegion,
-        cmd: Option<u64>,
-        wave: &Wave,
-        t0: SimTime,
-        t: SimTime,
-    ) -> SimTime {
-        let channels = self.cfg.dma_channels;
-        let mut clock = InstallClock::with_channels(channels);
-        let mut channel_mask = 0u32;
-        let mut g: Vec<f32> = Vec::new();
-        for ms in &wave.m_spans {
-            for ks in &wave.k_spans {
-                let (k0, kt) = (ks.start, ks.len);
-                let (m0, mt) = (ms.start, ms.len);
-                let key = TileKey {
-                    base_pa: p.a,
-                    ld: p.lda,
-                    transposed: p.trans_a,
-                    origin: (m0, k0),
-                    extent: (kt, mt),
-                    generation: self.generation,
-                };
-                let lane = (region.origin.0 + ks.lane, region.origin.1 + ms.lane);
-                let idx = self.tile_index(lane);
-                if self.tiles[idx].resident() == Some(&key) {
-                    self.stats.install_skips += 1;
-                    continue;
-                }
-                // Gather op(A)[m0..m0+mt][k0..k0+kt] transposed into G,
-                // one burst per row of G.
-                g.resize(kt * mt, 0.0);
-                if p.trans_a {
-                    // op(A)[m][k] = A[k][m]: rows k0.. of A, cols m0..
-                    for r in 0..kt {
-                        let base = p.a + 4 * ((k0 + r) * p.lda + m0) as u64;
-                        self.dma.read_f32s(mach, base, &mut g[r * mt..(r + 1) * mt]);
-                    }
-                } else {
-                    // op(A)[m][k] = A[m][k]: rows m0.. of A, cols k0..
-                    let base = p.a + 4 * (m0 * p.lda + k0) as u64;
-                    self.dma.read_f32s_transposed(mach, base, mt, kt, p.lda, &mut g);
-                }
-                let dma_t = self.bus_cfg.dma_time((kt * mt * 4) as u64);
-                // Per-tile DMA channel: the wave-local tile picks its
-                // channel, identically replayed by the estimator.
-                let ch = (ks.lane * region.shape.1 + ms.lane) % channels;
-                self.buffers.stage(BufferKind::Column, kt * mt);
-                self.stats.buffers += self.cfg.energy.buffer_energy(2 * (kt * mt) as u64);
-                let receipt = self.tiles[idx].install(key, &g, kt, mt);
-                debug_assert!(!receipt.resident_hit);
-                let install_t = self.cfg.energy.write_time(receipt.rows_programmed);
-                self.stats.cell_writes += receipt.cells_written;
-                self.stats.rows_programmed += receipt.rows_programmed;
-                self.stats.crossbar_write += self.cfg.energy.write_energy(receipt.cells_written);
-                self.stats.install_time += install_t;
-                self.stats.dma_exposed_time += dma_t;
-                self.channel_busy[ch] += dma_t;
-                channel_mask |= 1 << ch;
-                let program_start = clock.add_on(ch, dma_t, install_t);
-                self.timeline.push_on(
-                    EventKind::WriteCrossbar,
-                    Some(lane),
-                    cmd,
-                    t0 + t + program_start,
-                    t0 + t + program_start + install_t,
-                    format!("install A tile m0={m0} k0={k0} ({kt}x{mt})"),
-                );
-            }
-        }
-        self.stats.max_dma_channels_active =
-            self.stats.max_dma_channels_active.max(u64::from(channel_mask.count_ones()));
-        clock.finish()
-    }
-
     /// Executes a GEMM confined to `region` (the full grid for commands
     /// whose [`crate::regs::Reg::Region`] register is zero), returning
-    /// the busy duration. The historical serial entry point with the
-    /// region made explicit.
+    /// the busy duration.
     pub(crate) fn run_gemm(
         &mut self,
         mach: &mut Machine,
@@ -299,130 +214,133 @@ impl CimAccelerator {
         t0: SimTime,
     ) -> Result<SimTime, EngineError> {
         let cmd = self.next_cmd();
-        let (dur, tiles) = self.run_gemm_region(mach, p, region, Some(cmd), t0)?;
-        self.stats.max_tiles_active = self.stats.max_tiles_active.max(tiles);
-        Ok(dur)
+        p.validate(mach.mem.size())?;
+        let (busy, tiles) = self.gemm_on_region(mach, p, region, Some(cmd), t0);
+        Ok(close_command(&mut self.stats, busy, tiles))
     }
 
-    /// Executes a GEMM confined to `region`, returning the busy duration
-    /// and the most tiles the command had active in any wave. The block
-    /// grid of `op(A)` runs in waves over the region's tiles: per wave,
-    /// all tiles compute in parallel and reduction lanes accumulate
-    /// partial `C` columns digitally before the single read-modify-write.
-    /// Does not touch [`crate::AccelStats::max_tiles_active`] — callers
-    /// modeling concurrent commands aggregate tile occupancy themselves.
-    #[allow(clippy::needless_range_loop)]
-    pub(crate) fn run_gemm_region(
+    /// Runs a validated GEMM on the tiles of `region` along
+    /// [`walk_gemm`], returning its busy time and the most tiles any
+    /// wave held. Per wave, the missing blocks of `op(A)` are gathered
+    /// and installed one at a time, in block order; then each column of
+    /// `B` streams through every tile, reduction lanes accumulate
+    /// partial columns digitally, and each output lane reads, updates
+    /// and writes its `C` segment once.
+    fn gemm_on_region(
         &mut self,
         mach: &mut Machine,
         p: &GemmParams,
         region: GridRegion,
         cmd: Option<u64>,
         t0: SimTime,
-    ) -> Result<(SimTime, u64), EngineError> {
-        p.validate(mach.mem.size())?;
-        let tr = self.cfg.rows;
-        let tc = self.cfg.cols;
-        let waves = plan_waves(tr, tc, region.shape, p.m, p.k);
-        let mut t = SimTime::ZERO;
-        let mut tiles_peak = 0u64;
+    ) -> (SimTime, u64) {
+        let CimAccelerator {
+            cfg,
+            bus_cfg,
+            tiles,
+            dma,
+            timeline,
+            stats,
+            channel_busy,
+            generation,
+            ..
+        } = self;
+        let (tr, tc, gm, generation) = (cfg.rows, cfg.cols, cfg.grid.1, *generation);
+        let compute = cfg.energy.compute_time(1);
+        let tile_at = |lane: (usize, usize)| lane.0 * gm + lane.1;
+        let mut g: Vec<f32> = Vec::new();
         let mut x = vec![0f32; region.shape.0 * tr];
         let mut cseg = vec![0f32; tc];
         let mut y = vec![0f32; tc];
-
-        for wave in &waves {
-            tiles_peak = tiles_peak.max(wave.tiles_active() as u64);
-            t += self.install_wave(mach, p, region, cmd, wave, t0, t);
-
-            let reads_c = !(wave.first_k && p.beta == 0.0);
-            for j in 0..p.n {
-                // Stream column j of B: one segment per reduction lane,
-                // broadcast along the output lanes.
-                let mut in_bytes = 0u64;
-                for ks in &wave.k_spans {
-                    let bbase = p.b + 4 * (ks.start * p.ldb + j) as u64;
-                    let seg = &mut x[ks.lane * tr..ks.lane * tr + ks.len];
-                    self.dma.read_f32s_strided(mach, bbase, ks.len, p.ldb, seg);
-                    in_bytes += (ks.len * 4) as u64;
-                }
-                let mut out_bytes = 0u64;
-                for ms in &wave.m_spans {
-                    let (m0, mt) = (ms.start, ms.len);
-                    // Read-modify-write the C column segment once per
-                    // output lane, regardless of how many reduction lanes
-                    // feed it.
-                    let cbase = p.c + 4 * (m0 * p.ldc + j) as u64;
-                    if reads_c {
-                        self.dma.read_f32s_strided(mach, cbase, mt, p.ldc, &mut cseg[..mt]);
+        let dims = (p.m, p.n, p.k);
+        walk_gemm(cfg, bus_cfg, region, dims, p.beta == 0.0, stats, channel_busy, |step| {
+            match step {
+                Step::Install(b) => {
+                    let key = TileKey {
+                        base_pa: p.a,
+                        ld: p.lda,
+                        transposed: p.trans_a,
+                        origin: (b.m0, b.k0),
+                        extent: (b.kt, b.mt),
+                        generation,
+                    };
+                    let tile = &mut tiles[tile_at(b.lane)];
+                    if tile.resident() == Some(&key) {
+                        return true;
                     }
-                    if wave.first_k {
-                        for i in 0..mt {
-                            cseg[i] = if p.beta == 0.0 { 0.0 } else { p.beta * cseg[i] };
+                    // Gather op(A)[m0..m0+mt][k0..k0+kt] transposed into G,
+                    // one burst per row of G.
+                    g.resize(b.kt * b.mt, 0.0);
+                    if p.trans_a {
+                        // op(A)[m][k] = A[k][m]: rows k0.. of A, cols m0..
+                        for r in 0..b.kt {
+                            let base = p.a + 4 * ((b.k0 + r) * p.lda + b.m0) as u64;
+                            dma.read_f32s(mach, base, &mut g[r * b.mt..(r + 1) * b.mt]);
                         }
+                    } else {
+                        // op(A)[m][k] = A[m][k]: rows m0.. of A, cols k0..
+                        let base = p.a + 4 * (b.m0 * p.lda + b.k0) as u64;
+                        dma.read_f32s_transposed(mach, base, b.mt, b.kt, p.lda, &mut g);
                     }
+                    tile.install(key, &g, b.kt, b.mt);
+                }
+                Step::Installed { block: b, t, program_start, program_t } => {
+                    let start = t0 + t + program_start;
+                    timeline.push_on(
+                        EventKind::WriteCrossbar,
+                        Some(b.lane),
+                        cmd,
+                        start,
+                        start + program_t,
+                        format!("install A tile m0={} k0={} ({}x{})", b.m0, b.k0, b.kt, b.mt),
+                    );
+                }
+                Step::Column { wave, j, t, reads_c } => {
+                    // Stream column j of B: one segment per reduction
+                    // lane, broadcast along the output lanes.
                     for ks in &wave.k_spans {
-                        let idx =
-                            self.tile_index((region.origin.0 + ks.lane, region.origin.1 + ms.lane));
-                        let seg = &x[ks.lane * tr..ks.lane * tr + ks.len];
-                        let receipt = self.tiles[idx].gemv_into(seg, &mut y[..mt]);
-                        // Accumulate the partial column; lanes beyond the
-                        // first cost one extra adder pass in the digital
-                        // block.
-                        for i in 0..mt {
-                            cseg[i] += p.alpha * y[i];
-                        }
-                        let reduce_ops = if ks.lane == 0 { 0 } else { mt as u64 };
-                        self.account_gemv(
-                            receipt.active_cells,
-                            receipt.useful_macs,
-                            ks.len,
-                            mt,
-                            receipt.extra_alu_ops + 2 * mt as u64 + reduce_ops,
-                        );
-                        if j < 2 {
-                            self.timeline.push_on(
-                                EventKind::Compute,
-                                Some((region.origin.0 + ks.lane, region.origin.1 + ms.lane)),
-                                cmd,
-                                t0 + t,
-                                t0 + t + self.cfg.energy.compute_time(1),
-                                format!("gemv j={j} (tile m0={m0} k0={})", ks.start),
-                            );
-                        }
+                        let bbase = p.b + 4 * (ks.start * p.ldb + j) as u64;
+                        let seg = &mut x[ks.lane * tr..ks.lane * tr + ks.len];
+                        dma.read_f32s_strided(mach, bbase, ks.len, p.ldb, seg);
                     }
-                    // Scatter back (strided store; the step model charges
-                    // its bus time, so no burst).
-                    mach.mem.write_f32_strided(cbase, 4 * p.ldc as i64, &cseg[..mt]);
-                    out_bytes += (mt * 4 * if reads_c { 2 } else { 1 }) as u64;
+                    for ms in &wave.m_spans {
+                        let cseg = &mut cseg[..ms.len];
+                        let cbase = p.c + 4 * (ms.start * p.ldc + j) as u64;
+                        if reads_c {
+                            dma.read_f32s_strided(mach, cbase, ms.len, p.ldc, cseg);
+                        }
+                        if wave.first_k {
+                            for c in cseg.iter_mut() {
+                                *c = if p.beta == 0.0 { 0.0 } else { p.beta * *c };
+                            }
+                        }
+                        for ks in &wave.k_spans {
+                            let lane = (region.origin.0 + ks.lane, region.origin.1 + ms.lane);
+                            let seg = &x[ks.lane * tr..ks.lane * tr + ks.len];
+                            tiles[tile_at(lane)].gemv_into(seg, &mut y[..ms.len]);
+                            for (c, yv) in cseg.iter_mut().zip(&y) {
+                                *c += p.alpha * yv;
+                            }
+                            if j < 2 {
+                                timeline.push_on(
+                                    EventKind::Compute,
+                                    Some(lane),
+                                    cmd,
+                                    t0 + t,
+                                    t0 + t + compute,
+                                    format!("gemv j={j} (tile m0={} k0={})", ms.start, ks.start),
+                                );
+                            }
+                        }
+                        // Scatter back (strided store; the step model
+                        // charges its bus time, so no burst).
+                        mach.mem.write_f32_strided(cbase, 4 * p.ldc as i64, cseg);
+                    }
                 }
-                let (step, dma_t) = gemv_step_time(&self.cfg, &self.bus_cfg, in_bytes, out_bytes);
-                t += step;
-                if dma_t > self.cfg.energy.compute_time(1) {
-                    self.stats.dma_exposed_time += dma_t - self.cfg.energy.compute_time(1);
-                }
+                Step::Segment { .. } => {}
             }
-        }
-        Ok((t, tiles_peak))
-    }
-
-    fn account_gemv(
-        &mut self,
-        active_cells: u64,
-        macs: u64,
-        in_bytes: usize,
-        out_bytes: usize,
-        alu_ops: u64,
-    ) {
-        self.stats.gemv_count += 1;
-        self.stats.macs += macs;
-        self.stats.crossbar_compute += self.cfg.energy.compute_energy(active_cells);
-        self.stats.mixed_signal += self.cfg.energy.mixed_signal_energy(1);
-        self.stats.digital += self.cfg.energy.digital_energy(1, alu_ops);
-        self.stats.dma_engine += self.cfg.energy.dma_engine_energy(1);
-        self.buffers.stage(BufferKind::Row, in_bytes);
-        self.buffers.stage(BufferKind::Output, out_bytes);
-        self.stats.buffers += self.cfg.energy.buffer_energy(2 * (in_bytes + out_bytes) as u64);
-        self.stats.compute_time += self.cfg.energy.compute_time(1);
+            false
+        })
     }
 
     /// Executes a batch of GEMMs sharing dimensions and scales; the
@@ -432,12 +350,13 @@ impl CimAccelerator {
     ///
     /// Independent elements (pairwise disjoint `C` ranges that no other
     /// element reads) are scheduled round-robin onto the disjoint tile
-    /// sub-grids planned by [`partition_grid`]: each region runs its
-    /// elements back-to-back and the batch finishes when the slowest
-    /// region does, so the modeled busy time can be a fraction of the
-    /// serial sum. Dependent batches fall back to the serial full-grid
-    /// chain. Results are identical either way — elements always execute
-    /// functionally in index order; only the timing schedule changes.
+    /// sub-grids planned by [`partition_grid`] ([`walk_batch`]): each
+    /// region runs its elements back-to-back and the batch finishes when
+    /// the slowest region does, so the modeled busy time can be a
+    /// fraction of the serial sum. Dependent batches fall back to the
+    /// serial full-grid chain. Results are identical either way —
+    /// elements always execute functionally in index order; only the
+    /// timing schedule changes.
     pub(crate) fn run_gemm_batched(
         &mut self,
         mach: &mut Machine,
@@ -473,26 +392,12 @@ impl CimAccelerator {
         } else {
             vec![GridRegion::full(self.cfg.grid)]
         };
-        let nr = regions.len();
-        // Per-region clocks, relative to the end of the table read.
-        let mut chain = vec![SimTime::ZERO; nr];
-        let mut round_tiles = 0u64;
-        for (i, p) in params.iter().enumerate() {
-            let r = i % nr;
-            if r == 0 && i > 0 {
-                // A full round of concurrent commands has been issued.
-                self.stats.max_tiles_active = self.stats.max_tiles_active.max(round_tiles);
-                round_tiles = 0;
-            }
+        // Element clocks are relative to the end of the table read.
+        let (busy, tiles) = walk_batch(&regions, count, |i, region, start| {
             let cmd = self.next_cmd();
-            let (dur, tiles) =
-                self.run_gemm_region(mach, p, regions[r], Some(cmd), t0 + table_t + chain[r])?;
-            chain[r] += dur;
-            round_tiles += tiles;
-        }
-        self.stats.max_tiles_active = self.stats.max_tiles_active.max(round_tiles);
-        let busy = chain.iter().fold(SimTime::ZERO, |a, &b| a.max(b));
-        Ok(table_t + busy)
+            self.gemm_on_region(mach, &params[i], region, Some(cmd), t0 + table_t + start)
+        });
+        Ok(close_command(&mut self.stats, table_t + busy, tiles))
     }
 
     /// Fresh logical command id (tags timeline events; one per armed
@@ -503,12 +408,13 @@ impl CimAccelerator {
         id
     }
 
-    /// Executes a single-channel 2-D convolution by installing the filter
-    /// as a doubly-blocked Toeplitz operand: word lines carry `fh`
-    /// consecutive image-row segments, bit lines produce a run of output
-    /// pixels, so one GEMV computes `seg` outputs with all `fh*fw` taps.
-    /// Convolution always runs on tile `(0, 0)`; its Toeplitz operand is
-    /// far smaller than a crossbar, so sharding buys nothing.
+    /// Executes a single-channel 2-D convolution along [`walk_conv`] by
+    /// installing the filter as a doubly-blocked Toeplitz operand: word
+    /// lines carry `fh` consecutive image-row segments, bit lines produce
+    /// a run of output pixels, so one GEMV computes `seg_out` outputs
+    /// with all `fh*fw` taps. Convolution always runs on tile `(0, 0)`;
+    /// its Toeplitz operand is far smaller than a crossbar, so sharding
+    /// buys nothing.
     pub(crate) fn run_conv2d(
         &mut self,
         mach: &mut Machine,
@@ -521,30 +427,28 @@ impl CimAccelerator {
                 p.h, p.w, p.fh, p.fw
             )));
         }
-        let out_h = p.h - p.fh + 1;
         let out_w = p.w - p.fw + 1;
         let mem_bytes = mach.mem.size();
         for (name, base, rows, cols) in [
             ("image", p.img, p.h, p.w),
             ("filter", p.filt, p.fh, p.fw),
-            ("output", p.out, out_h, out_w),
+            ("output", p.out, p.h - p.fh + 1, out_w),
         ] {
             check_in_memory(name, base, operand_bytes(rows, cols, cols), mem_bytes)?;
         }
         let cmd = self.next_cmd();
-        let seg_in = self.cfg.rows / p.fh;
-        if seg_in < p.fw {
+        let Some(geometry) = conv_geometry(&self.cfg, p.w, p.fh, p.fw) else {
             return Err(EngineError::Unsupported(format!(
-                "filter width {} exceeds per-row segment {seg_in}",
-                p.fw
+                "filter width {} exceeds per-row segment {}",
+                p.fw,
+                self.cfg.rows / p.fh
             )));
-        }
-        let seg_out = (seg_in - (p.fw - 1)).min(out_w).min(self.cfg.cols);
-        let in_dim = p.fh * seg_in;
+        };
+        let (seg_in, seg_out, in_dim) = geometry;
 
         // Fetch the filter and build the Toeplitz operand.
         let mut filt = vec![0f32; p.fh * p.fw];
-        let mut t = self.dma.read_f32s(mach, p.filt, &mut filt);
+        self.dma.read_f32s(mach, p.filt, &mut filt);
         let mut g = vec![0f32; in_dim * seg_out];
         for fr in 0..p.fh {
             for fc in 0..p.fw {
@@ -562,82 +466,65 @@ impl CimAccelerator {
             extent: (in_dim, seg_out),
             generation: self.generation,
         };
-        self.stats.max_tiles_active = self.stats.max_tiles_active.max(1);
-        if self.tiles[0].resident() == Some(&key) {
-            self.stats.install_skips += 1;
-        } else {
-            let receipt = self.tiles[0].install(key, &g, in_dim, seg_out);
-            let install_t = self.cfg.energy.write_time(receipt.rows_programmed);
-            self.stats.cell_writes += receipt.cells_written;
-            self.stats.rows_programmed += receipt.rows_programmed;
-            self.stats.crossbar_write += self.cfg.energy.write_energy(receipt.cells_written);
-            self.stats.install_time += install_t;
-            self.buffers.stage(BufferKind::Column, in_dim * seg_out);
-            self.stats.buffers += self.cfg.energy.buffer_energy(2 * (in_dim * seg_out) as u64);
-            self.timeline.push_on(
-                EventKind::WriteCrossbar,
-                Some((0, 0)),
-                Some(cmd),
-                t0 + t,
-                t0 + t + install_t,
-                format!("install Toeplitz filter ({in_dim}x{seg_out})"),
-            );
-            t += install_t;
-        }
 
+        let CimAccelerator { cfg, bus_cfg, tiles, dma, timeline, stats, .. } = self;
         let mut v = vec![0f32; in_dim];
         let mut y = vec![0f32; seg_out];
         let mut obuf = vec![0f32; seg_out];
         let mut first = true;
-        for oi in 0..out_h {
-            let mut s0 = 0;
-            while s0 < out_w {
-                let n_out = seg_out.min(out_w - s0);
-                v.fill(0.0);
-                let valid = seg_in.min(p.w - s0);
-                for fr in 0..p.fh {
-                    let base = p.img + 4 * ((oi + fr) * p.w + s0) as u64;
-                    self.dma.read_f32s(mach, base, &mut v[fr * seg_in..fr * seg_in + valid]);
+        let dims = (p.h, p.w, p.fh, p.fw);
+        let busy = walk_conv(cfg, bus_cfg, dims, geometry, stats, |step| {
+            match step {
+                Step::Install(_) => {
+                    if tiles[0].resident() == Some(&key) {
+                        return true;
+                    }
+                    tiles[0].install(key, &g, in_dim, seg_out);
                 }
-                let receipt = self.tiles[0].gemv_into(&v, &mut y);
-                // Accumulate into the existing output (the kernel is a
-                // reduction: out[i][j] += ...), read-modify-write via DMA.
-                let obase = p.out + 4 * (oi * out_w + s0) as u64;
-                let oseg = &mut obuf[..n_out];
-                self.dma.read_f32s(mach, obase, oseg);
-                for (o, yv) in oseg.iter_mut().zip(&y[..n_out]) {
-                    *o += yv;
-                }
-                self.dma.write_f32s(mach, obase, oseg);
-                let in_bytes = (p.fh * valid * 4) as u64;
-                let out_bytes = (2 * n_out * 4) as u64;
-                let (step, dma_t) = gemv_step_time(&self.cfg, &self.bus_cfg, in_bytes, out_bytes);
-                t += step;
-                let useful = (p.fh * p.fw * n_out) as u64;
-                self.account_gemv(
-                    receipt.active_cells,
-                    useful,
-                    p.fh * valid,
-                    n_out,
-                    receipt.extra_alu_ops,
-                );
-                if dma_t > self.cfg.energy.compute_time(1) {
-                    self.stats.dma_exposed_time += dma_t - self.cfg.energy.compute_time(1);
-                }
-                if first {
-                    self.timeline.push_on(
-                        EventKind::Compute,
+                Step::Installed { t, program_start, program_t, .. } => {
+                    let start = t0 + t + program_start;
+                    timeline.push_on(
+                        EventKind::WriteCrossbar,
                         Some((0, 0)),
                         Some(cmd),
-                        t0 + t - step,
-                        t0 + t,
-                        format!("conv gemv row {oi}, seg {s0} (+{n_out})"),
+                        start,
+                        start + program_t,
+                        format!("install Toeplitz filter ({in_dim}x{seg_out})"),
                     );
-                    first = false;
                 }
-                s0 += n_out;
+                Step::Segment { oi, s0, n_out, valid, t, step } => {
+                    v.fill(0.0);
+                    for fr in 0..p.fh {
+                        let base = p.img + 4 * ((oi + fr) * p.w + s0) as u64;
+                        dma.read_f32s(mach, base, &mut v[fr * seg_in..fr * seg_in + valid]);
+                    }
+                    tiles[0].gemv_into(&v, &mut y);
+                    // Accumulate into the existing output (the kernel is a
+                    // reduction: out[i][j] += ...), read-modify-write via
+                    // DMA.
+                    let obase = p.out + 4 * (oi * out_w + s0) as u64;
+                    let oseg = &mut obuf[..n_out];
+                    dma.read_f32s(mach, obase, oseg);
+                    for (o, yv) in oseg.iter_mut().zip(&y) {
+                        *o += yv;
+                    }
+                    dma.write_f32s(mach, obase, oseg);
+                    if first {
+                        timeline.push_on(
+                            EventKind::Compute,
+                            Some((0, 0)),
+                            Some(cmd),
+                            t0 + t - step,
+                            t0 + t,
+                            format!("conv gemv row {oi}, seg {s0} (+{n_out})"),
+                        );
+                        first = false;
+                    }
+                }
+                Step::Column { .. } => {}
             }
-        }
-        Ok(t)
+            false
+        });
+        Ok(close_command(stats, busy, 1))
     }
 }

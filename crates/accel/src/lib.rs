@@ -48,7 +48,6 @@
 //! assert_eq!(mach.mem.read_f32(y), 3.0);
 //! ```
 
-pub mod buffers;
 pub mod config;
 pub mod dma;
 pub mod engine;
@@ -62,7 +61,6 @@ pub mod timeline;
 pub use cim_pcm::{DeviceKind, DeviceModel};
 pub use config::{AccelConfig, MAX_DMA_CHANNELS};
 pub use engine::{operand_bytes, ConvParams, EngineError, GemmParams};
-pub use estimate::OpEstimate;
 pub use shard::{partition_grid, GridRegion};
 pub use stats::AccelStats;
 pub use tile::{CimTile, TileKey, TileWear};
@@ -72,7 +70,6 @@ use cim_machine::bus::BusConfig;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
 
-use buffers::DeviceBuffers;
 use dma::DmaEngine;
 use regs::{Command, ContextRegisters, Reg, Status};
 use timeline::EventKind as Ev;
@@ -85,7 +82,6 @@ pub struct CimAccelerator {
     pub(crate) bus_cfg: BusConfig,
     /// Physical tiles in row-major `(k_lane, m_lane)` order.
     pub(crate) tiles: Vec<CimTile>,
-    pub(crate) buffers: DeviceBuffers,
     pub(crate) dma: DmaEngine,
     pub(crate) regs: ContextRegisters,
     pub(crate) timeline: Timeline,
@@ -111,7 +107,6 @@ impl CimAccelerator {
         cfg.validate();
         CimAccelerator {
             tiles: (0..cfg.tile_count()).map(|_| CimTile::new(&cfg)).collect(),
-            buffers: DeviceBuffers::new(cfg.buffer_bytes),
             dma: DmaEngine::new(),
             regs: ContextRegisters::new(),
             timeline: Timeline::new(cfg.timeline_capacity),
@@ -134,11 +129,6 @@ impl CimAccelerator {
     /// The physical tiles, row-major by `(k_lane, m_lane)`.
     pub fn tiles(&self) -> &[CimTile] {
         &self.tiles
-    }
-
-    /// Flat index of the tile at grid lane `(k_lane, m_lane)`.
-    pub(crate) fn tile_index(&self, lane: (usize, usize)) -> usize {
-        lane.0 * self.cfg.grid.1 + lane.1
     }
 
     /// Per-tile wear, in grid order — shows how sharding spreads cell
@@ -240,7 +230,6 @@ impl CimAccelerator {
     pub fn reset_stats(&mut self) {
         self.stats = AccelStats::default();
         self.channel_busy = vec![SimTime::ZERO; self.cfg.dma_channels];
-        self.buffers.reset();
         self.dma.reset();
     }
 
@@ -362,7 +351,6 @@ impl CimAccelerator {
         };
         match result {
             Ok(dur) => {
-                self.stats.busy += dur;
                 self.regs.set_status(Status::Done);
                 self.timeline.push_on(
                     Ev::ResultReady,
@@ -588,40 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_matches_estimate_on_partitioned_grid() {
-        for (count, grid) in [(4usize, (2usize, 2usize)), (3, (2, 2)), (5, (4, 1))] {
-            let cfg = AccelConfig::test_small().with_grid(grid.0, grid.1);
-            let (_, stats, dur) = run_batch_with(cfg, 8, count);
-            let est = estimate::estimate_gemm_batched(
-                &cfg,
-                &Machine::new(MachineConfig::test_small()).cfg.bus,
-                8,
-                8,
-                8,
-                true,
-                count,
-                false,
-            );
-            assert_eq!(stats.gemv_count, est.gemvs, "count={count} grid={grid:?}");
-            assert_eq!(stats.cell_writes, est.cell_writes);
-            assert_eq!(stats.rows_programmed, est.rows_programmed);
-            assert_eq!(stats.macs, est.macs);
-            assert_eq!(stats.max_tiles_active, est.parallel_tiles);
-            assert!(
-                (dur.as_ns() - est.time.as_ns()).abs() < 1e-6,
-                "count={count} grid={grid:?}: time {dur} vs {}",
-                est.time
-            );
-            let measured = stats.total_energy();
-            assert!(
-                (measured.as_pj() - est.energy.as_pj()).abs() / est.energy.as_pj() < 1e-9,
-                "energy {measured} vs {}",
-                est.energy
-            );
-        }
-    }
-
-    #[test]
     fn dependent_batch_serializes() {
         // Two batch elements writing the same C must not be modeled as
         // concurrent: the schedule falls back to the serial chain.
@@ -833,57 +787,6 @@ mod tests {
         assert_eq!(acc.stats().cell_writes, 2 * w1);
     }
 
-    #[test]
-    fn functional_run_matches_estimate() {
-        let (mut mach, mut acc) = setup();
-        let n = 8usize;
-        let av: Vec<f32> = (0..n * n).map(|i| i as f32 * 0.1).collect();
-        let a = alloc_mat(&mut mach, &av);
-        let b = alloc_mat(&mut mach, &av);
-        let c = alloc_mat(&mut mach, &vec![0.0; n * n]);
-        arm_gemm(&mut acc, n, n, n, a, b, c);
-        let dur = acc.execute(&mut mach);
-        let est = estimate::estimate_gemm(acc.config(), &mach.cfg.bus, n, n, n, true, false);
-        assert_eq!(acc.stats().gemv_count, est.gemvs);
-        assert_eq!(acc.stats().cell_writes, est.cell_writes);
-        assert_eq!(acc.stats().rows_programmed, est.rows_programmed);
-        assert_eq!(acc.stats().macs, est.macs);
-        assert!((dur.as_ns() - est.time.as_ns()).abs() < 1e-6, "time {dur} vs {}", est.time);
-        let measured = acc.stats().total_energy();
-        assert!(
-            (measured.as_pj() - est.energy.as_pj()).abs() / est.energy.as_pj() < 1e-9,
-            "energy {measured} vs {}",
-            est.energy
-        );
-    }
-
-    #[test]
-    fn conv_run_matches_estimate() {
-        let (mut mach, mut acc) = setup();
-        let (h, w) = (10usize, 10usize);
-        let img: Vec<f32> = (0..h * w).map(|i| i as f32 * 0.01).collect();
-        let filt = [0.5f32, -0.5, 0.25, 0.75];
-        let ipa = alloc_mat(&mut mach, &img);
-        let fpa = alloc_mat(&mut mach, &filt);
-        let (oh, ow) = (h - 1, w - 1);
-        let opa = alloc_mat(&mut mach, &vec![0.0; oh * ow]);
-        acc.pmio_write(Reg::AddrA, ipa);
-        acc.pmio_write(Reg::AddrB, fpa);
-        acc.pmio_write(Reg::AddrC, opa);
-        acc.pmio_write(Reg::ImgH, h as u64);
-        acc.pmio_write(Reg::ImgW, w as u64);
-        acc.pmio_write(Reg::FiltH, 2);
-        acc.pmio_write(Reg::FiltW, 2);
-        acc.pmio_write(Reg::Command, Command::Conv2d as u64);
-        let dur = acc.execute(&mut mach);
-        assert_eq!(acc.regs().status(), Status::Done, "{:?}", acc.last_error());
-        let est = estimate::estimate_conv2d(acc.config(), &mach.cfg.bus, h, w, 2, 2);
-        assert_eq!(acc.stats().gemv_count, est.gemvs);
-        assert_eq!(acc.stats().cell_writes, est.cell_writes);
-        assert_eq!(acc.stats().macs, est.macs);
-        assert!((dur.as_ns() - est.time.as_ns()).abs() < 1e-6, "time {dur} vs {}", est.time);
-    }
-
     /// Runs one GEMM under `cfg` on a fresh machine, returning `C`.
     fn run_gemm_with(cfg: AccelConfig, n: usize, av: &[f32], bv: &[f32]) -> (Vec<f32>, AccelStats) {
         let mut mach = Machine::new(MachineConfig::test_small());
@@ -913,34 +816,6 @@ mod tests {
             assert_eq!(stats.macs, ref_stats.macs);
             assert!(stats.busy <= ref_stats.busy, "sharding must not slow down");
         }
-    }
-
-    #[test]
-    fn sharded_run_matches_estimate() {
-        let mut mach = Machine::new(MachineConfig::test_small());
-        let cfg = AccelConfig::test_small().with_grid(2, 2);
-        let mut acc = CimAccelerator::new(cfg, mach.cfg.bus);
-        let n = 20usize;
-        let av: Vec<f32> = (0..n * n).map(|i| (i % 9) as f32 * 0.5 - 2.0).collect();
-        let a = alloc_mat(&mut mach, &av);
-        let b = alloc_mat(&mut mach, &av);
-        let c = alloc_mat(&mut mach, &vec![0.0; n * n]);
-        arm_gemm(&mut acc, n, n, n, a, b, c);
-        let dur = acc.execute(&mut mach);
-        let est = estimate::estimate_gemm(acc.config(), &mach.cfg.bus, n, n, n, true, false);
-        assert_eq!(acc.stats().gemv_count, est.gemvs);
-        assert_eq!(acc.stats().cell_writes, est.cell_writes);
-        assert_eq!(acc.stats().rows_programmed, est.rows_programmed);
-        assert_eq!(acc.stats().macs, est.macs);
-        assert_eq!(acc.stats().max_tiles_active, est.parallel_tiles);
-        assert_eq!(acc.stats().max_tiles_active, 4);
-        assert!((dur.as_ns() - est.time.as_ns()).abs() < 1e-6, "time {dur} vs {}", est.time);
-        let measured = acc.stats().total_energy();
-        assert!(
-            (measured.as_pj() - est.energy.as_pj()).abs() / est.energy.as_pj() < 1e-9,
-            "energy {measured} vs {}",
-            est.energy
-        );
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! read-modify-write of `C` — "accumulate partial columns instead of
 //! serializing crossbar views".
 //!
-//! The planner here is the single source of truth for that decomposition:
-//! both the functional micro-engine ([`crate::engine`]) and the analytic
-//! estimator ([`crate::estimate`]) replay the identical plan, which is
-//! what keeps them bit-for-bit and nanosecond-for-nanosecond in lockstep.
+//! The planner here is the single source of truth for that decomposition.
+//! Its one consumer is the cost walk of [`crate::estimate`], which the
+//! micro-engine ([`crate::engine`]) and the estimator both run, so a
+//! command and its estimate follow the same plan by construction.
 
 use cim_machine::units::SimTime;
 
@@ -25,19 +25,11 @@ use cim_machine::units::SimTime;
 /// default) every gather queues on the same modeled bus — the paper's
 /// behavior; with `c` channels a wave's gathers on distinct tiles
 /// overlap (each tile's traffic lands on channel `tile mod c`). The
-/// single timing formula shared by the micro-engine and the analytic
-/// estimator.
+/// install timing of the cost walk ([`crate::estimate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstallClock {
     dma_clocks: Vec<SimTime>,
     finish: SimTime,
-}
-
-impl Default for InstallClock {
-    /// One channel: the historical fully-serial install bus.
-    fn default() -> Self {
-        InstallClock::with_channels(1)
-    }
 }
 
 impl InstallClock {
@@ -51,19 +43,10 @@ impl InstallClock {
         InstallClock { dma_clocks: vec![SimTime::ZERO; channels], finish: SimTime::ZERO }
     }
 
-    /// Number of DMA channels.
-    pub fn channels(&self) -> usize {
-        self.dma_clocks.len()
-    }
-
-    /// Accounts one block install on channel 0 (`dma_t` bus time, then
-    /// `program_t` of row programming on that block's tile). Returns the
-    /// time the block's DMA completes — when its tile starts programming.
-    pub fn add(&mut self, dma_t: SimTime, program_t: SimTime) -> SimTime {
-        self.add_on(0, dma_t, program_t)
-    }
-
-    /// As [`InstallClock::add`], with the gather queued on `channel`.
+    /// Accounts one block install whose gather queues on `channel`
+    /// (`dma_t` bus time, then `program_t` of row programming on that
+    /// block's tile). Returns the time the block's DMA completes — when
+    /// its tile starts programming.
     ///
     /// # Panics
     ///
@@ -155,7 +138,7 @@ impl GridRegion {
 /// region — the serial schedule.
 ///
 /// Deterministic: the same inputs always produce the same partition, so
-/// the analytic estimator can replay the engine's schedule exactly.
+/// an estimate plans a batch exactly as the engine runs it.
 ///
 /// # Panics
 ///
@@ -287,13 +270,12 @@ mod tests {
 
     #[test]
     fn install_clock_single_channel_serializes() {
-        let mut c = InstallClock::default();
-        assert_eq!(c.channels(), 1);
+        let mut c = InstallClock::with_channels(1);
         let dma = SimTime::from_ns(10.0);
         let prog = SimTime::from_ns(100.0);
         // Two blocks: DMAs queue back to back, programming overlaps.
-        assert_eq!(c.add(dma, prog), dma);
-        assert_eq!(c.add(dma, prog), dma * 2.0);
+        assert_eq!(c.add_on(0, dma, prog), dma);
+        assert_eq!(c.add_on(0, dma, prog), dma * 2.0);
         assert_eq!(c.finish(), dma * 2.0 + prog);
     }
 

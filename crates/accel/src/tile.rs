@@ -17,10 +17,7 @@
 //! wear, cost and time identically.
 
 use cim_pcm::adc::full_scale_for;
-use cim_pcm::quant::{
-    quantize_tensor, recombine_dot, split_nibbles, to_offset, QuantParams,
-    RECOMBINE_ALU_OPS_PER_COLUMN,
-};
+use cim_pcm::quant::{quantize_tensor, recombine_dot, split_nibbles, to_offset, QuantParams};
 use cim_pcm::{AdcArray, Crossbar, Fidelity};
 
 use crate::config::AccelConfig;
@@ -68,17 +65,6 @@ impl TileKey {
     }
 }
 
-/// Receipt describing the cost of an install.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstallReceipt {
-    /// Crossbar rows programmed.
-    pub rows_programmed: u64,
-    /// 8-bit cells programmed.
-    pub cells_written: u64,
-    /// Whether the install was skipped because the operand was resident.
-    pub resident_hit: bool,
-}
-
 /// Wear summary of one physical tile in the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileWear {
@@ -88,17 +74,6 @@ pub struct TileWear {
     pub cell_writes: u64,
     /// Programs endured by the tile's most-written logical cell.
     pub max_cell_writes: u64,
-}
-
-/// Receipt describing the cost of one GEMV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemvReceipt {
-    /// 8-bit cells in the active region (energy-relevant).
-    pub active_cells: u64,
-    /// Useful multiply-accumulates.
-    pub useful_macs: u64,
-    /// Digital ALU operations beyond the weighted sum.
-    pub extra_alu_ops: u64,
 }
 
 /// One computational memory tile: two nibble crossbars (which carry the
@@ -160,25 +135,20 @@ impl CimTile {
     /// Installs a stationary operand given in crossbar orientation:
     /// `g[r * out_dim + c]` with `r < in_dim` word lines and `c < out_dim`
     /// bit lines. If `key` matches the resident operand the install is a
-    /// no-op costing nothing (the endurance win). Otherwise rows
-    /// `0..in_dim` each program the column prefix `0..out_dim`: an Int8
-    /// tile quantizes `g` into nibble levels, an Exact tile copies `g`
-    /// into its shadow and records the same programs.
+    /// no-op (the endurance win). Otherwise rows `0..in_dim` each program
+    /// the column prefix `0..out_dim`: an Int8 tile quantizes `g` into
+    /// nibble levels, an Exact tile copies `g` into its shadow and
+    /// records the same programs. What an install costs follows from
+    /// its shape; [`crate::estimate`] charges it.
     ///
     /// # Panics
     ///
     /// Panics if the extent exceeds the crossbar or `g` has the wrong size.
-    pub fn install(
-        &mut self,
-        key: TileKey,
-        g: &[f32],
-        in_dim: usize,
-        out_dim: usize,
-    ) -> InstallReceipt {
+    pub fn install(&mut self, key: TileKey, g: &[f32], in_dim: usize, out_dim: usize) {
         assert!(in_dim <= self.rows && out_dim <= self.cols, "tile extent exceeds crossbar");
         assert_eq!(g.len(), in_dim * out_dim, "operand size mismatch");
         if self.resident.as_ref() == Some(&key) {
-            return InstallReceipt { rows_programmed: 0, cells_written: 0, resident_hit: true };
+            return;
         }
         // The column buffers enable only the active columns (Section
         // II-B), so each row programs the prefix `0..out_dim`. Both nibble
@@ -211,11 +181,6 @@ impl CimTile {
         }
         self.active = (in_dim, out_dim);
         self.resident = Some(key);
-        InstallReceipt {
-            rows_programmed: in_dim as u64,
-            cells_written: (in_dim * out_dim) as u64,
-            resident_hit: false,
-        }
     }
 
     /// Invalidates residency (e.g. the host rewrote shared memory without
@@ -235,7 +200,7 @@ impl CimTile {
     ///
     /// Panics if nothing is installed, or if `input.len()` or
     /// `out.len()` differs from the active input or output dimension.
-    pub fn gemv_into(&self, input: &[f32], out: &mut [f32]) -> GemvReceipt {
+    pub fn gemv_into(&self, input: &[f32], out: &mut [f32]) {
         let (in_dim, out_dim) = self.active;
         assert!(self.resident.is_some(), "no operand installed");
         assert_eq!(input.len(), in_dim, "input length mismatch");
@@ -255,18 +220,13 @@ impl CimTile {
             }
             Fidelity::Int8 => self.gemv_int8(input, out),
         }
-        GemvReceipt {
-            active_cells: (in_dim * out_dim) as u64,
-            useful_macs: (in_dim * out_dim) as u64,
-            extra_alu_ops: RECOMBINE_ALU_OPS_PER_COLUMN * out_dim as u64,
-        }
     }
 
     /// [`CimTile::gemv_into`] into a fresh vector.
-    pub fn gemv(&self, input: &[f32]) -> (Vec<f32>, GemvReceipt) {
+    pub fn gemv(&self, input: &[f32]) -> Vec<f32> {
         let mut out = vec![0f32; self.active.1];
-        let receipt = self.gemv_into(input, &mut out);
-        (out, receipt)
+        self.gemv_into(input, &mut out);
+        out
     }
 
     fn gemv_int8(&self, input: &[f32], out: &mut [f32]) {
@@ -337,27 +297,22 @@ mod tests {
         let mut t = CimTile::new(&cfg());
         // G is 4x3 in crossbar orientation (inputs x outputs).
         let g = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
-        let r = t.install(key(0), &g, 4, 3);
-        assert!(!r.resident_hit);
-        assert_eq!(r.rows_programmed, 4);
-        assert_eq!(r.cells_written, 4 * 3); // only active columns programmed
-        let (y, receipt) = t.gemv(&[1.0, 0.0, 0.0, 2.0]);
+        t.install(key(0), &g, 4, 3);
+        assert_eq!(t.cell_writes(), 4 * 3); // only active columns programmed
+        assert_eq!(t.max_cell_writes(), 1);
+        let y = t.gemv(&[1.0, 0.0, 0.0, 2.0]);
         assert_eq!(y, vec![1.0 + 20.0, 2.0 + 22.0, 3.0 + 24.0]);
-        assert_eq!(receipt.useful_macs, 12);
-        assert_eq!(receipt.active_cells, 12);
     }
 
     #[test]
     fn resident_hit_skips_programming() {
         let mut t = CimTile::new(&cfg());
         let g = vec![1.0f32; 12];
-        let first = t.install(key(0), &g, 4, 3);
-        assert!(!first.resident_hit);
-        let writes = t.cell_writes();
-        let second = t.install(key(0), &g, 4, 3);
-        assert!(second.resident_hit);
-        assert_eq!(second.cells_written, 0);
-        assert_eq!(t.cell_writes(), writes);
+        t.install(key(0), &g, 4, 3);
+        assert_eq!(t.cell_writes(), 12);
+        t.install(key(0), &g, 4, 3);
+        assert_eq!(t.cell_writes(), 12);
+        assert_eq!(t.max_cell_writes(), 1);
     }
 
     #[test]
@@ -365,8 +320,9 @@ mod tests {
         let mut t = CimTile::new(&cfg());
         let g = vec![1.0f32; 12];
         t.install(key(0), &g, 4, 3);
-        let r = t.install(key(1), &g, 4, 3);
-        assert!(!r.resident_hit);
+        t.install(key(1), &g, 4, 3);
+        assert_eq!(t.cell_writes(), 24);
+        assert_eq!(t.max_cell_writes(), 2);
     }
 
     #[test]
@@ -375,8 +331,9 @@ mod tests {
         let g = vec![1.0f32; 12];
         t.install(key(0), &g, 4, 3);
         t.invalidate();
-        let r = t.install(key(0), &g, 4, 3);
-        assert!(!r.resident_hit);
+        assert_eq!(t.resident(), None);
+        t.install(key(0), &g, 4, 3);
+        assert_eq!(t.max_cell_writes(), 2);
     }
 
     #[test]
@@ -387,7 +344,7 @@ mod tests {
         let g: Vec<f32> = (0..12).map(|i| (i as f32 - 6.0) / 3.0).collect();
         t.install(key(0), &g, 4, 3);
         let x = [0.5f32, -1.0, 2.0, 0.25];
-        let (y, _) = t.gemv(&x);
+        let y = t.gemv(&x);
         // Reference in f64.
         for (cidx, yc) in y.iter().enumerate() {
             let mut acc = 0.0f64;
@@ -407,7 +364,7 @@ mod tests {
         let g2 = [1.0f32, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
         let k2 = TileKey { base_pa: 0x2000, extent: (3, 3), ..key(0) };
         t.install(k2, &g2, 3, 3);
-        let (y, _) = t.gemv(&[1.0, 2.0, 3.0]);
+        let y = t.gemv(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![1.0, 2.0, 3.0]);
     }
 
@@ -419,9 +376,9 @@ mod tests {
     }
 
     impl Reference {
-        fn install(&mut self, key: TileKey, g: &[f32]) -> InstallReceipt {
+        fn install(&mut self, key: TileKey, g: &[f32]) {
             if self.resident.as_ref().is_some_and(|(k, _)| *k == key) {
-                return InstallReceipt { rows_programmed: 0, cells_written: 0, resident_hit: true };
+                return;
             }
             let (in_dim, out_dim) = key.extent;
             for r in 0..in_dim {
@@ -430,11 +387,6 @@ mod tests {
                 }
             }
             self.resident = Some((key, g.to_vec()));
-            InstallReceipt {
-                rows_programmed: in_dim as u64,
-                cells_written: (in_dim * out_dim) as u64,
-                resident_hit: false,
-            }
         }
 
         /// Row-order GEMV: rows ascending, zero inputs skipped, multiply
@@ -472,7 +424,7 @@ mod tests {
         /// operand `key_picks[i]` (one of three bases with its own extent
         /// up to 8x8) at generation `gen_picks[i]`, so keys repeat and
         /// generations move; contents follow the key. After each install
-        /// both tiles report the reference's receipt and wear, and the
+        /// both tiles report the reference's wear and residency, and the
         /// Exact GEMV matches the row-order reference bit for bit.
         #[test]
         fn one_operand_copy_per_tile_matches_reference(
@@ -500,14 +452,16 @@ mod tests {
                 let seed = 7 * k + 3 * generation as usize;
                 let g: Vec<f32> =
                     (0..in_dim * out_dim).map(|j| value(&pool, &zeros, seed + j)).collect();
-                let want = reference.install(key, &g);
-                prop_assert_eq!(exact.install(key, &g, in_dim, out_dim), want);
-                prop_assert_eq!(int8.install(key, &g, in_dim, out_dim), want);
+                reference.install(key, &g);
+                exact.install(key, &g, in_dim, out_dim);
+                int8.install(key, &g, in_dim, out_dim);
                 let total: u64 = reference.writes.iter().sum();
                 let max = reference.writes.iter().copied().max().unwrap_or(0);
+                let resident = reference.resident.as_ref().map(|(k, _)| k);
                 for tile in [&exact, &int8] {
                     prop_assert_eq!(tile.cell_writes(), total);
                     prop_assert_eq!(tile.max_cell_writes(), max);
+                    prop_assert_eq!(tile.resident(), resident);
                 }
 
                 let resident_in = reference.resident.as_ref().map_or(0, |(k, _)| k.extent.0);

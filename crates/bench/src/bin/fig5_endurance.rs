@@ -36,7 +36,7 @@ fn main() {
         e.merge(&estimate_gemm(&cfg, &bus, n, n, n, false, false));
         e
     };
-    let exec_s = pair.time.as_s();
+    let exec_s = pair.busy.as_s();
 
     // Write volume per mapping: each written matrix is n*n 8-bit cells.
     let matrix_bytes = (n * n) as f64;
@@ -84,7 +84,7 @@ fn main() {
             name: "listing2_lifetime".into(),
             config: bench_config(Some(device), None, None, None),
             wall_ns: wall_t0.elapsed().as_nanos() as f64,
-            modeled_ns: pair.time.as_ns(),
+            modeled_ns: pair.busy.as_ns(),
             ..BenchRecord::default()
         }
         .with_metric("write_traffic_naive_bps", b_naive)

@@ -15,8 +15,8 @@
 //! `workloads::stream`: whole-operand residency vs tile-sized `A`
 //! panels double-buffered through bounded CMA staging, with async
 //! dispatch overlapping the staging copies against accelerator compute.
-//! The analytic estimator replays every shape in lockstep with the
-//! engine.
+//! The streamed run's busy time equals the summed per-call estimates bit
+//! for bit: both are the engine's cost walk.
 //!
 //! Usage: `cargo run --release -p tdo_bench --bin fig8_workloads --
 //!     [--dataset D] [--stream-dataset D] [--device pcm|reram]
@@ -193,7 +193,7 @@ fn main() {
         [("unstreamed", &unstreamed), ("streamed", &streamed), ("async", &streamed_async)]
     {
         assert!(
-            (r.accel_busy.as_ns() - r.predicted_busy.as_ns()).abs() < 1e-6,
+            r.accel_busy == r.predicted_busy,
             "{label}: estimator diverged ({} vs {})",
             r.accel_busy,
             r.predicted_busy

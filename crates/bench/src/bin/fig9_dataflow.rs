@@ -20,8 +20,8 @@
 //!   accelerator.
 //!
 //! All three schedules are asserted bit-for-bit identical to the native
-//! reference, the analytic estimator replays the pinned schedule in
-//! lockstep with the engine, and the run fails loudly unless at least
+//! reference, the estimator prices the pinned schedule (cold and warm
+//! calls) as the engine runs it, and the run fails loudly unless at least
 //! one sync was hoisted and one install was skipped — the passes cannot
 //! silently regress to no-ops.
 //!
@@ -182,8 +182,8 @@ fn main() {
     // micro-batch), the first head installs cold, the rest are resident.
     let acfg = AccelConfig::for_device(device).with_grid(grid.0, grid.1);
     let bus = base.machine.bus;
-    let cold = estimate_gemm(&acfg, &bus, spec.rows, spec.width, spec.width, true, false).time;
-    let warm = estimate_gemm(&acfg, &bus, spec.rows, spec.width, spec.width, true, true).time;
+    let cold = estimate_gemm(&acfg, &bus, spec.rows, spec.width, spec.width, true, false).busy;
+    let warm = estimate_gemm(&acfg, &bus, spec.rows, spec.width, spec.width, true, true).busy;
     let predicted = (cold + warm * (spec.heads - 1) as f64) * (spec.layers * spec.batch) as f64;
     assert!(
         (acc_df.busy.as_ns() - predicted.as_ns()).abs() < 1e-6,
@@ -261,7 +261,7 @@ fn main() {
     assert_eq!(streamed.c_bits, streamed_async.c_bits, "dispatch must not change results");
     for (label, r) in [("sync", &streamed), ("async", &streamed_async)] {
         assert!(
-            (r.accel_busy.as_ns() - r.predicted_busy.as_ns()).abs() < 1e-6,
+            r.accel_busy == r.predicted_busy,
             "{label}: estimator diverged ({} vs {})",
             r.accel_busy,
             r.predicted_busy

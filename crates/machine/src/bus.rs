@@ -42,8 +42,8 @@ impl Default for BusConfig {
 
 impl BusConfig {
     /// Time for a DMA burst of `bytes` (setup + sustained transfer; zero
-    /// bytes are free). The single timing formula shared by the live bus,
-    /// the micro-engine's step model and the analytic estimator.
+    /// bytes are free). The single timing formula shared by the live bus
+    /// and the accelerator's cost walk.
     pub fn dma_time(&self, bytes: u64) -> SimTime {
         if bytes == 0 {
             SimTime::ZERO

@@ -12,6 +12,7 @@ use crate::codegen::{batched_calls, gemm_view_call, kernel_calls, prologue};
 use crate::detect::match_kernel;
 use crate::kernels::{GemmDesc, MatchedKernel};
 use crate::policy::{CostModel, OffloadPolicy};
+use cim_accel::estimate::conv_geometry;
 use std::collections::BTreeMap;
 use std::fmt;
 use tdo_ir::{ArrayId, Expr, Program};
@@ -124,8 +125,20 @@ impl LoopTactics {
     }
 
     /// Policy decision for a kernel predicted to be one of `reuse`
-    /// consecutive calls sharing its stationary operand.
+    /// consecutive calls sharing its stationary operand. Under either
+    /// policy, a convolution whose filter does not fit the accelerator's
+    /// Toeplitz mapping stays on the host.
     fn decide(&self, k: &MatchedKernel, reuse: usize) -> (bool, String) {
+        if let MatchedKernel::Conv(c) = k {
+            let accel = &self.cfg.cost.accel;
+            if conv_geometry(accel, c.w, c.fh, c.fw).is_none() {
+                let reason = format!(
+                    "filter {}x{} does not fit the {}-row Toeplitz mapping",
+                    c.fh, c.fw, accel.rows
+                );
+                return (false, reason);
+            }
+        }
         match self.cfg.policy {
             OffloadPolicy::Always => (true, "policy=always".into()),
             OffloadPolicy::Selective => {

@@ -334,7 +334,7 @@ fn candidate_value_pj(c: &PinCandidate, cost: &CostModel) -> f64 {
     }
     let cold = estimate_gemm(&cost.accel, &cost.bus, m, n, k, false, false);
     let warm = estimate_gemm(&cost.accel, &cost.bus, m, n, k, false, true);
-    (c.uses as f64 - 1.0) * (cold.energy.as_pj() - warm.energy.as_pj())
+    (c.uses as f64 - 1.0) * (cold.total_energy().as_pj() - warm.total_energy().as_pj())
 }
 
 /// Capacity-aware pin selection: accepts candidates greedily by

@@ -8,8 +8,8 @@
 //! "Selective Geomean" series of Fig. 6 uses it.
 
 use crate::kernels::MatchedKernel;
-use cim_accel::estimate::{estimate_conv2d, estimate_gemm, estimate_gemv, OpEstimate};
-use cim_accel::AccelConfig;
+use cim_accel::estimate::{estimate_conv2d, estimate_gemm, estimate_gemv};
+use cim_accel::{AccelConfig, AccelStats};
 use cim_machine::bus::BusConfig;
 use tdo_ir::Expr;
 
@@ -75,13 +75,15 @@ impl CostModel {
         matches!(beta, Expr::Float(v) if *v == 0.0)
     }
 
-    /// Analytic accelerator estimate for a matched kernel. With
-    /// `resident`, the stationary operand is modeled as already
-    /// installed on its tiles (a pinned reuse); only meaningful when
-    /// [`CostModel::single_block`] holds for the operand.
-    fn estimate_with(&self, k: &MatchedKernel, resident: bool) -> OpEstimate {
+    /// Accelerator estimate for a matched kernel: the statistics the
+    /// accelerator reports for the call. With `resident`, the stationary
+    /// operand is modeled as already installed on its tiles (a pinned
+    /// reuse); only meaningful when [`CostModel::single_block`] holds
+    /// for the operand. `None` for a convolution whose filter does not
+    /// fit the accelerator's Toeplitz mapping.
+    fn estimate_with(&self, k: &MatchedKernel, resident: bool) -> Option<AccelStats> {
         match k {
-            MatchedKernel::Gemm(g) => estimate_gemm(
+            MatchedKernel::Gemm(g) => Some(estimate_gemm(
                 &self.accel,
                 &self.bus,
                 g.m,
@@ -89,17 +91,23 @@ impl CostModel {
                 g.k,
                 Self::beta_zero(&g.beta),
                 resident,
-            ),
-            MatchedKernel::Gemv(g) => {
-                estimate_gemv(&self.accel, &self.bus, g.m, g.k, Self::beta_zero(&g.beta), resident)
-            }
+            )),
+            MatchedKernel::Gemv(g) => Some(estimate_gemv(
+                &self.accel,
+                &self.bus,
+                g.m,
+                g.k,
+                Self::beta_zero(&g.beta),
+                resident,
+            )),
             MatchedKernel::Conv(c) => estimate_conv2d(&self.accel, &self.bus, c.h, c.w, c.fh, c.fw),
         }
     }
 
-    /// Analytic accelerator estimate for a matched kernel (cold: the
-    /// stationary operand is installed by the call).
-    pub fn estimate(&self, k: &MatchedKernel) -> OpEstimate {
+    /// Accelerator estimate for a matched kernel (cold: the stationary
+    /// operand is installed by the call); `None` when the accelerator
+    /// cannot run it.
+    pub fn estimate(&self, k: &MatchedKernel) -> Option<AccelStats> {
         self.estimate_with(k, false)
     }
 
@@ -133,10 +141,13 @@ impl CostModel {
     }
 
     /// Compares offloaded vs host execution for a single, cold kernel
-    /// invocation.
+    /// invocation. A kernel the accelerator cannot run stays on the host
+    /// at an infinite offload cost.
     pub fn decide(&self, k: &MatchedKernel) -> Decision {
-        let est = self.estimate(k);
-        self.decision_from(k.macs(), est.energy.as_pj(), est.time.as_s())
+        match self.estimate(k) {
+            Some(est) => self.decision_from(k.macs(), est.total_energy().as_pj(), est.busy.as_s()),
+            None => self.decision_from(k.macs(), f64::INFINITY, 0.0),
+        }
     }
 
     /// Compares offloaded vs host execution for one call of a run of
@@ -152,11 +163,14 @@ impl CostModel {
         if !resident_ok {
             return self.decide(k);
         }
-        let cold = self.estimate_with(k, false);
-        let warm = self.estimate_with(k, true);
+        let (Some(cold), Some(warm)) = (self.estimate_with(k, false), self.estimate_with(k, true))
+        else {
+            return self.decide(k);
+        };
         let n = uses as f64;
-        let time_s = (cold.time.as_s() + (n - 1.0) * warm.time.as_s()) / n;
-        let energy_pj = (cold.energy.as_pj() + (n - 1.0) * warm.energy.as_pj()) / n;
+        let time_s = (cold.busy.as_s() + (n - 1.0) * warm.busy.as_s()) / n;
+        let (cold_pj, warm_pj) = (cold.total_energy().as_pj(), warm.total_energy().as_pj());
+        let energy_pj = (cold_pj + (n - 1.0) * warm_pj) / n;
         self.decision_from(k.macs(), energy_pj, time_s)
     }
 }

@@ -120,3 +120,45 @@ fn compute_intensity_separates_the_classes() {
     assert!(g > 10.0 * m, "gemm {g} vs mvt {m}");
     assert!(m <= 1.5, "mvt intensity {m} must be ~1");
 }
+
+/// A convolution whose 3-wide filter does not fit the default 256-row
+/// tiles: a 128-row filter leaves 2 word lines per image row.
+const UNFIT_CONV: &str = r#"
+    float img[130][10]; float f[128][3]; float out[3][8];
+    void kernel() {
+      for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 8; j++)
+          for (int r = 0; r < 128; r++)
+            for (int s = 0; s < 3; s++)
+              out[i][j] += f[r][s] * img[i + r][j + s];
+    }
+"#;
+
+#[test]
+fn unfit_conv_runs_on_the_host() {
+    let init = |name: &str, data: &mut [f32]| {
+        for (i, v) in data.iter_mut().enumerate() {
+            *v = ((i * 7 + name.len()) % 11) as f32 * 0.25 - 1.25;
+        }
+    };
+    let host = compile(UNFIT_CONV, &CompileOptions::host_only()).expect("compiles");
+    let cim = compile(UNFIT_CONV, &CompileOptions::with_tactics()).expect("compiles");
+    let report = cim.report.as_ref().expect("tactics ran");
+    assert_eq!(report.kernels.len(), 1, "the conv is matched: {report}");
+    assert!(!report.any_offloaded(), "{report}");
+    assert!(report.kernels[0].reason.contains("Toeplitz"), "{report}");
+    let want = execute(&host, &ExecOptions::default(), &init).expect("host run");
+    let got = execute(&cim, &ExecOptions::default(), &init).expect("offload build runs");
+    let bits = |r: &tdo_cim::RunResult| -> Vec<u32> {
+        r.array("out").expect("out").iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&got), bits(&want), "out differs from the host-only run");
+}
+
+#[test]
+fn selective_compile_of_unfit_conv_returns() {
+    let mut opts = CompileOptions::with_tactics();
+    opts.tactics.policy = tdo_tactics::OffloadPolicy::Selective;
+    let compiled = compile(UNFIT_CONV, &opts).expect("compiles");
+    assert!(!compiled.offloaded());
+}
