@@ -7,6 +7,12 @@ use cim_pcm::{AdcConfig, DeviceKind, Fidelity, PcmEnergyModel};
 /// `cim_runtime`-side array, so the knob is bounded.
 pub const MAX_DMA_CHANNELS: usize = 8;
 
+/// Input/output buffer capacity per tile in bytes — Table I's 1.5 KiB.
+/// Descriptive only: the model charges every buffer byte access the
+/// flat [`PcmEnergyModel::buffer_pj_per_byte`] and bounds no transfer
+/// by this capacity.
+pub const BUFFER_BYTES: usize = 1536;
+
 /// Static configuration of the CIM accelerator.
 ///
 /// Besides the per-tile crossbar geometry, the configuration carries two
@@ -90,8 +96,6 @@ pub struct AccelConfig {
     pub adc: AdcConfig,
     /// Energy/latency constants.
     pub energy: PcmEnergyModel,
-    /// Input/output buffer capacity in bytes per tile (paper: 1.5 KiB).
-    pub buffer_bytes: usize,
     /// Numerical fidelity of the compute path.
     pub fidelity: Fidelity,
     /// Maximum number of timeline events retained.
@@ -116,7 +120,6 @@ impl Default for AccelConfig {
             device: DeviceKind::Pcm,
             adc: AdcConfig::default(),
             energy: PcmEnergyModel::default(),
-            buffer_bytes: 1536,
             fidelity: Fidelity::Exact,
             timeline_capacity: 4096,
             dma_channels: 1,
@@ -127,7 +130,7 @@ impl Default for AccelConfig {
 impl AccelConfig {
     /// A small crossbar for fast unit tests.
     pub fn test_small() -> Self {
-        AccelConfig { rows: 8, cols: 8, buffer_bytes: 64, ..AccelConfig::default() }
+        AccelConfig { rows: 8, cols: 8, ..AccelConfig::default() }
     }
 
     /// Paper-geometry configuration built from the given device model's
@@ -197,7 +200,6 @@ impl AccelConfig {
     pub fn validate(&self) {
         assert!(self.rows > 0 && self.cols > 0, "crossbar must be non-empty");
         assert!(self.grid.0 > 0 && self.grid.1 > 0, "tile grid must be non-empty");
-        assert!(self.buffer_bytes > 0, "buffers must be non-empty");
         assert!(
             (1..=MAX_DMA_CHANNELS).contains(&self.dma_channels),
             "dma_channels must be in 1..={MAX_DMA_CHANNELS}"
@@ -217,7 +219,6 @@ mod tests {
         assert_eq!(c.grid, (1, 1));
         assert_eq!(c.device, DeviceKind::Pcm);
         assert_eq!(c.cells(), 65536);
-        assert_eq!(c.buffer_bytes, 1536);
         c.validate();
     }
 

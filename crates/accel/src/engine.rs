@@ -292,7 +292,7 @@ impl CimAccelerator {
                         cmd,
                         start,
                         start + program_t,
-                        format!("install A tile m0={} k0={} ({}x{})", b.m0, b.k0, b.kt, b.mt),
+                        || format!("install A tile m0={} k0={} ({}x{})", b.m0, b.k0, b.kt, b.mt),
                     );
                 }
                 Step::Column { wave, j, t, reads_c } => {
@@ -328,7 +328,7 @@ impl CimAccelerator {
                                     cmd,
                                     t0 + t,
                                     t0 + t + compute,
-                                    format!("gemv j={j} (tile m0={} k0={})", ms.start, ks.start),
+                                    || format!("gemv j={j} (tile m0={} k0={})", ms.start, ks.start),
                                 );
                             }
                         }
@@ -489,7 +489,7 @@ impl CimAccelerator {
                         Some(cmd),
                         start,
                         start + program_t,
-                        format!("install Toeplitz filter ({in_dim}x{seg_out})"),
+                        || format!("install Toeplitz filter ({in_dim}x{seg_out})"),
                     );
                 }
                 Step::Segment { oi, s0, n_out, valid, t, step } => {
@@ -516,7 +516,7 @@ impl CimAccelerator {
                             Some(cmd),
                             t0 + t - step,
                             t0 + t,
-                            format!("conv gemv row {oi}, seg {s0} (+{n_out})"),
+                            || format!("conv gemv row {oi}, seg {s0} (+{n_out})"),
                         );
                         first = false;
                     }

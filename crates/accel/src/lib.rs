@@ -59,7 +59,7 @@ pub mod tile;
 pub mod timeline;
 
 pub use cim_pcm::{DeviceKind, DeviceModel};
-pub use config::{AccelConfig, MAX_DMA_CHANNELS};
+pub use config::{AccelConfig, BUFFER_BYTES, MAX_DMA_CHANNELS};
 pub use engine::{operand_bytes, ConvParams, EngineError, GemmParams};
 pub use shard::{partition_grid, GridRegion};
 pub use stats::AccelStats;
@@ -319,14 +319,8 @@ impl CimAccelerator {
         }
         self.last_cmd = self.cmd_seq;
         self.regs.set_status(Status::Busy);
-        self.timeline.push_on(
-            Ev::Trigger,
-            None,
-            Some(self.last_cmd),
-            t0,
-            t0,
-            format!("{cmd:?} armed"),
-        );
+        self.timeline
+            .push_on(Ev::Trigger, None, Some(self.last_cmd), t0, t0, || format!("{cmd:?} armed"));
         let region = GridRegion::decode(self.regs.read(Reg::Region), self.cfg.grid);
         let result = match cmd {
             Command::Gemm => {
@@ -358,7 +352,7 @@ impl CimAccelerator {
                     Some(self.last_cmd),
                     t0 + dur,
                     t0 + dur,
-                    "status := done",
+                    || "status := done".into(),
                 );
                 self.last_error = None;
                 dur

@@ -87,12 +87,14 @@ impl Timeline {
         end: SimTime,
         label: impl Into<String>,
     ) {
-        self.push_on(kind, None, None, start, end, label);
+        self.push_on(kind, None, None, start, end, || label.into());
     }
 
     /// Records an event occupying the physical tile `tile` on behalf of
     /// logical command `cmd` — the per-tile, per-command occupancy view
-    /// of a sharded or batched run.
+    /// of a sharded or batched run. The label is built only for an event
+    /// the timeline keeps: past capacity the event is counted as
+    /// dropped and `label` never runs.
     pub fn push_on(
         &mut self,
         kind: EventKind,
@@ -100,10 +102,10 @@ impl Timeline {
         cmd: Option<u64>,
         start: SimTime,
         end: SimTime,
-        label: impl Into<String>,
+        label: impl FnOnce() -> String,
     ) {
         if self.events.len() < self.capacity {
-            self.events.push(Event { kind, tile, cmd, start, end, label: label.into() });
+            self.events.push(Event { kind, tile, cmd, start, end, label: label() });
         } else {
             self.dropped += 1;
         }
@@ -214,9 +216,9 @@ mod tests {
         let mut t = Timeline::new(8);
         let us = SimTime::from_us;
         t.push(EventKind::Trigger, SimTime::ZERO, us(1.0), "untiled");
-        t.push_on(EventKind::Compute, Some((0, 0)), Some(0), us(1.0), us(3.0), "a");
-        t.push_on(EventKind::Compute, Some((0, 1)), Some(1), us(1.0), us(2.0), "b");
-        t.push_on(EventKind::WriteCrossbar, Some((0, 0)), Some(0), us(3.0), us(4.0), "c");
+        t.push_on(EventKind::Compute, Some((0, 0)), Some(0), us(1.0), us(3.0), || "a".into());
+        t.push_on(EventKind::Compute, Some((0, 1)), Some(1), us(1.0), us(2.0), || "b".into());
+        t.push_on(EventKind::WriteCrossbar, Some((0, 0)), Some(0), us(3.0), us(4.0), || "c".into());
         let occ = t.tile_occupancy();
         assert_eq!(occ.len(), 2);
         assert_eq!(occ[0].0, (0, 0));
@@ -228,10 +230,22 @@ mod tests {
     #[test]
     fn events_carry_command_ids() {
         let mut t = Timeline::new(4);
-        t.push_on(EventKind::Compute, Some((0, 0)), Some(7), SimTime::ZERO, SimTime::ZERO, "x");
+        t.push_on(EventKind::Compute, Some((0, 0)), Some(7), SimTime::ZERO, SimTime::ZERO, || {
+            "x".into()
+        });
         t.push(EventKind::Trigger, SimTime::ZERO, SimTime::ZERO, "y");
         assert_eq!(t.events()[0].cmd, Some(7));
         assert_eq!(t.events()[1].cmd, None);
         assert!(t.render().contains("#7"));
+    }
+
+    #[test]
+    fn zero_capacity_never_builds_a_label() {
+        let mut t = Timeline::new(0);
+        t.push_on(EventKind::Compute, Some((0, 0)), Some(1), SimTime::ZERO, SimTime::ZERO, || {
+            panic!("a dropped event must not format its label")
+        });
+        assert!(t.events().is_empty());
+        assert_eq!(t.dropped(), 1);
     }
 }

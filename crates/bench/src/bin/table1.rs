@@ -2,7 +2,7 @@
 //! device/tile sweep matrix the simulator supports beyond the paper's
 //! fixed part (see `docs/DEVICES.md`).
 
-use cim_accel::AccelConfig;
+use cim_accel::{AccelConfig, BUFFER_BYTES};
 use cim_machine::MachineConfig;
 use cim_pcm::DeviceKind;
 use cim_report::{BenchRecord, BenchReport};
@@ -48,7 +48,7 @@ fn main() {
     );
     println!(
         "{:<44} {} pJ/byte-access",
-        format!("Input/Output buffer Energy ({:.1}KB)", a.buffer_bytes as f64 / 1024.0),
+        format!("Input/Output buffer Energy ({:.1}KB)", BUFFER_BYTES as f64 / 1024.0),
         e.buffer_pj_per_byte
     );
     println!(

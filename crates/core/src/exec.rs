@@ -147,11 +147,9 @@ pub fn execute(
         base,
         cma_ptr,
         device: vec![None; prog.arrays.len()],
-        dirty: vec![true; prog.arrays.len()],
         ctx: None,
         accel_cfg,
         driver_cfg: opts.driver,
-        smart_sync: opts.smart_sync,
     };
     run(prog, &mut backend).map_err(ExecError)?;
 
@@ -227,11 +225,9 @@ struct MachineBackend<'p> {
     base: Vec<u64>,
     cma_ptr: Vec<Option<DevPtr>>,
     device: Vec<Option<DevPtr>>,
-    dirty: Vec<bool>,
     ctx: Option<CimContext>,
     accel_cfg: cim_accel::AccelConfig,
     driver_cfg: cim_runtime::DriverConfig,
-    smart_sync: bool,
 }
 
 impl<'p> MachineBackend<'p> {
@@ -253,21 +249,6 @@ impl<'p> MachineBackend<'p> {
     fn view(ptr: DevPtr, off: (usize, usize), ld: usize) -> DevPtr {
         let delta = 4 * (off.0 * ld + off.1) as u64;
         DevPtr { va: ptr.va + delta, pa: ptr.pa + delta, len: ptr.len.saturating_sub(delta) }
-    }
-
-    fn sync_inputs(&mut self, a: ArrayId) -> Result<(), InterpError> {
-        let ptr = self.dev(a)?;
-        if !self.smart_sync || self.dirty[a.0] {
-            let Some(ctx) = self.ctx.as_mut() else {
-                return Err(InterpError::Backend("sync before init".into()));
-            };
-            ctx.cim_sync_to_dev(&mut self.mach, ptr).map_err(cim_err)?;
-            self.dirty[a.0] = false;
-        } else {
-            // Runtime checks its dirty table: a handful of instructions.
-            self.mach.core.retire(InstClass::Other, 20);
-        }
-        Ok(())
     }
 
     fn run_gemm(&mut self, g: &GemmCall) -> Result<(), InterpError> {
@@ -311,9 +292,6 @@ impl<'p> Backend for MachineBackend<'p> {
 
     fn store(&mut self, array: ArrayId, flat: usize, v: f32) {
         self.mach.host_store_f32(self.base[array.0] + 4 * flat as u64, v);
-        if self.device[array.0].is_some() {
-            self.dirty[array.0] = true;
-        }
     }
 
     fn prefers_bulk_runs(&self) -> bool {
@@ -331,9 +309,6 @@ impl<'p> Backend for MachineBackend<'p> {
     fn store_run(&mut self, array: ArrayId, flat: i64, stride: i64, data: &[f32]) {
         let va = (self.base[array.0] as i64 + 4 * flat) as u64;
         self.mach.host_store_f32_run(va, 4 * stride, data);
-        if self.device[array.0].is_some() {
-            self.dirty[array.0] = true;
-        }
     }
 
     fn cost(&mut self, ev: CostEvent, n: u64) {
@@ -379,10 +354,18 @@ impl<'p> Backend for MachineBackend<'p> {
                     .cim_adopt(mach, ptr)
                     .map_err(cim_err)?;
                 self.device[a.0] = Some(ptr);
-                self.dirty[a.0] = true;
                 Ok(())
             }
-            CimCall::HostToDev(a) => self.sync_inputs(a),
+            CimCall::HostToDev(a) => {
+                let ptr = self.dev(a)?;
+                let mach = &mut self.mach;
+                self.ctx
+                    .as_mut()
+                    .ok_or_else(|| InterpError::Backend("sync before init".into()))?
+                    .cim_sync_to_dev(mach, ptr)
+                    .map_err(cim_err)?;
+                Ok(())
+            }
             CimCall::DevToHost(a) => {
                 let ptr = self.dev(a)?;
                 let mach = &mut self.mach;
@@ -562,9 +545,10 @@ mod tests {
     }
 
     #[test]
-    fn smart_sync_preserves_residency_across_calls() {
-        // Ablation: with runtime dirty tracking, two consecutive GEMMs on
-        // the same operands skip the second install entirely.
+    fn conservative_runtime_reinstalls_per_call() {
+        // Two consecutive GEMMs on the same operands under the
+        // conservative schedule: the paper's runtime syncs every input
+        // before each call, so A is installed twice.
         let src = r#"
             const int N = 8;
             float A[N][N]; float B[N][N]; float C[N][N]; float D[N][N];
@@ -581,19 +565,13 @@ mod tests {
         "#;
         // Disable fusion so two separate sgemm calls are emitted; use the
         // legacy detect-only pipeline so the schedule stays conservative
-        // (the default pipeline would pin A and hide the contrast).
+        // (the default pipeline would pin A and skip the second install).
         let mut opts = CompileOptions::without_dataflow();
         opts.tactics.fusion = false;
         let cim = compile(src, &opts).expect("compiles");
         assert_eq!(cim.pseudo_c().matches("polly_cimBlasSGemm").count(), 2);
-        let smart = ExecOptions { smart_sync: true, ..small_opts() };
-        let r = execute(&cim, &smart, &det_init).expect("runs");
-        let acc = r.accel.expect("accel");
-        // A installed once (8 rows), not twice.
-        assert_eq!(acc.rows_programmed, 8);
-        // The paper's conservative runtime reinstalls per call.
-        let r2 = execute(&cim, &small_opts(), &det_init).expect("runs");
-        assert_eq!(r2.accel.expect("accel").rows_programmed, 16);
+        let r = execute(&cim, &small_opts(), &det_init).expect("runs");
+        assert_eq!(r.accel.expect("accel").rows_programmed, 16);
     }
 
     #[test]

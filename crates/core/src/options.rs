@@ -50,13 +50,6 @@ impl CompileOptions {
         CompileOptions::default()
     }
 
-    /// Offloading plus the offload dataflow graph passes. Kept for
-    /// callers that opted in before the pipeline became the default —
-    /// identical to [`CompileOptions::default`].
-    pub fn with_dataflow() -> Self {
-        CompileOptions::default()
-    }
-
     /// The legacy conservative schedule: detection and lowering only,
     /// every kernel bracketed by point-wise coherence syncs and every
     /// call installing its stationary operand cold. The Selective cost
@@ -89,12 +82,6 @@ pub struct ExecOptions {
     pub fidelity: Fidelity,
     /// Record the accelerator event timeline (Fig. 2 (d)).
     pub record_timeline: bool,
-    /// Runtime-side dirty tracking: skip the coherence sync (and keep
-    /// crossbar residency) for buffers the host has not written since the
-    /// last sync. The paper's lightweight runtime is conservative
-    /// (`false`); enabling this is an ablation showing a smarter runtime
-    /// can recover part of the fusion benefit without the compiler.
-    pub smart_sync: bool,
 }
 
 impl Default for ExecOptions {
@@ -105,7 +92,6 @@ impl Default for ExecOptions {
             driver: DriverConfig::default(),
             fidelity: Fidelity::Exact,
             record_timeline: false,
-            smart_sync: false,
         }
     }
 }

@@ -19,11 +19,11 @@ use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::driver::{CimDriver, CimFuture, DispatchMode, DriverConfig};
+use crate::driver::{CimDriver, DispatchMode, DriverConfig};
 use crate::error::CimError;
+use crate::reactor::CmdRecord;
 use crate::residency::ResidencyTable;
 use crate::serve::{GridScheduler, TenantId};
 use crate::stats::RuntimeStats;
@@ -87,28 +87,6 @@ fn check_extent(
     }
 }
 
-/// A command submitted under [`DispatchMode::Async`] that the context
-/// has not yet synchronized, plus the scratch buffers (batched
-/// descriptor tables) that must stay live until it completes and the
-/// physical ranges of every operand it reads or writes (the granularity
-/// at which observation points decide whether they must wait for it).
-#[derive(Debug)]
-struct PendingCmd {
-    future: CimFuture,
-    scratch: Vec<DevPtr>,
-    ranges: Vec<(u64, u64)>,
-}
-
-impl PendingCmd {
-    /// Whether any operand of the command overlaps `[pa, pa + len)`.
-    /// Empty ranges observe no bytes and overlap nothing
-    /// ([`crate::ranges::overlaps`]) — a zero-length query at an
-    /// interior point of an operand must not sync the command.
-    fn touches(&self, pa: u64, len: u64) -> bool {
-        self.ranges.iter().any(|&r| crate::ranges::overlaps((pa, len), r))
-    }
-}
-
 /// The hardware a context (or N tenant contexts) submits against: one
 /// accelerator, one kernel driver — the reactor's rings and in-flight
 /// table — and, when the device is fronted by
@@ -135,18 +113,20 @@ pub struct CimDevice {
 pub type SharedDevice = Rc<RefCell<CimDevice>>;
 
 /// The per-client runtime context (device handle + driver session).
-/// Allocation, pending-command, residency and statistics state is all
-/// per-context; the accelerator, driver and (under serving) scheduler
-/// live in the [`SharedDevice`] behind it.
+/// Allocation, residency and statistics state is per-context; the
+/// accelerator, driver and (under serving) scheduler live in the
+/// [`SharedDevice`] behind it. Its in-flight commands are the reactor
+/// records it owns ([`crate::reactor::CmdRecord::owner`] equal to its
+/// tenant), which its observation points claim.
 #[derive(Debug)]
 pub struct CimContext {
     device: SharedDevice,
     /// The serving-scheduler identity of this context, when it was
-    /// handed out by [`crate::serve::CimServer::connect`].
+    /// handed out by [`crate::serve::CimServer::connect`] — and the
+    /// owner stamped on every command it submits.
     tenant: Option<TenantId>,
     device_id: Option<u32>,
     allocations: Vec<DevPtr>,
-    pending: Vec<PendingCmd>,
     residency: ResidencyTable,
     /// The finest disjoint partition of the tile grid, computed once —
     /// the round-robin pool [`CimContext::next_subregion`] draws from.
@@ -182,7 +162,6 @@ impl CimContext {
             tenant,
             device_id: None,
             allocations: Vec::new(),
-            pending: Vec::new(),
             residency: ResidencyTable::with_capacity(grid.0 * grid.1),
             subregions: partition_grid(grid, grid.0 * grid.1),
             region_cursor: 0,
@@ -230,9 +209,11 @@ impl CimContext {
         Ok(())
     }
 
-    /// Commands submitted asynchronously and not yet synchronized.
+    /// Commands this context submitted asynchronously and has not yet
+    /// synchronized: the reactor's unclaimed records it owns.
     pub fn pending_commands(&self) -> usize {
-        self.pending.len()
+        let owner = self.tenant;
+        self.driver().reactor().unsynced().filter(|rec| rec.owner == owner).count()
     }
 
     /// Synchronizes every pending asynchronous command: the host pays
@@ -250,10 +231,11 @@ impl CimContext {
     ///
     /// # Errors
     ///
-    /// Propagates driver or free errors; unprocessed commands (and any
-    /// scratch still unfreed) stay pending, so nothing leaks.
+    /// Propagates a scratch free error; the commands after it stay in
+    /// the reactor and the unfreed table stays among the context's
+    /// allocations, which [`CimContext::disconnect`] releases.
     pub fn cim_sync(&mut self, mach: &mut Machine) -> Result<SimTime, CimError> {
-        self.sync_where(mach, |_| true)
+        self.sync_where(mach, |_| true).map(|(total, _)| total)
     }
 
     /// Synchronizes only the pending commands whose operands overlap the
@@ -275,124 +257,114 @@ impl CimContext {
         pa: u64,
         len: u64,
     ) -> Result<SimTime, CimError> {
-        let total = self.sync_where(mach, |cmd| cmd.touches(pa, len))?;
-        self.stats.selective_sync_skips += self.pending.len() as u64;
+        let (total, left) = self.sync_where(mach, |rec| rec.touches(pa, len))?;
+        self.stats.selective_sync_skips += left as u64;
         Ok(total)
     }
 
+    /// Claims this context's unclaimed records that `must_sync` selects,
+    /// oldest first — the order they were submitted in, which the clock
+    /// depends on (syncing a later command first can make an earlier
+    /// sync free) — and frees each one's scratch. Returns the summed
+    /// busy time and the number of the context's records left unclaimed.
     fn sync_where(
         &mut self,
         mach: &mut Machine,
-        must_sync: impl Fn(&PendingCmd) -> bool,
-    ) -> Result<SimTime, CimError> {
-        let mut total = SimTime::ZERO;
-        let mut pending: VecDeque<PendingCmd> = std::mem::take(&mut self.pending).into();
-        let mut kept: Vec<PendingCmd> = Vec::new();
-        while let Some(cmd) = pending.pop_front() {
-            if !must_sync(&cmd) {
-                kept.push(cmd);
-                continue;
-            }
-            let synced = {
-                let mut guard = self.device.borrow_mut();
-                let dev = &mut *guard;
-                dev.driver.sync(mach, &mut dev.accel, &cmd.future)
-            };
-            if let Err(e) = synced {
-                pending.push_front(cmd);
-                kept.extend(pending);
-                self.pending = kept;
-                return Err(e);
-            }
-            total += cmd.future.busy;
-            for (i, p) in cmd.scratch.iter().enumerate() {
-                if let Err(e) = self.release(mach, *p) {
-                    // The command itself completed; park its unfreed
-                    // scratch on a re-queued entry (the future is already
-                    // past `ready_at`, so a later sync retries the frees
-                    // without waiting again).
-                    let scratch = cmd.scratch[i..].to_vec();
-                    let ranges = scratch.iter().map(|s| (s.pa, s.len)).collect();
-                    pending.push_front(PendingCmd { future: cmd.future, scratch, ranges });
-                    kept.extend(pending);
-                    self.pending = kept;
-                    return Err(e);
-                }
+        must_sync: impl Fn(&CmdRecord) -> bool,
+    ) -> Result<(SimTime, usize), CimError> {
+        let owner = self.tenant;
+        let mut due = Vec::new();
+        let mut left = 0;
+        for rec in self.driver().reactor().unsynced().filter(|rec| rec.owner == owner) {
+            if must_sync(rec) {
+                due.push(rec.cmd_id);
+            } else {
+                left += 1;
             }
         }
-        self.pending = kept;
-        Ok(total)
+        due.sort_unstable();
+        let mut total = SimTime::ZERO;
+        for cmd_id in due {
+            let rec = {
+                let mut guard = self.device.borrow_mut();
+                let dev = &mut *guard;
+                dev.driver.sync(mach, &mut dev.accel, cmd_id)
+            };
+            total += rec.busy;
+            if let Some(table) = rec.scratch {
+                self.release(mach, table)?;
+            }
+        }
+        Ok((total, left))
     }
 
-    /// Dispatches the armed command per the configured [`DispatchMode`],
-    /// taking ownership of `scratch` buffers that must be freed once the
-    /// command is done (on every path, including errors — the descriptor
-    /// table must never leak). `region` is the tile sub-array the command
-    /// was armed for (the caller also wrote it into
-    /// [`Reg::Region`]); `reads`/`writes` are the physical extents of
-    /// its operands, which key both the driver's per-region doorbell and
-    /// — unioned — the observation ranges later sync points check.
+    /// Dispatches the armed command per the configured [`DispatchMode`]:
+    /// it always enters the reactor as a record owned by this context,
+    /// and under [`DispatchMode::Sync`] it is claimed at once. `scratch`
+    /// (a batched call's descriptor table) is freed when the command is
+    /// claimed, or right away if the device rejects it — the table must
+    /// never leak. `region` is the tile sub-array the command was armed
+    /// for (the caller also wrote it into [`Reg::Region`]);
+    /// `reads`/`writes` are the physical extents of its operands, which
+    /// key both the driver's per-region doorbell and the observation
+    /// ranges later sync points check.
     fn dispatch_armed(
         &mut self,
         mach: &mut Machine,
-        scratch: Vec<DevPtr>,
+        scratch: Option<DevPtr>,
         region: GridRegion,
         reads: Vec<(u64, u64)>,
         writes: Vec<(u64, u64)>,
     ) -> Result<SimTime, CimError> {
-        let outcome = {
+        let blocking = self.driver().config().dispatch == DispatchMode::Sync;
+        let submitted = {
             let mut guard = self.device.borrow_mut();
             let dev = &mut *guard;
             let stalls0 = dev.driver.stats().queue_full_stalls;
             let cells0 = dev.accel.stats().cell_writes;
-            let outcome = match dev.driver.config().dispatch {
-                DispatchMode::Sync => dev
-                    .driver
-                    .invoke(mach, &mut dev.accel, region, &reads, &writes)
-                    .map(|busy| (busy, None)),
-                DispatchMode::Async => dev
-                    .driver
-                    .submit(mach, &mut dev.accel, region, &reads, &writes)
-                    .map(|future| (future.busy, Some(future))),
-            };
+            let submitted = dev.driver.submit(
+                mach,
+                &mut dev.accel,
+                region,
+                &reads,
+                &writes,
+                self.tenant,
+                scratch,
+            );
             // Queue-full backpressure lands on the tenant whose
             // submission stalled, not smeared across the device.
             self.stats.queue_full_stalls += dev.driver.stats().queue_full_stalls - stalls0;
-            if let Ok((busy, future)) = &outcome {
+            if let Ok(future) = &submitted {
+                // A blocking dispatch claims the command at once; its
+                // retire instant is wherever the wait left the host.
+                let ready_at = if blocking {
+                    dev.driver.sync(mach, &mut dev.accel, future.cmd_id);
+                    mach.now()
+                } else {
+                    future.ready_at
+                };
                 if let (Some(tid), Some(sched)) = (self.tenant, dev.scheduler.as_mut()) {
                     // The scheduler meters what the command actually
                     // consumed: tile-time until its predicted retire
                     // instant and the cell writes of its installs.
-                    let ready_at = future.map_or(mach.now(), |f| f.ready_at);
                     let cells = dev.accel.stats().cell_writes - cells0;
-                    sched.note_dispatch(tid, region, *busy, ready_at, cells);
+                    sched.note_dispatch(tid, region, future.busy, ready_at, cells);
                 }
             }
-            outcome
+            submitted
         };
-        match outcome {
-            Ok((busy, None)) => {
-                self.invalidate_written(&writes);
-                for p in scratch {
-                    self.release(mach, p)?;
-                }
-                Ok(busy)
-            }
-            Ok((busy, Some(future))) => {
-                self.stats.async_submits += 1;
-                self.invalidate_written(&writes);
-                let mut ranges = reads;
-                ranges.extend(writes);
-                self.pending.push(PendingCmd { future, scratch, ranges });
-                Ok(busy)
-            }
-            Err(e) => {
-                for p in scratch {
-                    self.release(mach, p)?;
-                }
-                Err(e)
-            }
+        if submitted.is_ok() {
+            // After the submit: the command ran against the residency
+            // it found.
+            self.invalidate_written(&writes);
         }
+        if submitted.is_ok() && !blocking {
+            self.stats.async_submits += 1;
+        } else if let Some(table) = scratch {
+            // Claimed at once, or rejected before it entered the rings.
+            self.release(mach, table)?;
+        }
+        submitted.map(|future| future.busy)
     }
 
     /// The device just (functionally) wrote these ranges: any resident
@@ -534,18 +506,19 @@ impl CimContext {
         }
     }
 
-    /// Detaches this context from the shared device: pending commands
-    /// are synchronized (the tenant's own doorbells are claimed — a
-    /// departing tenant leaves nothing unclaimed in the completion
-    /// ring), every live allocation is released (which invalidates its
+    /// Detaches this context from the shared device: its pending
+    /// commands are synchronized (the reactor records it owns are
+    /// claimed — a departing tenant leaves nothing unclaimed in the
+    /// completion ring, and its neighbours' records stay in flight),
+    /// every live allocation is released (which invalidates its
     /// pins), and the serving lease is reclaimed for the remaining
     /// tenants. The context is left uninitialized; it can be dropped or
     /// re-`cim_init`ed as a fresh client.
     ///
     /// # Errors
     ///
-    /// Propagates driver or free errors; state already torn down stays
-    /// torn down (the call is safe to retry).
+    /// Propagates free errors; state already torn down stays torn down
+    /// (the call is safe to retry).
     pub fn disconnect(&mut self, mach: &mut Machine) -> Result<(), CimError> {
         self.cim_sync(mach)?;
         while let Some(ptr) = self.allocations.last().copied() {
@@ -836,7 +809,7 @@ impl CimContext {
         }
         self.dispatch_armed(
             mach,
-            Vec::new(),
+            None,
             region,
             vec![(a.pa, a.len), (b.pa, b.len)],
             vec![(c.pa, c.len)],
@@ -903,7 +876,7 @@ impl CimContext {
         }
         self.dispatch_armed(
             mach,
-            Vec::new(),
+            None,
             region,
             vec![(a.pa, a.len), (x.pa, x.len)],
             vec![(y.pa, y.len)],
@@ -1016,13 +989,13 @@ impl CimContext {
             let dev = &mut *guard;
             dev.driver.write_regs(mach, &mut dev.accel, &regs);
         }
-        // The scratch table travels with the dispatch: freed after a
-        // synchronous invocation (success *or* device error) or when the
-        // asynchronous command is synchronized — never leaked. The reads
-        // list every input operand plus the table itself, the writes
-        // every output, which together are exactly the observation
-        // footprint of the command.
-        self.dispatch_armed(mach, vec![table], region, reads, writes)
+        // The scratch table rides in the command's reactor record: freed
+        // when the command is claimed (at once under synchronous
+        // dispatch) or when the device rejects it — never leaked. The
+        // reads list every input operand plus the table itself, the
+        // writes every output, which together are exactly the
+        // observation footprint of the command.
+        self.dispatch_armed(mach, Some(table), region, reads, writes)
     }
 
     /// `polly_cimConv2d`: single-channel 2-D convolution (valid padding).
@@ -1083,7 +1056,7 @@ impl CimContext {
         // read and written.
         self.dispatch_armed(
             mach,
-            Vec::new(),
+            None,
             region,
             vec![(img.pa, img.len), (filt.pa, filt.len)],
             vec![(out.pa, out.len)],
@@ -1271,6 +1244,7 @@ mod tests {
         let b2 = dev_mat(&mut ctx, &mut mach, &[5.0, 6.0, 7.0, 8.0]);
         let c1 = dev_mat(&mut ctx, &mut mach, &[0.0; 4]);
         let c2 = dev_mat(&mut ctx, &mut mach, &[0.0; 4]);
+        let cma_before = mach.cma.used();
         ctx.cim_blas_gemm_batched(
             &mut mach,
             Transpose::No,
@@ -1298,6 +1272,8 @@ mod tests {
         let host = mach.alloc_host(16);
         ctx.cim_dev_to_host(&mut mach, host, c2, 16).expect("d2h");
         assert_eq!(ctx.pending_commands(), 0);
+        // Claiming the command freed its descriptor table.
+        assert_eq!(mach.cma.used(), cma_before, "descriptor table outlived its command");
         let mut out = [0f32; 4];
         mach.peek_f32_slice(host, &mut out);
         assert_eq!(out, [10.0, 12.0, 14.0, 16.0]);

@@ -20,8 +20,10 @@ use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
 
+use crate::api::DevPtr;
 use crate::error::CimError;
 use crate::reactor::{CmdRecord, Reactor};
+use crate::serve::TenantId;
 
 /// How the host waits for accelerator completion.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -59,9 +61,9 @@ pub enum DispatchMode {
     /// (the historical behavior).
     #[default]
     Sync,
-    /// Invocations return a completion handle immediately; the host
-    /// overlaps other work and pays only the *remaining* wait when it
-    /// synchronizes ([`CimDriver::sync`] / [`crate::CimContext::cim_sync`]).
+    /// Invocations return once the command is in the rings; the host
+    /// overlaps other work and pays only the *remaining* wait when an
+    /// observation point claims the command ([`CimDriver::sync`]).
     Async,
 }
 
@@ -213,18 +215,16 @@ impl DriverStats {
     }
 }
 
-/// Completion handle for a command dispatched with [`CimDriver::submit`]:
+/// Handle to a command dispatched with [`CimDriver::submit`]: its id,
 /// the driver's prediction of when the accelerator will flip its status
-/// register, plus the command's busy time. Plain data, but the reactor
-/// keeps the command's record until [`CimDriver::sync`] claims it, and
-/// only the sync charges the host its residual wait, so well-behaved
-/// callers always sync.
+/// register, and the command's busy time. A plain copy of three fields
+/// of the command's [`CmdRecord`] — the reactor keeps the record, the
+/// one table of in-flight commands, until [`CimDriver::sync`] claims it
+/// by id, and only the sync charges the host its residual wait.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CimFuture {
     /// Logical command id ([`CimAccelerator::last_cmd`]).
     pub cmd_id: u64,
-    /// Host time at submission.
-    pub submitted_at: SimTime,
     /// Predicted completion time (start + busy; start may be later than
     /// submission when earlier in-flight commands occupy the tiles).
     pub ready_at: SimTime,
@@ -432,14 +432,17 @@ impl CimDriver {
     /// behind unclaimed work it conflicts with — shared tiles or a
     /// PA-range data dependence — and lets it overlap everything else,
     /// so separate runtime calls on disjoint regions run concurrently.
-    /// The host is free to "continue with other tasks"
-    /// ([`Machine::advance_host`]) until it pays the *remaining* wait in
-    /// [`CimDriver::sync`].
+    /// The record also keeps the submitting tenant (`owner`) and the
+    /// runtime `scratch` the command reads, both handed back when
+    /// [`CimDriver::sync`] claims it. The host is free to "continue with
+    /// other tasks" ([`Machine::advance_host`]) until it pays the
+    /// *remaining* wait in that sync.
     ///
     /// # Errors
     ///
     /// Returns [`CimError::Device`] if the engine flagged an error (the
     /// command then never entered the rings).
+    #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
         mach: &mut Machine,
@@ -447,6 +450,8 @@ impl CimDriver {
         region: GridRegion,
         reads: &[(u64, u64)],
         writes: &[(u64, u64)],
+        owner: Option<TenantId>,
+        scratch: Option<DevPtr>,
     ) -> Result<CimFuture, CimError> {
         self.stats.invocations += 1;
         // The doorbell cannot ring until the submission ring has a slot:
@@ -468,12 +473,7 @@ impl CimDriver {
         if busy > 0 {
             acc.note_tiles_active(busy + region.tiles() as u64);
         }
-        let future = CimFuture {
-            cmd_id: acc.last_cmd(),
-            submitted_at: now,
-            ready_at: start + dur,
-            busy: dur,
-        };
+        let future = CimFuture { cmd_id: acc.last_cmd(), ready_at: start + dur, busy: dur };
         let rec = CmdRecord {
             cmd_id: future.cmd_id,
             ready_at: future.ready_at,
@@ -481,35 +481,39 @@ impl CimDriver {
             region,
             reads: reads.to_vec(),
             writes: writes.to_vec(),
+            owner,
+            scratch,
         };
         self.reactor.submit(rec).expect("admit() guaranteed a free submission slot");
         Ok(future)
     }
 
-    /// Waits for a submitted command, applying the [`WaitPolicy`] only
-    /// to the time remaining after whatever host work overlapped the
-    /// accelerator run — zero when the host caught up late. Spun wait
-    /// time lands in [`DriverStats::busy_wait_time`], polled (idle) wait
-    /// in [`DriverStats::idle_wait_time`]. Returns the command's
-    /// accelerator busy time.
+    /// Waits for the submitted command `cmd_id` and claims its record,
+    /// applying the [`WaitPolicy`] only to the time remaining after
+    /// whatever host work overlapped the accelerator run — zero when the
+    /// host caught up late. Spun wait time lands in
+    /// [`DriverStats::busy_wait_time`], polled (idle) wait in
+    /// [`DriverStats::idle_wait_time`]. The command already succeeded
+    /// at submission, so the sync cannot fail; the returned record
+    /// carries its busy time and the scratch its caller must free.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Kept fallible for parity with [`CimDriver::invoke`]; the command
-    /// itself already succeeded at submission.
-    pub fn sync(
-        &mut self,
-        mach: &mut Machine,
-        acc: &mut CimAccelerator,
-        future: &CimFuture,
-    ) -> Result<SimTime, CimError> {
-        if self.reactor.claim(future.cmd_id) {
+    /// Panics if `cmd_id` has no unclaimed record — it was never
+    /// submitted, or it was already claimed.
+    pub fn sync(&mut self, mach: &mut Machine, acc: &mut CimAccelerator, cmd_id: u64) -> CmdRecord {
+        if let Some(rec) = self.reactor.claim(cmd_id) {
             // An earlier batched sweep already delivered this command's
             // doorbell: the completion record sits in host memory, so
             // the sync costs nothing — no wait, no device access.
-            return Ok(future.busy);
+            return rec;
         }
-        let waited_polls = self.wait_until(mach, future.ready_at);
+        let ready_at = self
+            .reactor
+            .record(cmd_id)
+            .unwrap_or_else(|| panic!("command {cmd_id} has no unclaimed record"))
+            .ready_at;
+        let waited_polls = self.wait_until(mach, ready_at);
         let polls = match self.cfg.wait {
             WaitPolicy::Spin => {
                 // The spin loop ends on the PMIO read observing the
@@ -531,32 +535,8 @@ impl CimDriver {
         // Cycle-granular waits can land a fraction of a cycle short of
         // `ready_at`; sweep at the later of the two so this command's
         // doorbell is guaranteed to post.
-        self.poll_reactor(acc, mach.now().max(future.ready_at), polls);
-        // Normally claims the doorbell the sweep just delivered; a
-        // re-synced future (scratch-release retry) is already gone and
-        // the claim is a benign no-op.
-        let _ = self.reactor.claim(future.cmd_id);
-        Ok(future.busy)
-    }
-
-    /// Triggers the armed command and waits for completion per the wait
-    /// policy — [`CimDriver::submit`] and [`CimDriver::sync`]
-    /// back-to-back, the blocking path of [`DispatchMode::Sync`].
-    /// Returns the accelerator busy time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CimError::Device`] if the engine flagged an error.
-    pub fn invoke(
-        &mut self,
-        mach: &mut Machine,
-        acc: &mut CimAccelerator,
-        region: GridRegion,
-        reads: &[(u64, u64)],
-        writes: &[(u64, u64)],
-    ) -> Result<SimTime, CimError> {
-        let future = self.submit(mach, acc, region, reads, writes)?;
-        self.sync(mach, acc, &future)
+        self.poll_reactor(acc, mach.now().max(ready_at), polls);
+        self.reactor.claim(cmd_id).expect("the sweep delivered the command's doorbell")
     }
 }
 
@@ -580,17 +560,17 @@ mod tests {
         drv: &mut CimDriver,
     ) -> Result<CimFuture, CimError> {
         let grid = GridRegion::full(acc.config().grid);
-        drv.submit(mach, acc, grid, &[], &[])
+        drv.submit(mach, acc, grid, &[], &[], None, None)
     }
 
-    /// Blocking counterpart of [`submit`].
+    /// Blocking counterpart of [`submit`]: submit, then sync at once.
     fn invoke(
         mach: &mut Machine,
         acc: &mut CimAccelerator,
         drv: &mut CimDriver,
     ) -> Result<SimTime, CimError> {
-        let grid = GridRegion::full(acc.config().grid);
-        drv.invoke(mach, acc, grid, &[], &[])
+        let future = submit(mach, acc, drv)?;
+        Ok(drv.sync(mach, acc, future.cmd_id).busy)
     }
 
     fn arm_identity_gemv(mach: &mut Machine, acc: &mut CimAccelerator, drv: &mut CimDriver) -> u64 {
@@ -709,7 +689,7 @@ mod tests {
         drv.cfg.wait = WaitPolicy::Poll { interval: SimTime::from_us(10_000.0), insts_per_poll };
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
         let fut = submit(&mut mach, &mut acc, &mut drv).expect("submit ok");
-        drv.sync(&mut mach, &mut acc, &fut).expect("sync ok");
+        drv.sync(&mut mach, &mut acc, fut.cmd_id);
         let cycle_ns = 1e9 / mach.cfg.freq_hz;
         let over = mach.now().as_ns() - fut.ready_at.as_ns();
         assert!(
@@ -732,11 +712,11 @@ mod tests {
         let f1 = submit(&mut mach, &mut acc, &mut drv).expect("first");
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
         let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
-        drv.sync(&mut mach, &mut acc, &f2).expect("sync 2");
+        drv.sync(&mut mach, &mut acc, f2.cmd_id);
         assert_eq!(drv.stats().completions_polled, 2, "one sweep delivered both");
         let (insts, cycles) = mach.core.checkpoint();
         let reads = drv.stats().status_reads;
-        drv.sync(&mut mach, &mut acc, &f1).expect("sync 1");
+        drv.sync(&mut mach, &mut acc, f1.cmd_id);
         assert_eq!(mach.core.checkpoint(), (insts, cycles), "claim is free");
         assert_eq!(drv.stats().status_reads, reads, "no extra status read");
         assert_eq!(drv.reactor().in_flight(), 0);
@@ -769,7 +749,7 @@ mod tests {
         assert_eq!(fut.busy, dur);
         let overlapped = mach.advance_host(dur * 0.5);
         assert!(overlapped > 0);
-        drv.sync(&mut mach, &mut acc, &fut).expect("sync ok");
+        drv.sync(&mut mach, &mut acc, fut.cmd_id);
         assert_eq!(drv.reactor().in_flight(), 0);
         assert_eq!(drv.reactor().unclaimed(), 0);
         let total = mach.now() - t0;
@@ -790,7 +770,7 @@ mod tests {
         // Host outruns the accelerator: overlap more than the busy time.
         mach.advance_host(fut.busy * 2.0);
         let spin_before = mach.core.spin_instructions();
-        drv.sync(&mut mach, &mut acc, &fut).expect("sync ok");
+        drv.sync(&mut mach, &mut acc, fut.cmd_id);
         assert_eq!(mach.core.spin_instructions(), spin_before, "no residual wait");
         assert_eq!(drv.stats().busy_wait_time, SimTime::ZERO);
     }
@@ -805,8 +785,8 @@ mod tests {
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
         let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
         assert!(f2.ready_at >= f1.ready_at + f2.busy);
-        drv.sync(&mut mach, &mut acc, &f1).expect("sync 1");
-        drv.sync(&mut mach, &mut acc, &f2).expect("sync 2");
+        drv.sync(&mut mach, &mut acc, f1.cmd_id);
+        drv.sync(&mut mach, &mut acc, f2.cmd_id);
         assert!(mach.now() >= f2.ready_at);
     }
 

@@ -1,9 +1,10 @@
 //! The one overlap predicate for physical byte ranges `(base, len)`.
 //!
 //! Both doorbells — the reactor's per-command conflict check and the
-//! observation points' pending-command check — and the residency
-//! table key off the same half-open overlap test, defined once here so
-//! the rules (notably: empty ranges touch no bytes) cannot diverge.
+//! observation points' check of the records they must claim
+//! (`CmdRecord::touches`) — and the residency table key off the same
+//! half-open overlap test, defined once here so the rules (notably:
+//! empty ranges touch no bytes) cannot diverge.
 
 /// Whether half-open ranges `[p1, p1+l1)` and `[p2, p2+l2)` share a
 /// byte. Empty ranges overlap nothing — without the guards, a

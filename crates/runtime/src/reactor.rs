@@ -18,14 +18,20 @@
 //! plays one host sweep of the completion queue). The driver decides
 //! what each sweep costs; see `driver.rs` for the accounting.
 //!
-//! The reactor is also the driver's one in-flight command table: every
+//! The reactor is also the runtime's one in-flight command table: every
 //! record carries the tile region and physical ranges its command
-//! touches, so the per-region doorbell ([`Reactor::earliest_start`])
-//! queries the same records the rings hold.
+//! touches, the tenant that submitted it and the runtime scratch it
+//! holds, so the per-region doorbell ([`Reactor::earliest_start`]) and
+//! every context's observation points query the same records the rings
+//! hold. A walk over the records ([`Reactor::unsynced`]) covers only
+//! live ones, never the ring's idle capacity.
 
 use cim_accel::GridRegion;
 use cim_machine::units::SimTime;
 use std::collections::BTreeMap;
+
+use crate::api::DevPtr;
+use crate::serve::TenantId;
 
 /// Fixed-capacity ring buffer addressed by monotonically increasing
 /// sequence numbers, the storage of both reactor queues.
@@ -39,11 +45,13 @@ use std::collections::BTreeMap;
 /// Entries free in two ways: [`RingBuffer::pop`] drains in FIFO order
 /// (completion-queue style), [`RingBuffer::take`] frees a specific
 /// sequence mid-ring (submission-queue style — slots live from submit
-/// until the completion is delivered, in any order).
+/// until the completion is delivered, in any order). Both advance
+/// `head` past the freed prefix, so it always names the oldest live
+/// entry (or `tail` when the ring is empty).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingBuffer<T> {
     slots: Vec<Option<(u64, T)>>,
-    /// Oldest sequence not yet swept past by `pop`.
+    /// Oldest live sequence, or `tail` when nothing is live.
     head: u64,
     /// Next sequence to allocate.
     tail: u64,
@@ -108,31 +116,26 @@ impl<T> RingBuffer<T> {
     }
 
     /// Removes and returns the oldest live entry with its sequence, in
-    /// FIFO order, skipping slots already freed by [`RingBuffer::take`].
+    /// FIFO order.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        while self.head < self.tail {
-            let seq = self.head;
-            self.head += 1;
-            let ix = self.index(seq);
-            if self.slots[ix].as_ref().is_some_and(|(s, _)| *s == seq) {
-                let (_, v) = self.slots[ix].take().expect("checked occupied");
-                self.live -= 1;
-                return Some((seq, v));
-            }
-        }
-        None
+        let seq = self.head;
+        let v = self.take(seq)?;
+        Some((seq, v))
     }
 
     /// Frees the entry at `seq` mid-ring, returning it if it was live.
+    /// Freeing the oldest entry advances `head` to the next live one;
+    /// each sequence is skipped once, so the cost is amortized
+    /// constant.
     pub fn take(&mut self, seq: u64) -> Option<T> {
+        self.slot(seq)?;
         let ix = self.index(seq);
-        if self.slots[ix].as_ref().is_some_and(|(s, _)| *s == seq) {
-            let (_, v) = self.slots[ix].take().expect("checked occupied");
-            self.live -= 1;
-            Some(v)
-        } else {
-            None
+        let (_, v) = self.slots[ix].take().expect("checked occupied");
+        self.live -= 1;
+        while self.head < self.tail && self.slot(self.head).is_none() {
+            self.head += 1;
         }
+        Some(v)
     }
 
     /// Borrows the live entry at `seq`.
@@ -149,13 +152,11 @@ impl<T> RingBuffer<T> {
         }
     }
 
-    /// Iterates the live entries in sequence order. No live entry is
-    /// older than `tail - capacity` — a push needs its slot free — so
-    /// the walk is bounded by the capacity even when entries are only
-    /// ever freed with [`RingBuffer::take`] and `head` never advances.
+    /// Iterates the live entries in sequence order. The walk starts at
+    /// the oldest live entry (`head`), so it spans only the live
+    /// window, not the ring's capacity.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let first = self.head.max(self.tail.saturating_sub(self.slots.len() as u64));
-        (first..self.tail).filter_map(|seq| self.slot(seq).map(|(s, v)| (*s, v)))
+        (self.head..self.tail).filter_map(|seq| self.slot(seq).map(|(s, v)| (*s, v)))
     }
 
     fn index(&self, seq: u64) -> usize {
@@ -169,8 +170,9 @@ impl<T> RingBuffer<T> {
 
 /// Submission-ring record for one in-flight command: everything the
 /// device model needs to write the doorbell when the command retires,
-/// plus the tile region it occupies and the physical ranges it reads
-/// and writes — the node of the runtime-side offload dataflow graph.
+/// the tile region it occupies and the physical ranges it reads and
+/// writes — the node of the runtime-side offload dataflow graph — and
+/// what its submitter gets back when it claims the command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmdRecord {
     /// Logical command id (`CimAccelerator::last_cmd`).
@@ -185,9 +187,24 @@ pub struct CmdRecord {
     pub reads: Vec<(u64, u64)>,
     /// Physical `(base, len)` ranges the command writes.
     pub writes: Vec<(u64, u64)>,
+    /// Serving tenant that submitted the command; `None` for the one
+    /// context of a private device.
+    pub owner: Option<TenantId>,
+    /// Runtime scratch (a batched call's descriptor table) the command
+    /// reads, freed by the context that claims it.
+    pub scratch: Option<DevPtr>,
 }
 
 impl CmdRecord {
+    /// Whether any range the command reads or writes overlaps
+    /// `[pa, pa + len)` — the test an observation point applies. Empty
+    /// ranges observe no bytes and overlap nothing, so a zero-length
+    /// query at an interior point of an operand does not claim the
+    /// command.
+    pub fn touches(&self, pa: u64, len: u64) -> bool {
+        self.reads.iter().chain(&self.writes).any(|&r| crate::ranges::overlaps((pa, len), r))
+    }
+
     /// Whether a command on `region` touching `reads`/`writes` must wait
     /// for this one: they share tiles (physical crossbars), or the
     /// newcomer writes something this command touches, or reads
@@ -308,14 +325,20 @@ impl Reactor {
     /// Returns the rejected record when the ring is full — the caller
     /// must stall (queue-full backpressure) and poll until
     /// [`Reactor::can_submit`] holds.
-    pub fn submit(&mut self, rec: CmdRecord) -> Result<u64, CmdRecord> {
-        self.sq.push(SqEntry { rec, posted: false }).map_err(|e| e.rec)
+    pub fn submit(&mut self, rec: CmdRecord) -> Result<u64, Box<CmdRecord>> {
+        self.sq.push(SqEntry { rec, posted: false }).map_err(|e| Box::new(e.rec))
     }
 
-    /// Every command not yet claimed: in flight in the submission ring,
-    /// or delivered and waiting for its sync.
-    fn unsynced(&self) -> impl Iterator<Item = &CmdRecord> {
+    /// Every command not yet claimed: in flight in the submission ring
+    /// (in submission order), then delivered and waiting for its sync
+    /// (by command id).
+    pub fn unsynced(&self) -> impl Iterator<Item = &CmdRecord> {
         self.sq.iter().map(|(_, e)| &e.rec).chain(self.delivered.values())
+    }
+
+    /// The unclaimed record of `cmd_id`, in flight or delivered.
+    pub fn record(&self, cmd_id: u64) -> Option<&CmdRecord> {
+        self.unsynced().find(|rec| rec.cmd_id == cmd_id)
     }
 
     /// Earliest time a command occupying `region` and touching
@@ -401,10 +424,11 @@ impl Reactor {
         }
     }
 
-    /// Claims a delivered completion: `true` exactly once per command,
-    /// after its doorbell was swept by some [`Reactor::poll`].
-    pub fn claim(&mut self, cmd_id: u64) -> bool {
-        self.delivered.remove(&cmd_id).is_some()
+    /// Claims a delivered completion, handing back its record — exactly
+    /// once per command, after its doorbell was swept by some
+    /// [`Reactor::poll`].
+    pub fn claim(&mut self, cmd_id: u64) -> Option<CmdRecord> {
+        self.delivered.remove(&cmd_id)
     }
 
     /// `true` while `cmd_id`'s doorbell is delivered but unclaimed.
@@ -489,8 +513,8 @@ mod tests {
 
     #[test]
     fn ring_iter_after_many_take_only_laps() {
-        // Submission-ring usage: slots free with `take`, never `pop`, so
-        // `head` stays 0 while `tail` laps the ring many times.
+        // Submission-ring usage: slots free with `take`, never `pop`,
+        // while `tail` laps the ring many times.
         let mut r = RingBuffer::new(4);
         let mut live = std::collections::BTreeSet::new();
         for seq in 0u64..400 {
@@ -508,6 +532,9 @@ mod tests {
             let got: Vec<(u64, u64)> = r.iter().map(|(s, v)| (s, *v)).collect();
             let want: Vec<(u64, u64)> = live.iter().map(|&s| (s, s)).collect();
             assert_eq!(got, want, "after seq {seq}");
+            // The walk starts at the oldest live entry, not at a slot
+            // freed long ago.
+            assert_eq!(r.head, live.first().copied().unwrap_or(r.tail), "after seq {seq}");
         }
         assert_eq!(r.len(), live.len());
     }
@@ -520,6 +547,8 @@ mod tests {
             region: GridRegion::full((1, 1)),
             reads: Vec::new(),
             writes: Vec::new(),
+            owner: None,
+            scratch: None,
         }
     }
 
@@ -531,11 +560,11 @@ mod tests {
         }
         assert_eq!(r.poll(SimTime::from_ns(5.0)), 0, "nothing due yet");
         assert_eq!(r.poll(SimTime::from_ns(25.0)), 2);
-        assert!(r.claim(0) && r.claim(1));
-        assert!(!r.claim(0), "claim is once-only");
+        assert!(r.claim(0).is_some() && r.claim(1).is_some());
+        assert!(r.claim(0).is_none(), "claim is once-only");
         assert_eq!(r.poll(SimTime::from_ns(25.0)), 0, "no doorbell re-delivered");
         assert_eq!(r.poll(SimTime::from_ns(30.0)), 1);
-        assert!(r.claim(2));
+        assert!(r.claim(2).is_some());
         assert_eq!(r.in_flight(), 0);
     }
 
@@ -570,7 +599,7 @@ mod tests {
         // doorbell is lost.
         assert_eq!(r.poll(SimTime::from_ns(10.0)), 4);
         assert_eq!(r.in_flight(), 0);
-        assert!((0..4).all(|i| r.claim(i)));
+        assert!((0..4).all(|i| r.claim(i).is_some()));
     }
 
     #[test]
@@ -583,18 +612,18 @@ mod tests {
         // DMA channels): delivered in ready_at order.
         assert_eq!(r.poll(SimTime::from_ns(25.0)), 2);
         assert!(r.is_delivered(1) && r.is_delivered(2) && !r.is_delivered(0));
-        assert!(r.claim(1) && r.claim(2));
+        assert!(r.claim(1).is_some() && r.claim(2).is_some());
         // Only one entry is live, yet the ring is full for the *next*
         // push: seq 3 maps to the slot the laggard seq 0 still pins.
         assert!(!r.can_submit());
         assert_eq!(r.submit(rec(3, 40.0)).unwrap_err().cmd_id, 3);
         assert_eq!(r.blocking_ready_at(), Some(SimTime::from_ns(30.0)));
         assert_eq!(r.poll(SimTime::from_ns(30.0)), 1);
-        assert!(r.claim(0));
+        assert!(r.claim(0).is_some());
         r.submit(rec(3, 40.0)).unwrap();
         r.submit(rec(4, 40.0)).unwrap();
         assert_eq!(r.poll(SimTime::from_ns(40.0)), 2);
-        assert!(r.claim(3) && r.claim(4));
+        assert!(r.claim(3).is_some() && r.claim(4).is_some());
         assert_eq!(r.in_flight(), 0);
     }
 

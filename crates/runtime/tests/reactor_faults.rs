@@ -18,6 +18,8 @@ fn rec(cmd_id: u64, ready_ns: f64) -> CmdRecord {
         region: GridRegion::full((1, 1)),
         reads: Vec::new(),
         writes: Vec::new(),
+        owner: None,
+        scratch: None,
     }
 }
 
@@ -36,16 +38,16 @@ fn stream_through(cap: usize, total: u64) -> Vec<u64> {
             // Claim everything delivered so the freed doorbells cannot
             // mask a lost or duplicated completion later.
             for cand in 0..total {
-                if r.claim(cand) {
+                if r.claim(cand).is_some() {
                     claimed.push(cand);
                 }
             }
-            record = back;
+            record = *back;
         }
     }
     r.poll(SimTime::from_ns(10.0 * (total + 1) as f64));
     for cand in 0..total {
-        if r.claim(cand) {
+        if r.claim(cand).is_some() {
             claimed.push(cand);
         }
     }
@@ -78,7 +80,7 @@ fn exact_fit_never_stalls_and_off_by_one_does() {
     assert_eq!(r.poll(SimTime::from_ns(10.0)), 4);
     r.submit(rec(4, 20.0)).expect("delivery freed the pinned slot");
     assert_eq!(r.poll(SimTime::from_ns(20.0)), 1);
-    assert!((0..5).all(|id| r.claim(id)), "all five delivered exactly once");
+    assert!((0..5).all(|id| r.claim(id).is_some()), "all five delivered exactly once");
 }
 
 #[test]
@@ -92,8 +94,8 @@ fn completion_before_poll_is_preserved_not_lost() {
     assert!(r.is_delivered(0));
     // Polling again re-delivers nothing.
     assert_eq!(r.poll(SimTime::from_ns(1000.0)), 0);
-    assert!(r.claim(0));
-    assert!(!r.claim(0), "a claimed doorbell is gone");
+    assert!(r.claim(0).is_some());
+    assert!(r.claim(0).is_none(), "a claimed doorbell is gone");
 }
 
 #[test]
@@ -119,7 +121,7 @@ fn out_of_order_retirement_across_channels_keeps_fifo_slots() {
         assert_eq!(r.unclaimed(), before + 1, "one retirement per window");
     }
     assert_eq!(order, vec![1, 3, 4, 2, 0], "delivery follows retirement order");
-    assert!((0..5).all(|id| r.claim(id)));
+    assert!((0..5).all(|id| r.claim(id).is_some()));
     assert_eq!(r.in_flight(), 0);
 }
 
@@ -138,7 +140,7 @@ fn full_completion_ring_defers_doorbells_without_losing_any() {
     // deferred doorbells land on the retries within one poll call.
     assert_eq!(r.poll(SimTime::from_ns(10.0)), 6);
     assert_eq!(r.completions_posted(), 6);
-    assert!((0..6).all(|id| r.claim(id)), "no deferred doorbell was lost");
+    assert!((0..6).all(|id| r.claim(id).is_some()), "no deferred doorbell was lost");
     assert!(r.cq_deferrals() >= 4, "deferrals were counted");
 }
 

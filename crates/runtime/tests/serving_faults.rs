@@ -86,6 +86,7 @@ fn disconnect_mid_flight_reclaims_lease_without_losing_doorbells() {
     // the way out, everything it allocated is released, its lease gone.
     server.disconnect(&mut mach, leaver).expect("disconnect");
     assert_eq!(server.lease_of(leaver_tid), None, "lease reclaimed");
+    assert_eq!(survivor.pending_commands(), 3, "the leaver claimed only its own commands");
 
     // A late joiner picks up the freed region rather than doubling up.
     let mut joiner = server.connect(TenantConfig::default());

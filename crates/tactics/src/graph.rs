@@ -5,7 +5,8 @@
 //! and every `polly_cimDevToHost` sits at the point of production. This
 //! module rebuilds the translation unit's top-level statement sequence
 //! as a dependency graph — nodes are runtime calls and host statements,
-//! edges are array read/write dependences — and runs two passes over it:
+//! edges are array read/write dependences — and provides the rewrites
+//! the pipeline's graph passes ([`crate::pass_manager`]) run over it:
 //!
 //! 1. **Sync hoisting** ([`OffloadGraph::hoist_syncs`]): each
 //!    `polly_cimDevToHost` is *sunk* past subsequent statements that do
@@ -14,50 +15,25 @@
 //!    moving it later widens the window in which independent host code
 //!    (and further kernel submissions) overlap the accelerator — for
 //!    *chains* of kernels, not just streams.
-//! 2. **Residency placement** ([`OffloadGraph::place_residency`]):
-//!    redundant `polly_cimHostToDev` syncs — those whose array the host
-//!    provably has not written since its previous sync — are elided, and
-//!    stationary operands reused by consecutive kernels inside such a
-//!    clean window get a `polly_cimPin` call before their first use. The
-//!    runtime routes pinned kernels to a stable tile region where the
-//!    engine's residency skips the install DMA and row programming.
+//! 2. **Sync elision** ([`OffloadGraph::elide_syncs`]): redundant
+//!    `polly_cimHostToDev` syncs — those whose array the host provably
+//!    has not written since its previous sync — are removed.
+//! 3. **Pin insertion** ([`OffloadGraph::pin_candidates`],
+//!    [`OffloadGraph::insert_pins`]): stationary operands reused by
+//!    consecutive kernels inside such a clean window are the candidates
+//!    the capacity-aware placement pass scores; each accepted one gets a
+//!    `polly_cimPin` call before its first use. The runtime routes
+//!    pinned kernels to a stable tile region where the engine's
+//!    residency skips the install DMA and row programming.
 //!
-//! Both passes are value-preserving by construction: the coherence calls
-//! move or disappear only where the cache traffic they model is
+//! Every rewrite is value-preserving by construction: the coherence
+//! calls move or disappear only where the cache traffic they model is
 //! provably redundant, and kernel order never changes — so every
 //! schedule stays bit-for-bit identical to the conservative one, which
 //! the equivalence tests pin.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use tdo_ir::{ArrayId, CallArg, CallStmt, Expr, Program, Stmt};
-
-/// What the pass did to a translation unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataflowReport {
-    /// Top-level nodes in the graph.
-    pub nodes: usize,
-    /// `polly_cimDevToHost` calls sunk past at least one independent
-    /// statement.
-    pub hoisted_syncs: usize,
-    /// Total statements crossed by the sunk syncs.
-    pub hoist_distance: usize,
-    /// Redundant `polly_cimHostToDev` calls removed.
-    pub elided_syncs: usize,
-    /// `polly_cimPin` calls inserted for reused stationary operands.
-    pub pins: usize,
-}
-
-impl fmt::Display for DataflowReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "offload dataflow: {} nodes, {} d2h sync(s) hoisted (distance {}), \
-             {} redundant h2d sync(s) elided, {} operand(s) pinned",
-            self.nodes, self.hoisted_syncs, self.hoist_distance, self.elided_syncs, self.pins
-        )
-    }
-}
 
 /// Node classification, as far as the passes care.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +68,6 @@ impl Node {
 #[derive(Debug, Clone)]
 pub struct OffloadGraph {
     nodes: Vec<Node>,
-    report: DataflowReport,
 }
 
 /// A stationary operand reused by consecutive kernels inside one
@@ -256,22 +231,19 @@ fn classify(stmt: &Stmt) -> Node {
 
 impl OffloadGraph {
     /// Builds the graph over a program's top-level statement sequence.
+    /// Nested runtime calls (inside compiler-tiled loops) stay inside
+    /// their statement — the graph is conservative about anything it
+    /// cannot order statically.
     pub fn build(prog: &Program) -> OffloadGraph {
-        let nodes: Vec<Node> = prog.body.iter().map(classify).collect();
-        let report = DataflowReport { nodes: nodes.len(), ..DataflowReport::default() };
-        OffloadGraph { nodes, report }
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> DataflowReport {
-        self.report
+        OffloadGraph { nodes: prog.body.iter().map(classify).collect() }
     }
 
     /// Sinks every `polly_cimDevToHost` past subsequent statements that
     /// do not touch its array — widening the async overlap window — and
-    /// returns how many moved.
-    pub fn hoist_syncs(&mut self) -> usize {
+    /// returns how many moved and the total statements they crossed.
+    pub fn hoist_syncs(&mut self) -> (usize, usize) {
         let mut moved = 0;
+        let mut distance = 0;
         // Back to front, so sinking one sync cannot starve an earlier
         // one of its own sink window.
         for i in (0..self.nodes.len()).rev() {
@@ -284,11 +256,10 @@ impl OffloadGraph {
                 let node = self.nodes.remove(i);
                 self.nodes.insert(i + dist, node);
                 moved += 1;
-                self.report.hoist_distance += dist;
+                distance += dist;
             }
         }
-        self.report.hoisted_syncs += moved;
-        moved
+        (moved, distance)
     }
 
     /// Elides coherence syncs for arrays the host has not written since
@@ -336,7 +307,6 @@ impl OffloadGraph {
             }
         }
         self.nodes = kept;
-        self.report.elided_syncs += elided;
         elided
     }
 
@@ -398,20 +368,7 @@ impl OffloadGraph {
             });
             self.nodes.insert(idx + offset, classify(&stmt));
         }
-        let pins = pin_at.len();
-        self.report.pins += pins;
-        pins
-    }
-
-    /// Elides coherence syncs for arrays the host has not written since
-    /// their previous sync, and pins every stationary operand reused by
-    /// consecutive kernels inside such a clean window — the
-    /// capacity-oblivious legacy pass. Returns `(elided, pins)`.
-    pub fn place_residency(&mut self) -> (usize, usize) {
-        let elided = self.elide_syncs();
-        let candidates = self.pin_candidates();
-        let pins = self.insert_pins(&candidates);
-        (elided, pins)
+        pin_at.len()
     }
 
     /// The optimized statement sequence.
@@ -420,35 +377,39 @@ impl OffloadGraph {
     }
 }
 
-/// Runs both graph passes over a compiled program's top-level schedule,
-/// returning the optimized program and a report. Nested runtime calls
-/// (inside compiler-tiled loops) are left untouched — the graph is
-/// conservative about anything it cannot order statically.
-pub fn optimize_offload_schedule(prog: &Program) -> (Program, DataflowReport) {
-    let mut graph = OffloadGraph::build(prog);
-    graph.hoist_syncs();
-    graph.place_residency();
-    let report = graph.report();
-    let mut out = prog.clone();
-    out.body = graph.into_body();
-    (out, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pass::{LoopTactics, TacticsConfig};
+    use crate::pass::TacticsConfig;
+    use crate::pass_manager::{PassCtx, PassId, PassManager, PassReport};
     use tdo_ir::interp::{run, PureBackend};
     use tdo_ir::printer::print_program;
     use tdo_lang::compile;
-    use tdo_poly::codegen::rebuild_program;
     use tdo_poly::scop::extract;
 
-    fn offload(src: &str, cfg: TacticsConfig) -> Program {
+    /// Compiles `src` through the pass list `ids`, returning the
+    /// rewritten program and one report per pass.
+    fn pipeline(src: &str, cfg: &TacticsConfig, ids: &[PassId]) -> (Program, Vec<PassReport>) {
         let prog = compile(src).expect("compiles");
         let scop = extract(&prog).expect("affine");
-        let (tree, _) = LoopTactics::new(cfg).run(&prog, &scop);
-        rebuild_program(&prog, &scop, &tree)
+        let mut ctx = PassCtx::new(&prog, Some(&scop), cfg);
+        let reports = PassManager::from_ids(ids).run(&mut ctx);
+        (ctx.prog, reports)
+    }
+
+    /// The conservative schedule: detection and lowering only.
+    fn offload(src: &str, cfg: &TacticsConfig) -> Program {
+        pipeline(src, cfg, &[PassId::DetectOffload]).0
+    }
+
+    /// The schedule the default pipeline ships, with its pass reports.
+    fn optimize(src: &str, cfg: &TacticsConfig) -> (Program, Vec<PassReport>) {
+        pipeline(src, cfg, PassId::all())
+    }
+
+    /// A counter summed over a pipeline's pass reports.
+    fn counter(reports: &[PassReport], key: &str) -> u64 {
+        reports.iter().map(|r| r.counter(key)).sum()
     }
 
     /// Two GEMMs sharing A and B, with unrelated host code after each
@@ -476,18 +437,18 @@ mod tests {
 
     #[test]
     fn redundant_h2d_elided_and_shared_a_pinned() {
-        let prog = offload(SHARED_A, unfused());
+        let prog = offload(SHARED_A, &unfused());
         let before = print_program(&prog);
         assert_eq!(before.matches("polly_cimHostToDev(cim_A)").count(), 2);
-        let (opt, report) = optimize_offload_schedule(&prog);
+        let (opt, reports) = optimize(SHARED_A, &unfused());
         let text = print_program(&opt);
         // Second h2d of A and B (and the never-host-written C/D reloads)
         // are gone; A — reused as the stationary operand — is pinned.
         assert_eq!(text.matches("polly_cimHostToDev(cim_A)").count(), 1, "{text}");
         assert_eq!(text.matches("polly_cimHostToDev(cim_B)").count(), 1, "{text}");
         assert_eq!(text.matches("polly_cimPin(cim_A)").count(), 1, "{text}");
-        assert!(report.elided_syncs >= 2, "{report}");
-        assert_eq!(report.pins, 1, "{report}");
+        assert!(counter(&reports, "elided_syncs") >= 2, "{reports:?}");
+        assert_eq!(counter(&reports, "pins"), 1, "{reports:?}");
         // The pin precedes the first kernel.
         let pin = text.find("polly_cimPin(cim_A)").expect("pin");
         let first_gemm = text.find("polly_cimBlasSGemm").expect("gemm");
@@ -496,9 +457,8 @@ mod tests {
 
     #[test]
     fn d2h_sinks_past_independent_statements_only() {
-        let prog = offload(SHARED_A, unfused());
-        let (opt, report) = optimize_offload_schedule(&prog);
-        assert!(report.hoisted_syncs >= 1, "{report}");
+        let (opt, reports) = optimize(SHARED_A, &unfused());
+        assert!(counter(&reports, "hoisted_syncs") >= 1, "{reports:?}");
         let text = print_program(&opt);
         // d2h(C) sank past the D kernel (independent of C) — the D
         // kernel call now precedes it.
@@ -510,8 +470,8 @@ mod tests {
     #[test]
     fn optimized_schedule_is_semantically_identical() {
         for cfg in [TacticsConfig::default(), unfused()] {
-            let prog = offload(SHARED_A, cfg);
-            let (opt, _) = optimize_offload_schedule(&prog);
+            let prog = offload(SHARED_A, &cfg);
+            let (opt, _) = optimize(SHARED_A, &cfg);
             let init = |p: &Program, be: &mut PureBackend| {
                 for (i, d) in p.arrays.iter().enumerate() {
                     let data: Vec<f32> =
@@ -547,9 +507,8 @@ mod tests {
                   C[i][j] = C[i][j] * 2.0;
             }
         "#;
-        let prog = offload(src, TacticsConfig::default());
-        let (opt, report) = optimize_offload_schedule(&prog);
-        assert_eq!(report.hoisted_syncs, 0, "{report}");
+        let (opt, reports) = optimize(src, &TacticsConfig::default());
+        assert_eq!(counter(&reports, "hoisted_syncs"), 0, "{reports:?}");
         let text = print_program(&opt);
         let d2h = text.find("polly_cimDevToHost(cim_C)").expect("d2h");
         let host = text.find("* 2.0").expect("host consumer");
@@ -577,12 +536,11 @@ mod tests {
                     D[i][j] += A[i][k] * B[k][j];
             }
         "#;
-        let prog = offload(src, unfused());
-        let (opt, report) = optimize_offload_schedule(&prog);
+        let (opt, reports) = optimize(src, &unfused());
         let text = print_program(&opt);
         assert_eq!(text.matches("polly_cimHostToDev(cim_A)").count(), 2, "{text}");
         assert!(!text.contains("polly_cimPin(cim_A)"), "{text}");
-        assert_eq!(report.pins, 0);
+        assert_eq!(counter(&reports, "pins"), 0);
     }
 
     #[test]
@@ -603,8 +561,7 @@ mod tests {
                     Y[i][j] += H[i][k] * W2[k][j];
             }
         "#;
-        let prog = offload(src, unfused());
-        let (_, report) = optimize_offload_schedule(&prog);
-        assert_eq!(report.pins, 0, "{report}");
+        let (_, reports) = optimize(src, &unfused());
+        assert_eq!(counter(&reports, "pins"), 0, "{reports:?}");
     }
 }

@@ -48,7 +48,7 @@ pub mod pass;
 pub mod pass_manager;
 pub mod policy;
 
-pub use graph::{optimize_offload_schedule, DataflowReport, OffloadGraph, PinCandidate};
+pub use graph::{OffloadGraph, PinCandidate};
 pub use kernels::{ConvDesc, GemmDesc, GemvDesc, MatchedKernel};
 pub use pass::{KernelReport, LoopTactics, OffloadReport, TacticsConfig};
 pub use pass_manager::{

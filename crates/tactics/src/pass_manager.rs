@@ -146,8 +146,6 @@ impl<'a> PassCtx<'a> {
 pub trait CompilerPass {
     /// Stable pass name (used in reports and ablation flags).
     fn name(&self) -> &'static str;
-    /// One-line description of what the pass does.
-    fn description(&self) -> &'static str;
     /// Transforms `ctx.prog` in place and reports what changed.
     fn run(&self, ctx: &mut PassCtx) -> PassReport;
 }
@@ -176,17 +174,6 @@ impl PassManager {
         PassManager { passes: ids.iter().map(|id| id.instantiate()).collect() }
     }
 
-    /// The legacy pipeline: detection and lowering only, conservative
-    /// point-wise schedule.
-    pub fn detect_only() -> Self {
-        PassManager::from_ids(&[PassId::DetectOffload])
-    }
-
-    /// Appends a custom pass to the end of the list.
-    pub fn push(&mut self, pass: Box<dyn CompilerPass>) {
-        self.passes.push(pass);
-    }
-
     /// The names of the configured passes, in order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
@@ -210,10 +197,6 @@ pub struct DetectOffloadPass;
 impl CompilerPass for DetectOffloadPass {
     fn name(&self) -> &'static str {
         "detect-offload"
-    }
-
-    fn description(&self) -> &'static str {
-        "match GEMM/GEMV/conv kernels on the schedule tree, fuse, and lower to runtime calls"
     }
 
     fn run(&self, ctx: &mut PassCtx) -> PassReport {
@@ -250,24 +233,18 @@ impl CompilerPass for SyncHoistPass {
         "sync-hoist"
     }
 
-    fn description(&self) -> &'static str {
-        "sink d2h syncs past independent statements to widen the async overlap window"
-    }
-
     fn run(&self, ctx: &mut PassCtx) -> PassReport {
         if !ctx.any_offloaded() {
             return untouched(self.name(), "nothing offloaded");
         }
         let mut graph = OffloadGraph::build(&ctx.prog);
-        let moved = graph.hoist_syncs();
-        let r = graph.report();
+        let (moved, distance) = graph.hoist_syncs();
         ctx.prog.body = graph.into_body();
         let mut report = PassReport::new(self.name());
         report.changed = moved > 0;
-        report.summary =
-            format!("{} d2h sync(s) sunk, total distance {}", r.hoisted_syncs, r.hoist_distance);
-        report.count("hoisted_syncs", r.hoisted_syncs as u64);
-        report.count("hoist_distance", r.hoist_distance as u64);
+        report.summary = format!("{moved} d2h sync(s) sunk, total distance {distance}");
+        report.count("hoisted_syncs", moved as u64);
+        report.count("hoist_distance", distance as u64);
         report
     }
 }
@@ -280,10 +257,6 @@ pub struct ElideSyncsPass;
 impl CompilerPass for ElideSyncsPass {
     fn name(&self) -> &'static str {
         "elide-syncs"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove h2d coherence syncs for arrays the host has not written since their last sync"
     }
 
     fn run(&self, ctx: &mut PassCtx) -> PassReport {
@@ -383,10 +356,6 @@ pub struct PinPlacementPass;
 impl CompilerPass for PinPlacementPass {
     fn name(&self) -> &'static str {
         "pin-placement"
-    }
-
-    fn description(&self) -> &'static str {
-        "pin reused stationary operands up to the tile grid's capacity, spilling the least valuable"
     }
 
     fn run(&self, ctx: &mut PassCtx) -> PassReport {
