@@ -6,6 +6,7 @@
 //! *uncacheable* accesses, which — after the driver's flush — keeps the
 //! shared region coherent without hardware snooping (Section II-E).
 
+use cim_machine::mem::PhysMem;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
 
@@ -72,31 +73,18 @@ impl DmaEngine {
         self.burst(mach, (out.len() * 4) as u64, true)
     }
 
-    /// Reads a *strided* sequence: `count` f32s spaced `stride_elems`
-    /// apart (used to gather a matrix column). One burst per element group
-    /// is pessimistic, so this is modelled as a single burst of the
-    /// gathered payload plus one setup.
-    pub fn read_f32s_strided(
-        &mut self,
-        mach: &mut Machine,
-        pa: u64,
-        count: usize,
-        stride_elems: usize,
-        out: &mut [f32],
-    ) -> SimTime {
-        assert!(out.len() >= count, "output buffer too small");
-        let out = &mut out[..count];
-        if stride_elems == 1 {
-            mach.mem.read_f32_slice(pa, out);
-        } else {
-            mach.mem.read_f32_strided(pa, 4 * stride_elems as i64, out);
-        }
+    /// Charges the burst of a strided read of `count` f32s (a matrix
+    /// column) whose data [`read_block`] already moved. One burst per
+    /// element group is pessimistic, so the read is modelled as a single
+    /// burst of the gathered payload plus one setup. Returns the burst
+    /// time.
+    pub(crate) fn charge_read(&mut self, mach: &mut Machine, count: usize) -> SimTime {
         self.burst(mach, (count * 4) as u64, true)
     }
 
     /// Gathers the `rows x cols` block at `pa` (row stride `ld` elements)
     /// *transposed*, `out[c * rows + r] = block[r][c]`: what `cols`
-    /// column reads through [`DmaEngine::read_f32s_strided`] deliver.
+    /// strided column reads deliver.
     /// Memory is read row by row in contiguous runs (one run when the
     /// rows abut) and transposed in host memory; the bus is charged
     /// those column reads' bursts, one of `rows * 4` bytes per column in
@@ -116,15 +104,7 @@ impl DmaEngine {
             self.staging.resize(n, 0.0);
         }
         let staging = &mut self.staging[..n];
-        if ld == cols {
-            // The rows abut: the block is one contiguous run.
-            mach.mem.read_f32_slice(pa, staging);
-        } else {
-            for r in 0..rows {
-                let row = &mut staging[r * cols..(r + 1) * cols];
-                mach.mem.read_f32_slice(pa + (4 * r * ld) as u64, row);
-            }
-        }
+        read_block(&mut mach.mem, pa, rows, cols, ld, staging);
         transpose(staging, rows, cols, &mut out[..n]);
         let mut t = SimTime::ZERO;
         for _ in 0..cols {
@@ -149,6 +129,53 @@ impl DmaEngine {
             .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
             .collect();
         (vals, self.burst(mach, bytes, true))
+    }
+}
+
+/// Reads the `rows x cols` block at `pa` (row stride `ld` elements)
+/// row-major into `out[..rows * cols]`, charging no burst: one contiguous
+/// run when the rows abut, one strided run for a single column, else one
+/// contiguous run per row.
+pub(crate) fn read_block(
+    mem: &mut PhysMem,
+    pa: u64,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+    out: &mut [f32],
+) {
+    let out = &mut out[..rows * cols];
+    if ld == cols {
+        mem.read_f32_slice(pa, out);
+    } else if cols == 1 {
+        mem.read_f32_strided(pa, 4 * ld as i64, out);
+    } else {
+        for (r, row) in out.chunks_exact_mut(cols).enumerate() {
+            mem.read_f32_slice(pa + (4 * r * ld) as u64, row);
+        }
+    }
+}
+
+/// Writes `data` row-major as the `rows x cols` block at `pa` (row stride
+/// `ld` elements), charging no burst; the store-side dual of
+/// [`read_block`].
+pub(crate) fn write_block(
+    mem: &mut PhysMem,
+    pa: u64,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+    data: &[f32],
+) {
+    let data = &data[..rows * cols];
+    if ld == cols {
+        mem.write_f32_slice(pa, data);
+    } else if cols == 1 {
+        mem.write_f32_strided(pa, 4 * ld as i64, data);
+    } else {
+        for (r, row) in data.chunks_exact(cols).enumerate() {
+            mem.write_f32_slice(pa + (4 * r * ld) as u64, row);
+        }
     }
 }
 
@@ -212,12 +239,14 @@ mod tests {
     #[test]
     fn strided_read_gathers_column() {
         let (mut m, mut dma, pa) = setup();
-        // 4x4 row-major matrix; gather column 1.
+        // 4x4 row-major matrix; gather column 1, one burst.
         let mat: Vec<f32> = (0..16).map(|i| i as f32).collect();
         dma.write_f32s(&mut m, pa, &mat);
         let mut col = [0f32; 4];
-        dma.read_f32s_strided(&mut m, pa + 4, 4, 4, &mut col);
+        read_block(&mut m.mem, pa + 4, 4, 1, 4, &mut col);
+        dma.charge_read(&mut m, 4);
         assert_eq!(col, [1.0, 5.0, 9.0, 13.0]);
+        assert_eq!(dma.stats().bytes_in, 16);
     }
 
     #[test]
@@ -271,10 +300,17 @@ mod tests {
 
         /// `data` stored contiguously, one burst.
         fn write(&mut self, m: &mut Machine, pa: u64, data: &[f32]) {
-            for (i, v) in data.iter().enumerate() {
-                m.uncached_write(pa + 4 * i as u64, &v.to_le_bytes());
-            }
+            self.write_block(m, pa, data.len(), data.len(), data);
             self.burst(m, (data.len() * 4) as u64, false);
+        }
+
+        /// `data` stored row-major as a `cols`-wide block with row stride
+        /// `ld`, no burst.
+        fn write_block(&mut self, m: &mut Machine, pa: u64, cols: usize, ld: usize, data: &[f32]) {
+            for (i, v) in data.iter().enumerate() {
+                let at = pa + (4 * ((i / cols) * ld + i % cols)) as u64;
+                m.uncached_write(at, &v.to_le_bytes());
+            }
         }
     }
 
@@ -303,10 +339,11 @@ mod tests {
 
         /// Each bulk path moves the same bits as the per-element
         /// reference and leaves identical memory, bus and DMA counters
-        /// (burst times compared by bits), for `rows x cols` blocks with
-        /// leading dimension `ld >= cols` whose base sits `back` bytes
-        /// before a frame boundary: 4-aligned or not, straddling frames,
-        /// over frames that were never written.
+        /// (burst times compared by bits), the engine's block reads and
+        /// writes with their per-column charges included, for
+        /// `rows x cols` blocks with leading dimension `ld >= cols` whose
+        /// base sits `back` bytes before a frame boundary: 4-aligned or
+        /// not, straddling frames, over frames that were never written.
         #[test]
         fn bulk_paths_match_per_element_reference(
             rows in 1usize..25,
@@ -339,7 +376,8 @@ mod tests {
             // path) and a contiguous read.
             for stride in [ld, 1] {
                 let (mut got, mut want) = (vec![0f32; rows], vec![0f32; rows]);
-                dma.read_f32s_strided(&mut bulk, base, rows, stride, &mut got);
+                read_block(&mut bulk.mem, base, rows, 1, stride, &mut got);
+                dma.charge_read(&mut bulk, rows);
                 reference.read_column(&mut per_elem, base, stride, &mut want);
                 prop_assert_eq!(bits(&got), bits(&want));
             }
@@ -352,6 +390,24 @@ mod tests {
             let data: Vec<f32> = (0..n).map(|i| pool[i % pool.len()]).collect();
             dma.write_f32s(&mut bulk, base, &data);
             reference.write(&mut per_elem, base, &data);
+
+            // The engine's panel path: the block read row-major with one
+            // charged read per column, then written back with no burst.
+            let (mut got, mut col) = (vec![0f32; n], vec![0f32; rows]);
+            read_block(&mut bulk.mem, base, rows, cols, ld, &mut got);
+            let mut want = vec![0f32; n];
+            for c in 0..cols {
+                let t = dma.charge_read(&mut bulk, rows);
+                let t_ref = reference.read_column(&mut per_elem, base + 4 * c as u64, ld, &mut col);
+                prop_assert_eq!(t.as_ns().to_bits(), t_ref.as_ns().to_bits());
+                for (r, v) in col.iter().enumerate() {
+                    want[r * cols + c] = *v;
+                }
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+            let data: Vec<f32> = (0..n).map(|i| pool[(3 * i + 1) % pool.len()]).collect();
+            write_block(&mut bulk.mem, base, rows, cols, ld, &data);
+            reference.write_block(&mut per_elem, base, cols, ld, &data);
 
             prop_assert_eq!(bulk.mem.stats(), per_elem.mem.stats());
             prop_assert_eq!(bulk.bus.stats(), per_elem.bus.stats());

@@ -29,6 +29,7 @@
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
 
+use crate::dma::{read_block, write_block};
 use crate::estimate::{close_command, conv_geometry, walk_batch, walk_conv, walk_gemm, Step};
 use crate::shard::{partition_grid, GridRegion};
 use crate::tile::TileKey;
@@ -202,6 +203,24 @@ fn batch_is_independent(params: &[GemmParams]) -> bool {
     true
 }
 
+/// Most columns of `B` one panel holds.
+const PANEL: usize = 16;
+
+/// Columns per panel for `p`: up to [`PANEL`], or one when `B` and `C`
+/// overlap. Column `j` must then read `B` after the `C` columns before
+/// it were written, as a one-column panel does.
+fn panel_width(p: &GemmParams) -> usize {
+    let end = |base: u64, rows: usize, ld: usize| {
+        base + operand_bytes(rows, p.n, ld).expect("a validated operand's extent fits")
+    };
+    let overlap = p.b < end(p.c, p.m, p.ldc) && p.c < end(p.b, p.k, p.ldb);
+    if overlap {
+        1
+    } else {
+        PANEL.min(p.n)
+    }
+}
+
 impl CimAccelerator {
     /// Executes a GEMM confined to `region` (the full grid for commands
     /// whose [`crate::regs::Reg::Region`] register is zero), returning
@@ -226,6 +245,12 @@ impl CimAccelerator {
     /// `B` streams through every tile, reduction lanes accumulate
     /// partial columns digitally, and each output lane reads, updates
     /// and writes its `C` segment once.
+    ///
+    /// The columns move and multiply in panels of [`panel_width`]
+    /// columns: each column charges its bursts, and the panel's last
+    /// column gathers the panel's `B` and `C` rows, runs one panel GEMV
+    /// per tile and writes `C` back. Every element of `C` gets the
+    /// column-by-column value, bit for bit.
     fn gemm_on_region(
         &mut self,
         mach: &mut Machine,
@@ -248,10 +273,11 @@ impl CimAccelerator {
         let (tr, tc, gm, generation) = (cfg.rows, cfg.cols, cfg.grid.1, *generation);
         let compute = cfg.energy.compute_time(1);
         let tile_at = |lane: (usize, usize)| lane.0 * gm + lane.1;
+        let width = panel_width(p);
         let mut g: Vec<f32> = Vec::new();
-        let mut x = vec![0f32; region.shape.0 * tr];
-        let mut cseg = vec![0f32; tc];
-        let mut y = vec![0f32; tc];
+        let mut x = vec![0f32; region.shape.0 * tr * width];
+        let mut cseg = vec![0f32; tc * width];
+        let mut y = vec![0f32; tc * width];
         let dims = (p.m, p.n, p.k);
         walk_gemm(cfg, bus_cfg, region, dims, p.beta == 0.0, stats, channel_busy, |step| {
             match step {
@@ -296,32 +322,22 @@ impl CimAccelerator {
                     );
                 }
                 Step::Column { wave, j, t, reads_c } => {
-                    // Stream column j of B: one segment per reduction
-                    // lane, broadcast along the output lanes.
+                    // Column j streams one B segment per reduction lane,
+                    // broadcast along the output lanes, and each output
+                    // lane reads its C segment: those bursts are charged
+                    // at every column, in stream order.
                     for ks in &wave.k_spans {
-                        let bbase = p.b + 4 * (ks.start * p.ldb + j) as u64;
-                        let seg = &mut x[ks.lane * tr..ks.lane * tr + ks.len];
-                        dma.read_f32s_strided(mach, bbase, ks.len, p.ldb, seg);
+                        dma.charge_read(mach, ks.len);
                     }
-                    for ms in &wave.m_spans {
-                        let cseg = &mut cseg[..ms.len];
-                        let cbase = p.c + 4 * (ms.start * p.ldc + j) as u64;
-                        if reads_c {
-                            dma.read_f32s_strided(mach, cbase, ms.len, p.ldc, cseg);
+                    if reads_c {
+                        for ms in &wave.m_spans {
+                            dma.charge_read(mach, ms.len);
                         }
-                        if wave.first_k {
-                            for c in cseg.iter_mut() {
-                                *c = if p.beta == 0.0 { 0.0 } else { p.beta * *c };
-                            }
-                        }
-                        for ks in &wave.k_spans {
-                            let lane = (region.origin.0 + ks.lane, region.origin.1 + ms.lane);
-                            let seg = &x[ks.lane * tr..ks.lane * tr + ks.len];
-                            tiles[tile_at(lane)].gemv_into(seg, &mut y[..ms.len]);
-                            for (c, yv) in cseg.iter_mut().zip(&y) {
-                                *c += p.alpha * yv;
-                            }
-                            if j < 2 {
+                    }
+                    if j < 2 {
+                        for ms in &wave.m_spans {
+                            for ks in &wave.k_spans {
+                                let lane = (region.origin.0 + ks.lane, region.origin.1 + ms.lane);
                                 timeline.push_on(
                                     EventKind::Compute,
                                     Some(lane),
@@ -332,9 +348,45 @@ impl CimAccelerator {
                                 );
                             }
                         }
-                        // Scatter back (strided store; the step model
-                        // charges its bus time, so no burst).
-                        mach.mem.write_f32_strided(cbase, 4 * p.ldc as i64, cseg);
+                    }
+                    // The data moves and multiplies at the panel's last
+                    // column, which every wave's last column is.
+                    let j0 = j - j % width;
+                    if j + 1 < (j0 + width).min(p.n) {
+                        return false;
+                    }
+                    let w = j + 1 - j0;
+                    for ks in &wave.k_spans {
+                        let bbase = p.b + 4 * (ks.start * p.ldb + j0) as u64;
+                        let seg = &mut x[ks.lane * tr * width..][..ks.len * w];
+                        read_block(&mut mach.mem, bbase, ks.len, w, p.ldb, seg);
+                    }
+                    for ms in &wave.m_spans {
+                        let cseg = &mut cseg[..ms.len * w];
+                        let cbase = p.c + 4 * (ms.start * p.ldc + j0) as u64;
+                        if reads_c {
+                            read_block(&mut mach.mem, cbase, ms.len, w, p.ldc, cseg);
+                        }
+                        if wave.first_k {
+                            for c in cseg.iter_mut() {
+                                *c = if p.beta == 0.0 { 0.0 } else { p.beta * *c };
+                            }
+                        }
+                        // Reduction lanes fold into C in K-span order.
+                        for ks in &wave.k_spans {
+                            let lane = (region.origin.0 + ks.lane, region.origin.1 + ms.lane);
+                            let seg = &x[ks.lane * tr * width..][..ks.len * w];
+                            let y = &mut y[..ms.len * w];
+                            tiles[tile_at(lane)].gemv_panel_into(seg, w, y);
+                            for (i, crow) in cseg.chunks_exact_mut(w).enumerate() {
+                                for (jj, c) in crow.iter_mut().enumerate() {
+                                    *c += p.alpha * y[jj * ms.len + i];
+                                }
+                            }
+                        }
+                        // Write back (the step model charges its bus
+                        // time, so no burst).
+                        write_block(&mut mach.mem, cbase, ms.len, w, p.ldc, cseg);
                     }
                 }
                 Step::Segment { .. } => {}

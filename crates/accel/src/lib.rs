@@ -795,6 +795,45 @@ mod tests {
     }
 
     #[test]
+    fn gemm_with_c_one_column_after_b_runs_column_by_column() {
+        // C starts one column after B with the same leading dimension, so
+        // writing column j of C rewrites column j + 1 of B: column j must
+        // read B after the C columns before it were written. A is a
+        // signed cyclic permutation and the data small integers, so every
+        // sum is exact in any order.
+        let (mut mach, mut acc) = setup(); // one 8x8 tile
+        let (m, n) = (8usize, 17usize);
+        let (alpha, beta) = (2.0f32, 1.0f32);
+        let sign = |r: usize| if r.is_multiple_of(3) { -1.0 } else { 1.0 };
+        let av: Vec<f32> =
+            (0..m * m).map(|i| if i % m == (i / m + 3) % m { sign(i / m) } else { 0.0 }).collect();
+        let init: Vec<f32> = (0..m * n + 1).map(|i| ((i * 5) % 7) as f32 - 3.0).collect();
+        let a = alloc_mat(&mut mach, &av);
+        let b = alloc_mat(&mut mach, &init);
+        arm_gemm(&mut acc, m, n, m, a, b, b + 4);
+        acc.pmio_write(Reg::Alpha, alpha.to_bits() as u64);
+        acc.pmio_write(Reg::Beta, beta.to_bits() as u64);
+        acc.execute(&mut mach);
+        assert_eq!(acc.regs().status(), Status::Done, "{:?}", acc.last_error());
+
+        // Column by column over the shared memory: B[r][j] = mem[r*n + j],
+        // C[i][j] = mem[i*n + j + 1].
+        let mut want = init;
+        for j in 0..n {
+            let col: Vec<f32> = (0..m)
+                .map(|i| {
+                    let dot: f32 = (0..m).map(|k| av[i * m + k] * want[k * n + j]).sum();
+                    beta * want[i * n + j + 1] + alpha * dot
+                })
+                .collect();
+            for (i, v) in col.into_iter().enumerate() {
+                want[i * n + j + 1] = v;
+            }
+        }
+        assert_eq!(read_mat(&mut mach, b, m * n + 1), want);
+    }
+
+    #[test]
     fn sharded_gemm_bit_identical_to_single_tile() {
         // 20x20 GEMM on 8x8 tiles: a 3x3 block grid over several shapes.
         let n = 20usize;

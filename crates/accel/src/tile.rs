@@ -190,35 +190,53 @@ impl CimTile {
     }
 
     /// Computes `out[c] = sum_r input[r] * G[r][c]` over the active
-    /// extent, overwriting `out`.
-    ///
-    /// The exact path multiplies the f32 shadow row by row (rows
-    /// ascending, zero inputs skipped); the int8 path runs the full
-    /// quantize / nibble-dot / ADC / recombine / dequantize chain.
+    /// extent, overwriting `out`: the one-column case of
+    /// [`CimTile::gemv_panel_into`].
     ///
     /// # Panics
     ///
     /// Panics if nothing is installed, or if `input.len()` or
     /// `out.len()` differs from the active input or output dimension.
     pub fn gemv_into(&self, input: &[f32], out: &mut [f32]) {
+        self.gemv_panel_into(input, 1, out);
+    }
+
+    /// Runs one GEMV per column of a panel of `width` input vectors,
+    /// overwriting `out`:
+    /// `out[j * out_dim + c] = sum_r input[r * width + j] * G[r][c]` over
+    /// the active `in_dim x out_dim` extent. The panel is row-major
+    /// (`in_dim` rows of `width` inputs), as a gather of `width` adjacent
+    /// columns of `B` delivers it; each output vector is contiguous.
+    ///
+    /// The exact path computes every output element in one order: rows
+    /// ascending, a zero input skipped, multiply then add (no fused
+    /// multiply-add). Each row of the shadow is read once per panel and
+    /// applied to every column of it. The int8 path runs each column
+    /// through the full quantize / nibble-dot / ADC / recombine /
+    /// dequantize chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is installed, if `width` is zero, or if
+    /// `input.len()` or `out.len()` differs from `width` times the active
+    /// input or output dimension.
+    pub fn gemv_panel_into(&self, input: &[f32], width: usize, out: &mut [f32]) {
         let (in_dim, out_dim) = self.active;
         assert!(self.resident.is_some(), "no operand installed");
-        assert_eq!(input.len(), in_dim, "input length mismatch");
-        assert_eq!(out.len(), out_dim, "output length mismatch");
+        assert!(width > 0, "empty panel");
+        assert_eq!(input.len(), in_dim * width, "input length mismatch");
+        assert_eq!(out.len(), out_dim * width, "output length mismatch");
         match self.fidelity {
-            Fidelity::Exact => {
-                out.fill(0.0);
-                for (r, x) in input.iter().enumerate() {
-                    if *x == 0.0 {
-                        continue;
+            Fidelity::Exact => panel_gemv(&self.shadow, self.cols, input, width, out_dim, out),
+            Fidelity::Int8 => {
+                let mut column = vec![0f32; in_dim];
+                for j in 0..width {
+                    for (r, x) in column.iter_mut().enumerate() {
+                        *x = input[r * width + j];
                     }
-                    let row = &self.shadow[r * self.cols..r * self.cols + out_dim];
-                    for (o, g) in out.iter_mut().zip(row) {
-                        *o += x * g;
-                    }
+                    self.gemv_int8(&column, &mut out[j * out_dim..(j + 1) * out_dim]);
                 }
             }
-            Fidelity::Int8 => self.gemv_int8(input, out),
         }
     }
 
@@ -269,6 +287,53 @@ impl CimTile {
     /// Wear of the most-written logical cell.
     pub fn max_cell_writes(&self) -> u64 {
         self.msb.wear().max_cell_writes
+    }
+}
+
+/// The exact panel GEMV of [`CimTile::gemv_panel_into`] over the shadow
+/// `g` (row stride `ld`): the AVX2 build of [`panel_gemv_body`] when the
+/// CPU has AVX2, the baseline build otherwise. Both compute the same
+/// bits; the wider vectors only run more output elements at once.
+fn panel_gemv(g: &[f32], ld: usize, x: &[f32], width: usize, out_dim: usize, out: &mut [f32]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, the only feature this build of
+        // the body assumes.
+        return unsafe { panel_gemv_avx2(g, ld, x, width, out_dim, out) };
+    }
+    panel_gemv_body(g, ld, x, width, out_dim, out);
+}
+
+/// [`panel_gemv_body`] compiled for AVX2. Only `avx2` is enabled, never
+/// `fma`, so each multiply and add still rounds on its own.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn panel_gemv_avx2(g: &[f32], ld: usize, x: &[f32], width: usize, out_dim: usize, out: &mut [f32]) {
+    panel_gemv_body(g, ld, x, width, out_dim, out);
+}
+
+/// `out[j * out_dim + c] = sum_r x[r * width + j] * g[r * ld + c]`, each
+/// element accumulated from zero over rows ascending, skipping a zero
+/// input, multiply then add. Row `r` of `g` is applied to all `width`
+/// columns before row `r + 1`; the inner loop runs along `c`, where the
+/// compiler vectorizes it without changing any element's order.
+#[inline(always)]
+fn panel_gemv_body(g: &[f32], ld: usize, x: &[f32], width: usize, out_dim: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    for (r, xr) in x.chunks_exact(width).enumerate() {
+        let row = &g[r * ld..r * ld + out_dim];
+        for (j, xv) in xr.iter().enumerate() {
+            if *xv == 0.0 {
+                continue;
+            }
+            for (o, gv) in out[j * out_dim..(j + 1) * out_dim].iter_mut().zip(row) {
+                *o += xv * gv;
+            }
+        }
     }
 }
 
@@ -389,22 +454,32 @@ mod tests {
             self.resident = Some((key, g.to_vec()));
         }
 
-        /// Row-order GEMV: rows ascending, zero inputs skipped, multiply
-        /// then add.
+        /// Row-order GEMV of the resident operand.
         fn gemv(&self, x: &[f32]) -> Vec<f32> {
             let (key, g) = self.resident.as_ref().expect("installed");
-            let out_dim = key.extent.1;
-            let mut out = vec![0f32; out_dim];
-            for (r, xr) in x.iter().enumerate() {
-                if *xr == 0.0 {
-                    continue;
-                }
-                for (c, o) in out.iter_mut().enumerate() {
-                    *o += *xr * g[r * out_dim + c];
-                }
-            }
-            out
+            row_order_panel(g, key.extent.1, x, 1, key.extent.1)
         }
+    }
+
+    /// Row-order reference of a panel GEMV over `g` (row stride `ld`):
+    /// each output element on its own, rows ascending, zero inputs
+    /// skipped, multiply then add.
+    fn row_order_panel(g: &[f32], ld: usize, x: &[f32], width: usize, out_dim: usize) -> Vec<f32> {
+        let in_dim = x.len() / width;
+        let mut out = vec![0f32; width * out_dim];
+        for j in 0..width {
+            for c in 0..out_dim {
+                let mut acc = 0f32;
+                for r in 0..in_dim {
+                    let xv = x[r * width + j];
+                    if xv != 0.0 {
+                        acc += xv * g[r * ld + c];
+                    }
+                }
+                out[j * out_dim + c] = acc;
+            }
+        }
+        out
     }
 
     /// Pool value `i`, with every sixth a `0.0` and every sixth a `-0.0`.
@@ -472,6 +547,100 @@ mod tests {
                 exact.gemv_into(&x, &mut y);
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&y), bits(&want_y));
+            }
+        }
+    }
+
+    /// Word lines and bit lines of the tile the panel kernel test uses.
+    const PANEL_TILE: usize = 64;
+
+    /// Weight `i` of the panel kernel test: a pool value, or now and then
+    /// a signed zero, a signed subnormal or the smallest normal.
+    fn weight(pool: &[f32], kinds: &[usize], i: usize) -> f32 {
+        match kinds[i % kinds.len()] {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(1),
+            3 => -1.0e-40,
+            4 => f32::MIN_POSITIVE,
+            _ => pool[i % pool.len()],
+        }
+    }
+
+    /// Input `i` of the panel kernel test: as [`weight`], with
+    /// `f32::MAX` in place of the smallest normal, so that some products
+    /// overflow to infinity and some sums to NaN.
+    fn input(pool: &[f32], kinds: &[usize], i: usize) -> f32 {
+        match kinds[i % kinds.len()] {
+            4 => f32::MAX,
+            _ => weight(pool, kinds, i),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every build of the panel GEMV the CPU can run — the baseline
+        /// body always, the AVX2 body when the CPU has AVX2, and the
+        /// dispatch behind `CimTile::gemv_panel_into` on a 64x64 tile —
+        /// matches the row-order reference for 1 to 16 columns and
+        /// `in_dim`, `out_dim` in 1..=64, which covers several vectors
+        /// and ragged tails. Rows with `poison[r] == 0` hold infinite and
+        /// NaN weights under zero inputs only, so the zero skip must keep
+        /// them out. Results match by bits; a NaN needs only to be NaN on
+        /// both sides.
+        #[test]
+        fn panel_gemv_matches_row_order_reference(
+            width in 1usize..17,
+            in_dim in 1usize..65,
+            out_dim in 1usize..65,
+            pool in collection::vec(-4.0f32..4.0, 61..62),
+            kinds in collection::vec(0usize..32, 97..98),
+            poison in collection::vec(0usize..8, 64..65),
+        ) {
+            const LD: usize = PANEL_TILE;
+            let poisoned = |r: usize| poison[r] == 0;
+            let g: Vec<f32> = (0..in_dim * LD)
+                .map(|i| match (poisoned(i / LD), i % 3) {
+                    (true, 0) => f32::INFINITY,
+                    (true, 1) => f32::NEG_INFINITY,
+                    (true, _) => f32::NAN,
+                    (false, _) => weight(&pool, &kinds, i),
+                })
+                .collect();
+            let x: Vec<f32> = (0..in_dim * width)
+                .map(|i| match (poisoned(i / width), i % 2) {
+                    (true, 0) => 0.0,
+                    (true, _) => -0.0,
+                    (false, _) => input(&pool, &kinds, 7 * i + 3),
+                })
+                .collect();
+            let want = row_order_panel(&g, LD, &x, width, out_dim);
+
+            let mut runs = Vec::new();
+            let mut out = vec![f32::NAN; width * out_dim];
+            panel_gemv_body(&g, LD, &x, width, out_dim, &mut out);
+            runs.push(("baseline", out.clone()));
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU supports AVX2.
+                unsafe { panel_gemv_avx2(&g, LD, &x, width, out_dim, &mut out) };
+                runs.push(("avx2", out.clone()));
+            }
+            let cfg = AccelConfig { rows: PANEL_TILE, cols: PANEL_TILE, ..cfg() };
+            let mut tile = CimTile::new(&cfg);
+            let packed: Vec<f32> =
+                (0..in_dim).flat_map(|r| g[r * LD..r * LD + out_dim].iter().copied()).collect();
+            let key = TileKey { ld: LD, extent: (in_dim, out_dim), ..key(0) };
+            tile.install(key, &packed, in_dim, out_dim);
+            tile.gemv_panel_into(&x, width, &mut out);
+            runs.push(("tile", out));
+
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            for (path, got) in &runs {
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(same(*g, *w), "{path}: element {i} is {g:?}, want {w:?}");
+                }
             }
         }
     }

@@ -103,6 +103,49 @@ fn bench_accel_gemv_64(c: &mut Criterion) {
     });
 }
 
+/// The engine's half of one `stream_xl` panel: a 256x256 `A` and 16
+/// columns of `B` through one `Command::Gemm` on a default device, with
+/// `stream_xl`'s leading dimension of 1024 for `B` and `C` and a `C`
+/// that is read (`beta != 0`). The generation is bumped every
+/// iteration, so every run gathers and installs `A`, then runs one
+/// 16-column panel.
+fn bench_accel_gemm_panel(c: &mut Criterion) {
+    const N: u64 = 256;
+    const COLS: u64 = 16;
+    const LD: u64 = 1024;
+    let mut mach = Machine::new(MachineConfig::default());
+    let mut acc = CimAccelerator::new(AccelConfig::default(), mach.cfg.bus);
+    let (_, a) = mach.alloc_cma(4 * N * N).expect("cma");
+    let (_, b) = mach.alloc_cma(4 * N * LD).expect("cma");
+    let (_, y) = mach.alloc_cma(4 * N * LD).expect("cma");
+    let a_data: Vec<f32> = (0..N * N).map(|i| (i % 17) as f32 - 8.0).collect();
+    let b_data: Vec<f32> = (0..N * LD).map(|i| (i % 13) as f32 - 6.0).collect();
+    mach.mem.write_f32_slice(a, &a_data);
+    mach.mem.write_f32_slice(b, &b_data);
+    for (r, v) in [
+        (Reg::M, N),
+        (Reg::N, COLS),
+        (Reg::K, N),
+        (Reg::Lda, N),
+        (Reg::Ldb, LD),
+        (Reg::Ldc, LD),
+        (Reg::AddrA, a),
+        (Reg::AddrB, b),
+        (Reg::AddrC, y),
+        (Reg::Alpha, u64::from(1.0f32.to_bits())),
+        (Reg::Beta, u64::from(1.0f32.to_bits())),
+        (Reg::Command, Command::Gemm as u64),
+    ] {
+        acc.pmio_write(r, v);
+    }
+    c.bench_function("accel_gemm_256x256x16", |b| {
+        b.iter(|| {
+            acc.bump_generation();
+            black_box(acc.execute(&mut mach))
+        })
+    });
+}
+
 fn bench_raw_crossbar(c: &mut Criterion) {
     let mut xbar = Crossbar::new(256, 256);
     let levels: Vec<u8> = (0..256).map(|i| (i % 16) as u8).collect();
@@ -121,6 +164,7 @@ criterion_group!(
     bench_install,
     bench_install_64,
     bench_accel_gemv_64,
+    bench_accel_gemm_panel,
     bench_raw_crossbar
 );
 criterion_main!(benches);

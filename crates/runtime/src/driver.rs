@@ -14,7 +14,7 @@
 //! are precisely what makes low-intensity GEMV-like kernels lose from
 //! offloading in Fig. 6.
 
-use cim_accel::regs::{Reg, Status};
+use cim_accel::regs::{Command, Reg, Status};
 use cim_accel::{AccelConfig, CimAccelerator, DeviceKind, GridRegion, MAX_DMA_CHANNELS};
 use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
@@ -440,8 +440,10 @@ impl CimDriver {
     ///
     /// # Errors
     ///
-    /// Returns [`CimError::Device`] if the engine flagged an error (the
-    /// command then never entered the rings).
+    /// Returns [`CimError::InvalidArg`] if the armed command is
+    /// [`Command::Nop`], which starts nothing and takes no command id,
+    /// and [`CimError::Device`] if the engine flagged an error. Either
+    /// way the command never entered the rings.
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
@@ -453,6 +455,9 @@ impl CimDriver {
         owner: Option<TenantId>,
         scratch: Option<DevPtr>,
     ) -> Result<CimFuture, CimError> {
+        if acc.pmio_read(Reg::Command) == Command::Nop as u64 {
+            return Err(CimError::InvalidArg("no command armed: a Nop starts nothing".into()));
+        }
         self.stats.invocations += 1;
         // The doorbell cannot ring until the submission ring has a slot:
         // a full ring stalls the host first, which pushes the start
@@ -543,7 +548,6 @@ impl CimDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_accel::regs::Command;
     use cim_accel::AccelConfig;
     use cim_machine::MachineConfig;
 
@@ -834,6 +838,24 @@ mod tests {
         // Walks every line of L2.
         let lines = mach.cfg.l2.size_bytes / mach.cfg.l1d.line_bytes;
         assert!(full_cost >= lines * mach.cfg.flush_insts_per_line);
+    }
+
+    #[test]
+    fn armed_nop_submit_leaves_no_record() {
+        // An armed Nop starts nothing and takes no command id; recorded,
+        // it reused the GEMV's id and the sync's sweep delivered that
+        // doorbell twice.
+        let (mut mach, mut acc, mut drv) = setup();
+        let y = arm_identity_gemv(&mut mach, &mut acc, &mut drv);
+        let gemv = submit(&mut mach, &mut acc, &mut drv).expect("gemv ok");
+        drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Nop as u64)]);
+        let err = submit(&mut mach, &mut acc, &mut drv).unwrap_err();
+        assert!(matches!(err, CimError::InvalidArg(_)), "{err:?}");
+        assert_eq!(drv.reactor().in_flight(), 1, "only the GEMV is in flight");
+        drv.sync(&mut mach, &mut acc, gemv.cmd_id);
+        assert_eq!(mach.mem.read_f32(y), 5.0);
+        assert_eq!(drv.reactor().in_flight(), 0);
+        assert_eq!(drv.reactor().unclaimed(), 0, "no record left over");
     }
 
     #[test]
