@@ -1,6 +1,6 @@
 //! Accelerator configuration (Table I, "CIM Parameter").
 
-use cim_pcm::{AdcConfig, DeviceKind, Fidelity, PcmEnergyModel};
+use cim_pcm::{DeviceKind, PcmEnergyModel};
 
 /// Most per-tile DMA channels a configuration may request: the driver
 /// surfaces per-channel busy time in a fixed-size
@@ -17,7 +17,7 @@ pub const BUFFER_BYTES: usize = 1536;
 ///
 /// Besides the per-tile crossbar geometry, the configuration carries two
 /// sweepable knobs: the resistive [`DeviceKind`] whose physics fills the
-/// `adc`/`energy` fields ([`AccelConfig::for_device`]) and the
+/// `energy` field ([`AccelConfig::for_device`]) and the
 /// tile-grid shape `grid` over which oversized GEMMs are sharded
 /// ([`AccelConfig::with_grid`]). `docs/DEVICES.md` tabulates both axes.
 ///
@@ -88,16 +88,11 @@ pub struct AccelConfig {
     /// in parallel.
     pub grid: (usize, usize),
     /// Which resistive device technology the tiles are built from. This
-    /// is a descriptive tag; the operative parameters live in `adc` and
-    /// `energy` (use [`AccelConfig::for_device`] to keep them in sync).
-    /// Every device stores [`cim_pcm::LEVELS`] levels per cell.
+    /// is a descriptive tag; the operative parameters live in `energy`
+    /// (use [`AccelConfig::for_device`] to keep them in sync).
     pub device: DeviceKind,
-    /// Shared-ADC configuration.
-    pub adc: AdcConfig,
     /// Energy/latency constants.
     pub energy: PcmEnergyModel,
-    /// Numerical fidelity of the compute path.
-    pub fidelity: Fidelity,
     /// Maximum number of timeline events retained.
     pub timeline_capacity: usize,
     /// Per-tile DMA channels feeding the crossbar install path. With one
@@ -118,9 +113,7 @@ impl Default for AccelConfig {
             cols: 256,
             grid: (1, 1),
             device: DeviceKind::Pcm,
-            adc: AdcConfig::default(),
             energy: PcmEnergyModel::default(),
-            fidelity: Fidelity::Exact,
             timeline_capacity: 4096,
             dma_channels: 1,
         }
@@ -134,17 +127,15 @@ impl AccelConfig {
     }
 
     /// Paper-geometry configuration built from the given device model's
-    /// parameters (ADC, energy/latency constants).
+    /// energy/latency constants.
     pub fn for_device(kind: DeviceKind) -> Self {
         AccelConfig::default().with_device(kind)
     }
 
-    /// Replaces the device technology, refreshing `adc` and `energy` from
-    /// the device model while keeping geometry, buffers, fidelity and all
-    /// other knobs.
+    /// Replaces the device technology, refreshing `energy` from the
+    /// device model while keeping geometry and all other knobs.
     pub fn with_device(self, kind: DeviceKind) -> Self {
-        let model = kind.model();
-        AccelConfig { device: kind, adc: model.adc(), energy: model.energy(), ..self }
+        AccelConfig { device: kind, energy: kind.model().energy(), ..self }
     }
 
     /// Sets the tile-grid shape `(k_tiles, m_tiles)`.
@@ -242,7 +233,6 @@ mod tests {
         assert_eq!(c.rows, 8);
         assert_eq!(c.grid, (2, 3));
         assert_eq!(c.energy, DeviceKind::Reram.model().energy());
-        assert_eq!(c.adc, DeviceKind::Reram.model().adc());
         c.validate();
     }
 

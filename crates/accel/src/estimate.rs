@@ -18,7 +18,7 @@
 
 use cim_machine::bus::BusConfig;
 use cim_machine::units::{Energy, SimTime};
-use cim_pcm::quant::RECOMBINE_ALU_OPS_PER_COLUMN;
+use cim_pcm::energy::RECOMBINE_ALU_OPS_PER_COLUMN;
 use cim_pcm::PcmEnergyModel;
 
 use crate::config::AccelConfig;

@@ -1,4 +1,4 @@
-//! The CIM tile: nibble crossbar pair + ADCs + digital recombination.
+//! The CIM tile: one 8-bit logical crossbar and its stationary operand.
 //!
 //! One tile of the accelerator's tile array: an 8-bit logical crossbar
 //! (256x256 in the paper's geometry) built from two 4-bit resistive
@@ -9,16 +9,13 @@
 //! kernels, reused tiles) programs the devices only once — the paper's
 //! endurance optimization.
 //!
-//! A tile keeps one copy of its operand: the one its datapath reads. An
-//! [`Fidelity::Int8`] tile quantizes the operand and programs its nibble
-//! levels into the two crossbars. An [`Fidelity::Exact`] tile copies the
-//! operand into an f32 shadow and charges the crossbars the same row
-//! programs through [`Crossbar::record_program`], so both fidelities
-//! wear, cost and time identically.
+//! A tile keeps one copy of its operand, an f32 shadow its GEMVs read,
+//! so offloaded results equal the host's bit for bit. Every install
+//! charges its row programs to one [`Crossbar`] of wear counters, one
+//! write per 8-bit cell; Table I's per-8-bit costs already fold in the
+//! two 4-bit devices of a cell.
 
-use cim_pcm::adc::full_scale_for;
-use cim_pcm::quant::{quantize_tensor, recombine_dot, split_nibbles, to_offset, QuantParams};
-use cim_pcm::{AdcArray, Crossbar, Fidelity};
+use cim_pcm::Crossbar;
 
 use crate::config::AccelConfig;
 
@@ -76,22 +73,16 @@ pub struct TileWear {
     pub max_cell_writes: u64,
 }
 
-/// One computational memory tile: two nibble crossbars (which carry the
-/// wear of every install and, on an Int8 tile, the operand's levels),
-/// the ADCs, and on an Exact tile the f32 shadow the GEMV reads.
+/// One computational memory tile: the crossbar that carries the wear of
+/// every install, and the f32 shadow of the operand the GEMV reads.
 #[derive(Debug, Clone)]
 pub struct CimTile {
     rows: usize,
     cols: usize,
-    msb: Crossbar,
-    lsb: Crossbar,
-    adc: AdcArray,
-    fidelity: Fidelity,
+    xbar: Crossbar,
     /// The stationary operand in crossbar orientation
-    /// (`shadow[r * cols + c]`); Exact tiles only, empty on Int8 tiles.
+    /// (`shadow[r * cols + c]`).
     shadow: Vec<f32>,
-    /// Scale of the quantized operand; read by the Int8 path only.
-    weight_params: QuantParams,
     active: (usize, usize),
     resident: Option<TileKey>,
 }
@@ -99,19 +90,11 @@ pub struct CimTile {
 impl CimTile {
     /// Creates a tile from the accelerator configuration.
     pub fn new(cfg: &AccelConfig) -> Self {
-        let shadow = match cfg.fidelity {
-            Fidelity::Exact => vec![0.0; cfg.rows * cfg.cols],
-            Fidelity::Int8 => Vec::new(),
-        };
         CimTile {
             rows: cfg.rows,
             cols: cfg.cols,
-            msb: Crossbar::new(cfg.rows, cfg.cols),
-            lsb: Crossbar::new(cfg.rows, cfg.cols),
-            adc: AdcArray::new(cfg.adc),
-            fidelity: cfg.fidelity,
-            shadow,
-            weight_params: QuantParams::from_max_abs(0.0),
+            xbar: Crossbar::new(cfg.rows, cfg.cols),
+            shadow: vec![0.0; cfg.rows * cfg.cols],
             active: (0, 0),
             resident: None,
         }
@@ -135,11 +118,10 @@ impl CimTile {
     /// Installs a stationary operand given in crossbar orientation:
     /// `g[r * out_dim + c]` with `r < in_dim` word lines and `c < out_dim`
     /// bit lines. If `key` matches the resident operand the install is a
-    /// no-op (the endurance win). Otherwise rows `0..in_dim` each program
-    /// the column prefix `0..out_dim`: an Int8 tile quantizes `g` into
-    /// nibble levels, an Exact tile copies `g` into its shadow and
-    /// records the same programs. What an install costs follows from
-    /// its shape; [`crate::estimate`] charges it.
+    /// no-op (the endurance win). Otherwise `g` is copied into the shadow
+    /// and rows `0..in_dim` each program the column prefix `0..out_dim`.
+    /// What an install costs follows from its shape; [`crate::estimate`]
+    /// charges it.
     ///
     /// # Panics
     ///
@@ -154,30 +136,10 @@ impl CimTile {
         // II-B), so each row programs the prefix `0..out_dim`. Both nibble
         // arrays share row drivers and program in lockstep; latency is one
         // row-program, energy covers the 8-bit cells.
-        match self.fidelity {
-            Fidelity::Exact => {
-                for r in 0..in_dim {
-                    self.shadow[r * self.cols..r * self.cols + out_dim]
-                        .copy_from_slice(&g[r * out_dim..(r + 1) * out_dim]);
-                    self.msb.record_program(r, out_dim);
-                    self.lsb.record_program(r, out_dim);
-                }
-            }
-            Fidelity::Int8 => {
-                let (params, q) = quantize_tensor(g);
-                self.weight_params = params;
-                let mut msb_levels = vec![0u8; out_dim];
-                let mut lsb_levels = vec![0u8; out_dim];
-                for r in 0..in_dim {
-                    for (c, v) in q[r * out_dim..(r + 1) * out_dim].iter().enumerate() {
-                        let (m, l) = split_nibbles(to_offset(*v));
-                        msb_levels[c] = m;
-                        lsb_levels[c] = l;
-                    }
-                    self.msb.program_row(r, &msb_levels);
-                    self.lsb.program_row(r, &lsb_levels);
-                }
-            }
+        for r in 0..in_dim {
+            self.shadow[r * self.cols..r * self.cols + out_dim]
+                .copy_from_slice(&g[r * out_dim..(r + 1) * out_dim]);
+            self.xbar.record_program(r, out_dim);
         }
         self.active = (in_dim, out_dim);
         self.resident = Some(key);
@@ -208,12 +170,10 @@ impl CimTile {
     /// (`in_dim` rows of `width` inputs), as a gather of `width` adjacent
     /// columns of `B` delivers it; each output vector is contiguous.
     ///
-    /// The exact path computes every output element in one order: rows
-    /// ascending, a zero input skipped, multiply then add (no fused
-    /// multiply-add). Each row of the shadow is read once per panel and
-    /// applied to every column of it. The int8 path runs each column
-    /// through the full quantize / nibble-dot / ADC / recombine /
-    /// dequantize chain.
+    /// Every output element is computed in one order: rows ascending, a
+    /// zero input skipped, multiply then add (no fused multiply-add).
+    /// Each row of the shadow is read once per panel and applied to every
+    /// column of it.
     ///
     /// # Panics
     ///
@@ -226,18 +186,7 @@ impl CimTile {
         assert!(width > 0, "empty panel");
         assert_eq!(input.len(), in_dim * width, "input length mismatch");
         assert_eq!(out.len(), out_dim * width, "output length mismatch");
-        match self.fidelity {
-            Fidelity::Exact => panel_gemv(&self.shadow, self.cols, input, width, out_dim, out),
-            Fidelity::Int8 => {
-                let mut column = vec![0f32; in_dim];
-                for j in 0..width {
-                    for (r, x) in column.iter_mut().enumerate() {
-                        *x = input[r * width + j];
-                    }
-                    self.gemv_int8(&column, &mut out[j * out_dim..(j + 1) * out_dim]);
-                }
-            }
-        }
+        panel_gemv(&self.shadow, self.cols, input, width, out_dim, out);
     }
 
     /// [`CimTile::gemv_into`] into a fresh vector.
@@ -247,50 +196,20 @@ impl CimTile {
         out
     }
 
-    fn gemv_int8(&self, input: &[f32], out: &mut [f32]) {
-        // Fused quantize: one pass for the scale, one pass filling the
-        // padded row buffer and the offset-term input sum — no
-        // intermediate `Vec<i8>`. The arithmetic (and therefore every
-        // quantized value) is identical to `quantize_tensor`.
-        let max_abs = input.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let x_params = QuantParams::from_max_abs(max_abs);
-        // Row buffer latches the inputs; pad to the full word-line count.
-        let mut x = vec![0i32; self.rows];
-        let mut x_sum: i64 = 0;
-        for (i, v) in input.iter().enumerate() {
-            let q = x_params.quantize(*v);
-            x[i] = q as i32;
-            x_sum += q as i64;
-        }
-        let mut msb_dots = vec![0i64; self.msb.cols()];
-        let mut lsb_dots = vec![0i64; self.lsb.cols()];
-        self.msb.dot_levels_into(&x, &mut msb_dots);
-        self.lsb.dot_levels_into(&x, &mut lsb_dots);
-        let fs = full_scale_for(input.len());
-        for (c, o) in out.iter_mut().enumerate() {
-            let m = self.adc.convert(msb_dots[c], fs);
-            let l = self.adc.convert(lsb_dots[c], fs);
-            // Digital block: weighted sum of nibble columns + offset term.
-            let dot_q = recombine_dot(m, l, x_sum);
-            *o = dot_q as f32 * self.weight_params.scale * x_params.scale;
-        }
-    }
-
-    /// Total cell programs endured by both nibble arrays, in 8-bit cells
-    /// (the two 4-bit devices of one logical cell count as one write, as
-    /// in Table I's per-8-bit figures).
+    /// Total cell programs endured by the tile, in 8-bit cells (the two
+    /// 4-bit devices of one logical cell count as one write, as in Table
+    /// I's per-8-bit figures).
     pub fn cell_writes(&self) -> u64 {
-        debug_assert_eq!(self.msb.wear().cell_writes, self.lsb.wear().cell_writes);
-        self.msb.wear().cell_writes
+        self.xbar.wear().cell_writes
     }
 
     /// Wear of the most-written logical cell.
     pub fn max_cell_writes(&self) -> u64 {
-        self.msb.wear().max_cell_writes
+        self.xbar.wear().max_cell_writes
     }
 }
 
-/// The exact panel GEMV of [`CimTile::gemv_panel_into`] over the shadow
+/// The panel GEMV of [`CimTile::gemv_panel_into`] over the shadow
 /// `g` (row stride `ld`): the AVX2 build of [`panel_gemv_body`] when the
 /// CPU has AVX2, the baseline build otherwise. Both compute the same
 /// bits; the wider vectors only run more output elements at once.
@@ -402,26 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_path_tracks_exact_within_quantization_error() {
-        let mut c = cfg();
-        c.fidelity = cim_pcm::Fidelity::Int8;
-        let mut t = CimTile::new(&c);
-        let g: Vec<f32> = (0..12).map(|i| (i as f32 - 6.0) / 3.0).collect();
-        t.install(key(0), &g, 4, 3);
-        let x = [0.5f32, -1.0, 2.0, 0.25];
-        let y = t.gemv(&x);
-        // Reference in f64.
-        for (cidx, yc) in y.iter().enumerate() {
-            let mut acc = 0.0f64;
-            for r in 0..4 {
-                acc += g[r * 3 + cidx] as f64 * x[r] as f64;
-            }
-            // Error bound: |w|max/127 * sum|x| + |x|max/127 * sum|w| (loose).
-            assert!((acc - *yc as f64).abs() < 0.2, "col {cidx}: int8 {yc} vs exact {acc}");
-        }
-    }
-
-    #[test]
     fn reinstall_overwrites_previous_operand() {
         let mut t = CimTile::new(&cfg());
         let g1 = vec![5.0f32; 12];
@@ -494,13 +393,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// An Exact and an Int8 tile take the same random install
-        /// sequence on `test_small` (8x8) tiles. Step `i` installs
-        /// operand `key_picks[i]` (one of three bases with its own extent
-        /// up to 8x8) at generation `gen_picks[i]`, so keys repeat and
-        /// generations move; contents follow the key. After each install
-        /// both tiles report the reference's wear and residency, and the
-        /// Exact GEMV matches the row-order reference bit for bit.
+        /// A tile takes a random install sequence on `test_small` (8x8)
+        /// tiles. Step `i` installs operand `key_picks[i]` (one of three
+        /// bases with its own extent up to 8x8) at generation
+        /// `gen_picks[i]`, so keys repeat and generations move; contents
+        /// follow the key. After each install the tile reports the
+        /// reference's wear and residency, and its GEMV matches the
+        /// row-order reference bit for bit.
         #[test]
         fn one_operand_copy_per_tile_matches_reference(
             steps in 1usize..13,
@@ -510,8 +409,7 @@ mod tests {
             pool in collection::vec(-4.0f32..4.0, 61..62),
             zeros in collection::vec(0usize..6, 53..54),
         ) {
-            let mut exact = CimTile::new(&cfg());
-            let mut int8 = CimTile::new(&AccelConfig { fidelity: Fidelity::Int8, ..cfg() });
+            let mut tile = CimTile::new(&cfg());
             let mut reference = Reference { writes: vec![0; 64], resident: None };
             for i in 0..steps {
                 let (k, generation) = (key_picks[i], gen_picks[i]);
@@ -528,23 +426,20 @@ mod tests {
                 let g: Vec<f32> =
                     (0..in_dim * out_dim).map(|j| value(&pool, &zeros, seed + j)).collect();
                 reference.install(key, &g);
-                exact.install(key, &g, in_dim, out_dim);
-                int8.install(key, &g, in_dim, out_dim);
+                tile.install(key, &g, in_dim, out_dim);
                 let total: u64 = reference.writes.iter().sum();
                 let max = reference.writes.iter().copied().max().unwrap_or(0);
                 let resident = reference.resident.as_ref().map(|(k, _)| k);
-                for tile in [&exact, &int8] {
-                    prop_assert_eq!(tile.cell_writes(), total);
-                    prop_assert_eq!(tile.max_cell_writes(), max);
-                    prop_assert_eq!(tile.resident(), resident);
-                }
+                prop_assert_eq!(tile.cell_writes(), total);
+                prop_assert_eq!(tile.max_cell_writes(), max);
+                prop_assert_eq!(tile.resident(), resident);
 
                 let resident_in = reference.resident.as_ref().map_or(0, |(k, _)| k.extent.0);
                 let x: Vec<f32> =
                     (0..resident_in).map(|j| value(&pool, &zeros, 5 * i + 11 * j)).collect();
                 let want_y = reference.gemv(&x);
                 let mut y = vec![f32::NAN; want_y.len()];
-                exact.gemv_into(&x, &mut y);
+                tile.gemv_into(&x, &mut y);
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&y), bits(&want_y));
             }

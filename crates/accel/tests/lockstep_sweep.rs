@@ -3,7 +3,7 @@
 //! statistics a fresh accelerator reports for the same command — the
 //! whole `AccelStats`, every bit — and its `busy` must equal the
 //! duration `execute` returns. Checked over device x tile grid x shape
-//! x fidelity x DMA channels, for single GEMMs, batches with and without
+//! x DMA channels, for single GEMMs, batches with and without
 //! a shared stationary operand, and convolutions. The estimate feeds the
 //! Selective offload policy, the pin planner and the Fig. 5 endurance
 //! study, so a divergence would skew published numbers without failing
@@ -14,7 +14,7 @@ use cim_accel::regs::{Command, Reg, Status};
 use cim_accel::{AccelConfig, AccelStats, CimAccelerator};
 use cim_machine::units::SimTime;
 use cim_machine::{Machine, MachineConfig};
-use cim_pcm::{DeviceKind, Fidelity};
+use cim_pcm::DeviceKind;
 use proptest::prelude::*;
 
 /// One accelerator command of the sweep.
@@ -45,11 +45,11 @@ fn sweep_config(
     device: DeviceKind,
     tile: usize,
     grid: (usize, usize),
-    fidelity: Fidelity,
     dma_channels: usize,
 ) -> AccelConfig {
-    let base = AccelConfig { rows: tile, cols: tile, ..AccelConfig::for_device(device) };
-    AccelConfig { fidelity, ..base }.with_grid(grid.0, grid.1).with_dma_channels(dma_channels)
+    AccelConfig { rows: tile, cols: tile, ..AccelConfig::for_device(device) }
+        .with_grid(grid.0, grid.1)
+        .with_dma_channels(dma_channels)
 }
 
 /// The per-tile DMA channel counts the sweeps exercise (serial bus,
@@ -204,7 +204,7 @@ fn four_channels_overlap_disjoint_tile_installs() {
     let cmd = Cmd::Gemm { dims: (16, 2, 16), beta_zero: true }; // one 4-tile wave
     let mut durs = Vec::new();
     for channels in CHANNEL_SWEEP {
-        let cfg = sweep_config(DeviceKind::Pcm, 8, (2, 2), Fidelity::Exact, channels);
+        let cfg = sweep_config(DeviceKind::Pcm, 8, (2, 2), channels);
         assert_exact(cfg, cmd).unwrap();
         let (stats, dur) = run_engine(cfg, cmd);
         assert_eq!(stats.max_dma_channels_active, channels.min(4) as u64);
@@ -241,8 +241,7 @@ fn anchored_commands_match_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Single GEMMs over device x grid x shape x fidelity x beta x DMA
-    /// channels.
+    /// Single GEMMs over device x grid x shape x beta x DMA channels.
     #[test]
     fn single_gemm_engine_matches_estimator(
         device_ix in 0usize..DeviceKind::ALL.len(),
@@ -251,13 +250,10 @@ proptest! {
         m in 1usize..=20,
         n in 1usize..=8,
         k in 1usize..=20,
-        int8 in proptest::bool::ANY,
         beta_zero in proptest::bool::ANY,
         ch_ix in 0usize..CHANNEL_SWEEP.len(),
     ) {
-        let fidelity = if int8 { Fidelity::Int8 } else { Fidelity::Exact };
-        let cfg =
-            sweep_config(DeviceKind::ALL[device_ix], 8, (gk, gm), fidelity, CHANNEL_SWEEP[ch_ix]);
+        let cfg = sweep_config(DeviceKind::ALL[device_ix], 8, (gk, gm), CHANNEL_SWEEP[ch_ix]);
         assert_exact(cfg, Cmd::Gemm { dims: (m, n, k), beta_zero })?;
     }
 
@@ -273,12 +269,9 @@ proptest! {
         k in 1usize..=20,
         count in 1usize..=5,
         share_a in proptest::bool::ANY,
-        int8 in proptest::bool::ANY,
         ch_ix in 0usize..CHANNEL_SWEEP.len(),
     ) {
-        let fidelity = if int8 { Fidelity::Int8 } else { Fidelity::Exact };
-        let cfg =
-            sweep_config(DeviceKind::ALL[device_ix], 8, (gk, gm), fidelity, CHANNEL_SWEEP[ch_ix]);
+        let cfg = sweep_config(DeviceKind::ALL[device_ix], 8, (gk, gm), CHANNEL_SWEEP[ch_ix]);
         assert_exact(cfg, Cmd::Batch { dims: (m, n, k), count, share_a })?;
     }
 
@@ -293,12 +286,10 @@ proptest! {
         fw_pick in 0usize..4,
         h_extra in 0usize..12,
         w_extra in 0usize..40,
-        int8 in proptest::bool::ANY,
     ) {
         let tile = if big_tile { 32 } else { 8 };
         let fw = 1 + fw_pick % (tile / fh).min(4);
-        let fidelity = if int8 { Fidelity::Int8 } else { Fidelity::Exact };
-        let cfg = sweep_config(DeviceKind::ALL[device_ix], tile, (gk, 1), fidelity, 1);
+        let cfg = sweep_config(DeviceKind::ALL[device_ix], tile, (gk, 1), 1);
         assert_exact(cfg, Cmd::Conv { h: fh + h_extra, w: fw + w_extra, fh, fw })?;
     }
 }

@@ -6,7 +6,6 @@
 use cim_accel::regs::{Command, Reg, Status};
 use cim_accel::{AccelConfig, CimAccelerator};
 use cim_machine::{Machine, MachineConfig};
-use cim_pcm::Fidelity;
 use proptest::prelude::*;
 
 struct GemmCase {
@@ -68,7 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A GEMM split across any tile grid matches the single-tile
-    /// reference result bit-for-bit, for both fidelity paths.
+    /// reference result bit-for-bit.
     #[test]
     fn any_grid_matches_single_tile_bit_for_bit(
         m in 1usize..24,
@@ -79,7 +78,6 @@ proptest! {
         alpha_q in -4i32..5,
         beta_q in -2i32..3,
         trans_a in proptest::bool::ANY,
-        int8 in proptest::bool::ANY,
     ) {
         let case = GemmCase {
             m, n, k,
@@ -90,8 +88,7 @@ proptest! {
             b: fill(k * n, 11, 0.125),
             c: fill(m * n, 7, 0.5),
         };
-        let fidelity = if int8 { Fidelity::Int8 } else { Fidelity::Exact };
-        let base = AccelConfig { fidelity, ..AccelConfig::test_small() };
+        let base = AccelConfig::test_small();
         let (reference, ref_stats) = run_case(base, &case);
         let (sharded, stats) = run_case(base.with_grid(gk, gm), &case);
         prop_assert_eq!(&sharded, &reference);

@@ -5,7 +5,6 @@ use cim_accel::regs::{Command, Reg};
 use cim_accel::tile::{CimTile, TileKey};
 use cim_accel::{AccelConfig, CimAccelerator};
 use cim_machine::{Machine, MachineConfig};
-use cim_pcm::{Crossbar, Fidelity};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -20,18 +19,15 @@ fn key() -> TileKey {
     }
 }
 
+/// One 256x256 tile GEMV, recorded as `tile_gemv_256/Exact`, the name
+/// its committed baseline carries.
 fn bench_gemv(c: &mut Criterion) {
     let mut group = c.benchmark_group("tile_gemv_256");
     let g: Vec<f32> = (0..256 * 256).map(|i| (i % 17) as f32 - 8.0).collect();
     let x: Vec<f32> = (0..256).map(|i| (i % 13) as f32 - 6.0).collect();
-    for fidelity in [Fidelity::Exact, Fidelity::Int8] {
-        let cfg = AccelConfig { fidelity, ..AccelConfig::default() };
-        let mut tile = CimTile::new(&cfg);
-        tile.install(key(), &g, 256, 256);
-        group.bench_function(format!("{fidelity:?}"), |b| {
-            b.iter(|| black_box(tile.gemv(black_box(&x))))
-        });
-    }
+    let mut tile = CimTile::new(&AccelConfig::default());
+    tile.install(key(), &g, 256, 256);
+    group.bench_function("Exact", |b| b.iter(|| black_box(tile.gemv(black_box(&x)))));
     group.finish();
 }
 
@@ -146,25 +142,12 @@ fn bench_accel_gemm_panel(c: &mut Criterion) {
     });
 }
 
-fn bench_raw_crossbar(c: &mut Criterion) {
-    let mut xbar = Crossbar::new(256, 256);
-    let levels: Vec<u8> = (0..256).map(|i| (i % 16) as u8).collect();
-    for r in 0..256 {
-        xbar.program_row(r, &levels);
-    }
-    let inputs: Vec<i32> = (0..256).map(|i| (i % 255) - 127).collect();
-    c.bench_function("crossbar_dot_levels_256", |b| {
-        b.iter(|| black_box(xbar.dot_levels(black_box(&inputs))))
-    });
-}
-
 criterion_group!(
     benches,
     bench_gemv,
     bench_install,
     bench_install_64,
     bench_accel_gemv_64,
-    bench_accel_gemm_panel,
-    bench_raw_crossbar
+    bench_accel_gemm_panel
 );
 criterion_main!(benches);

@@ -137,7 +137,6 @@ pub fn execute(
     }
 
     let mut accel_cfg = opts.accel;
-    accel_cfg.fidelity = opts.fidelity;
     if !opts.record_timeline {
         accel_cfg.timeline_capacity = 0;
     }

@@ -2,7 +2,6 @@
 
 use cim_accel::AccelConfig;
 use cim_machine::MachineConfig;
-use cim_pcm::Fidelity;
 use cim_runtime::{DispatchMode, DriverConfig};
 use tdo_tactics::{PassId, TacticsConfig};
 
@@ -70,7 +69,7 @@ impl CompileOptions {
 }
 
 /// Options of the simulated execution environment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Host platform configuration (Table I host column).
     pub machine: MachineConfig,
@@ -78,22 +77,8 @@ pub struct ExecOptions {
     pub accel: AccelConfig,
     /// Driver cost configuration (wait policy, flush coverage).
     pub driver: DriverConfig,
-    /// Numerical fidelity of the crossbar.
-    pub fidelity: Fidelity,
     /// Record the accelerator event timeline (Fig. 2 (d)).
     pub record_timeline: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            machine: MachineConfig::default(),
-            accel: AccelConfig::default(),
-            driver: DriverConfig::default(),
-            fidelity: Fidelity::Exact,
-            record_timeline: false,
-        }
-    }
 }
 
 impl ExecOptions {
@@ -198,7 +183,6 @@ mod tests {
         assert!(!legacy.tactics.assume_residency);
         let e = ExecOptions::default();
         assert_eq!(e.accel.rows, 256);
-        assert!(e.fidelity.is_exact());
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! The TDO-CIM paper evaluates one part — a 256x256 crossbar of 4-bit IBM
 //! PCM devices (Table I) — but nothing in the stack above the device
 //! physics depends on *which* resistive technology sits at the junctions.
-//! [`DeviceModel`] gathers the per-technology parameter set (ADC sharing,
-//! energy/latency constants, endurance budget) behind one trait so the
+//! [`DeviceModel`] gathers the per-technology parameter set
+//! (energy/latency constants, endurance budget) behind one trait so the
 //! accelerator, runtime and figure binaries can sweep technologies the
 //! way Eva-CiM and CIMFlow sweep array parameters.
 //!
 //! Two instances ship with the crate:
 //!
 //! * [`PcmDevice`] — the paper's doped-GST phase-change memory exactly as
-//!   in Table I (the defaults of [`AdcConfig`] and [`PcmEnergyModel`]);
+//!   in Table I (the defaults of [`PcmEnergyModel`]);
 //! * [`ReramDevice`] — an HfOx ReRAM-style parameter set: much faster
 //!   and cheaper SET/RESET programming, ISAAC-class 100 ns array reads,
 //!   but a lower per-cell endurance budget.
@@ -39,25 +39,21 @@
 //! assert!(pcm.2 > reram.2, "but PCM cells endure more writes");
 //! ```
 
-use crate::adc::AdcConfig;
 use crate::energy::PcmEnergyModel;
 use crate::wear::LifetimeModel;
 
 /// A resistive memory technology usable as the crossbar device.
 ///
-/// Implementations bundle everything the accelerator needs to simulate a
-/// technology: how columns are read out ([`DeviceModel::adc`]), what
-/// each operation costs ([`DeviceModel::energy`]) and how many programs a
-/// cell survives ([`DeviceModel::endurance_writes`]). The compute
-/// datapath is shared: every device stores two 4-bit levels per logical
-/// 8-bit cell and is read through the same quantize / nibble-dot / ADC /
-/// recombine chain.
+/// Implementations bundle everything the accelerator needs to price a
+/// technology: what each operation costs ([`DeviceModel::energy`]) and
+/// how many programs a cell survives ([`DeviceModel::endurance_writes`]).
+/// The datapath is shared: every device stores two 4-bit levels per
+/// logical 8-bit cell and is read out through shared ADCs and the
+/// digital recombination, whose Table I costs the energy model
+/// carries.
 pub trait DeviceModel {
     /// Short human-readable technology name (e.g. `"pcm"`).
     fn name(&self) -> &'static str;
-
-    /// Column ADC configuration.
-    fn adc(&self) -> AdcConfig;
 
     /// Energy/latency constants of the datapath built from this device.
     fn energy(&self) -> PcmEnergyModel;
@@ -80,10 +76,6 @@ pub struct PcmDevice;
 impl DeviceModel for PcmDevice {
     fn name(&self) -> &'static str {
         "pcm"
-    }
-
-    fn adc(&self) -> AdcConfig {
-        AdcConfig::default()
     }
 
     fn energy(&self) -> PcmEnergyModel {
@@ -109,10 +101,6 @@ pub struct ReramDevice;
 impl DeviceModel for ReramDevice {
     fn name(&self) -> &'static str {
         "reram"
-    }
-
-    fn adc(&self) -> AdcConfig {
-        AdcConfig::default()
     }
 
     fn energy(&self) -> PcmEnergyModel {
@@ -188,7 +176,6 @@ mod tests {
         let d = DeviceKind::Pcm.model();
         assert_eq!(d.name(), "pcm");
         assert_eq!(d.energy(), PcmEnergyModel::default());
-        assert_eq!(d.adc(), AdcConfig::default());
     }
 
     #[test]

@@ -6,6 +6,12 @@
 
 use cim_machine::units::{Energy, SimTime};
 
+/// Digital ALU operations per output column of one GEMV: the weighted
+/// sum that recombines the MSB and LSB nibble columns of an 8-bit cell
+/// (shift, add) and the subtraction of the offset-binary term, each
+/// priced at [`PcmEnergyModel::alu_pj_per_op`] (Table I's 2.11 pJ).
+pub const RECOMBINE_ALU_OPS_PER_COLUMN: u64 = 3;
+
 /// Per-operation energy/latency model of the PCM crossbar and its
 /// surrounding mixed-signal and digital circuitry.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,7 +3,7 @@
 //! PolyBench initializes arrays with index formulas; we use a variant
 //! with *small integer* values so that every intermediate of every kernel
 //! stays inside the exactly-representable f32 integer range at test
-//! sizes. Host execution, exact-fidelity CIM execution and the Rust
+//! sizes. Host execution, CIM execution and the Rust
 //! references then agree bit-for-bit, making end-to-end equivalence tests
 //! sharp instead of tolerance-based.
 

@@ -3,7 +3,7 @@
 //! Each function mirrors the mini-C source *operation for operation*
 //! (same loop order, same f32 rounding points), so the validation tests
 //! can require bitwise equality against both host execution and
-//! exact-fidelity CIM execution.
+//! CIM execution.
 
 use crate::init::init_array;
 use crate::{Dataset, Kernel};

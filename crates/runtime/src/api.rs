@@ -39,6 +39,14 @@ pub struct DevPtr {
     pub len: u64,
 }
 
+impl DevPtr {
+    /// The buffer's exclusive virtual and physical end addresses, or
+    /// `None` when either passes `u64::MAX`.
+    fn ends(&self) -> Option<(u64, u64)> {
+        Some((self.va.checked_add(self.len)?, self.pa.checked_add(self.len)?))
+    }
+}
+
 /// Transpose selector for BLAS-style entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transpose {
@@ -66,25 +74,84 @@ impl Transpose {
     }
 }
 
-/// Requires the buffer of operand `name` to hold the operand's exact
-/// extent: a row-major `rows x cols` matrix with leading dimension `ld`
-/// (in elements). The accelerator reads and writes that many bytes from
-/// the buffer's start, so a shorter buffer would let it touch memory the
-/// call does not own.
-fn check_extent(
-    name: &str,
-    ptr: &DevPtr,
-    rows: usize,
-    cols: usize,
-    ld: usize,
-) -> Result<(), CimError> {
-    match operand_bytes(rows, cols, ld) {
-        Some(bytes) if bytes <= ptr.len => Ok(()),
-        _ => Err(CimError::InvalidArg(format!(
-            "operand {name} ({rows}x{cols}, ld {ld}) does not fit its {}-byte buffer",
-            ptr.len
-        ))),
+/// A stored operand extent the runtime checks against its buffer:
+/// `(rows, cols, ld)` of a row-major matrix, `ld` in elements.
+type Extent = (usize, usize, usize);
+
+/// The buffers of one operand role of an offload — `A`, `B` or `C` of a
+/// GEMM, the image, filter or output of a convolution: one buffer, or
+/// one per element of a batch.
+struct Operands<'a> {
+    /// Role name, for error messages.
+    name: &'static str,
+    /// The buffers, in flush order.
+    ptrs: &'a [DevPtr],
+    /// Whether error messages name each buffer by its batch index
+    /// (`A[3]`).
+    indexed: bool,
+    /// The stored extent every buffer must hold; `None` leaves the
+    /// buffers unchecked, for operands only the engine can reject.
+    extent: Option<Extent>,
+    /// Whether the command writes these buffers.
+    written: bool,
+}
+
+impl<'a> Operands<'a> {
+    /// A role held by one buffer.
+    fn one(name: &'static str, ptr: &'a DevPtr, extent: Option<Extent>, written: bool) -> Self {
+        Operands { name, ptrs: std::slice::from_ref(ptr), indexed: false, extent, written }
     }
+
+    /// A role held by one buffer per batch element.
+    fn list(name: &'static str, ptrs: &'a [DevPtr], extent: Option<Extent>, written: bool) -> Self {
+        Operands { name, ptrs, indexed: true, extent, written }
+    }
+
+    /// The physical byte ranges of the buffers.
+    fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.ptrs.iter().map(|p| (p.pa, p.len))
+    }
+
+    /// Requires buffer `i` to hold the role's stored extent: a row-major
+    /// `rows x cols` matrix with leading dimension `ld` (in elements).
+    /// The accelerator reads and writes that many bytes from the
+    /// buffer's start, so a shorter buffer would let it touch memory the
+    /// call does not own.
+    fn check_extent(&self, i: usize) -> Result<(), CimError> {
+        let Some((rows, cols, ld)) = self.extent else { return Ok(()) };
+        let len = self.ptrs[i].len;
+        if operand_bytes(rows, cols, ld).is_some_and(|bytes| bytes <= len) {
+            return Ok(());
+        }
+        let name = self.name;
+        let index = if self.indexed { format!("[{i}]") } else { String::new() };
+        Err(CimError::InvalidArg(format!(
+            "operand {name}{index} ({rows}x{cols}, ld {ld}) does not fit its {len}-byte buffer"
+        )))
+    }
+}
+
+/// One offloaded operation, as a BLAS entry point describes it to
+/// [`CimContext::offload`].
+struct Offload<'a> {
+    /// The operand roles, in flush order. Each holds the same number of
+    /// buffers: one, or one per batch element.
+    operands: [Operands<'a>; 3],
+    /// `(m, k)` of the stationary `op(A)`, the first operand, when the
+    /// runtime places it on a tile region; `None` runs the command on
+    /// the full grid.
+    stationary: Option<(usize, usize)>,
+    /// Whether the command reads its operands' addresses from a
+    /// descriptor table: one 8-byte address per operand of each element,
+    /// in role order, which the host writes into a scratch CMA buffer.
+    table: bool,
+    /// The command's registers in arming order; [`Reg::AddrBatch`] (with
+    /// a table), [`Reg::Region`] and [`Reg::Command`] follow them.
+    regs: &'a [(Reg, u64)],
+    /// The command the registers arm.
+    command: Command,
+    /// The entry point's call counter.
+    calls: fn(&mut RuntimeStats) -> &mut u64,
 }
 
 /// The hardware a context (or N tenant contexts) submits against: one
@@ -136,14 +203,10 @@ pub struct CimContext {
 }
 
 impl CimContext {
-    /// Creates a context around a fresh private accelerator. `bus_cfg`
-    /// must match the machine the context will run against. The driver's
-    /// device and tile-grid overrides ([`DriverConfig::device`] /
-    /// [`DriverConfig::tile_grid`]) are applied to `accel_cfg` first, so
-    /// callers can sweep technologies without rebuilding the accelerator
-    /// configuration by hand.
+    /// Creates a context around a fresh private accelerator built from
+    /// `accel_cfg`, on the bus of the machine the context will run
+    /// against.
     pub fn new(accel_cfg: AccelConfig, driver_cfg: DriverConfig, mach: &Machine) -> Self {
-        let accel_cfg = driver_cfg.apply_overrides(accel_cfg);
         let device = Rc::new(RefCell::new(CimDevice {
             accel: CimAccelerator::new(accel_cfg, mach.cfg.bus),
             driver: CimDriver::new(driver_cfg),
@@ -185,8 +248,8 @@ impl CimContext {
         Ref::map(self.device.borrow(), |d| &d.accel)
     }
 
-    /// Mutable accelerator access (tests, fidelity switches). The guard
-    /// must not be held across another runtime call on the same device.
+    /// Mutable accelerator access (tests). The guard must not be held
+    /// across another runtime call on the same device.
     pub fn accel_mut(&mut self) -> RefMut<'_, CimAccelerator> {
         RefMut::map(self.device.borrow_mut(), |d| &mut d.accel)
     }
@@ -296,75 +359,6 @@ impl CimContext {
             }
         }
         Ok((total, left))
-    }
-
-    /// Dispatches the armed command per the configured [`DispatchMode`]:
-    /// it always enters the reactor as a record owned by this context,
-    /// and under [`DispatchMode::Sync`] it is claimed at once. `scratch`
-    /// (a batched call's descriptor table) is freed when the command is
-    /// claimed, or right away if the device rejects it — the table must
-    /// never leak. `region` is the tile sub-array the command was armed
-    /// for (the caller also wrote it into [`Reg::Region`]);
-    /// `reads`/`writes` are the physical extents of its operands, which
-    /// key both the driver's per-region doorbell and the observation
-    /// ranges later sync points check.
-    fn dispatch_armed(
-        &mut self,
-        mach: &mut Machine,
-        scratch: Option<DevPtr>,
-        region: GridRegion,
-        reads: Vec<(u64, u64)>,
-        writes: Vec<(u64, u64)>,
-    ) -> Result<SimTime, CimError> {
-        let blocking = self.driver().config().dispatch == DispatchMode::Sync;
-        let submitted = {
-            let mut guard = self.device.borrow_mut();
-            let dev = &mut *guard;
-            let stalls0 = dev.driver.stats().queue_full_stalls;
-            let cells0 = dev.accel.stats().cell_writes;
-            let submitted = dev.driver.submit(
-                mach,
-                &mut dev.accel,
-                region,
-                &reads,
-                &writes,
-                self.tenant,
-                scratch,
-            );
-            // Queue-full backpressure lands on the tenant whose
-            // submission stalled, not smeared across the device.
-            self.stats.queue_full_stalls += dev.driver.stats().queue_full_stalls - stalls0;
-            if let Ok(future) = &submitted {
-                // A blocking dispatch claims the command at once; its
-                // retire instant is wherever the wait left the host.
-                let ready_at = if blocking {
-                    dev.driver.sync(mach, &mut dev.accel, future.cmd_id);
-                    mach.now()
-                } else {
-                    future.ready_at
-                };
-                if let (Some(tid), Some(sched)) = (self.tenant, dev.scheduler.as_mut()) {
-                    // The scheduler meters what the command actually
-                    // consumed: tile-time until its predicted retire
-                    // instant and the cell writes of its installs.
-                    let cells = dev.accel.stats().cell_writes - cells0;
-                    sched.note_dispatch(tid, region, future.busy, ready_at, cells);
-                }
-            }
-            submitted
-        };
-        if submitted.is_ok() {
-            // After the submit: the command ran against the residency
-            // it found.
-            self.invalidate_written(&writes);
-        }
-        if submitted.is_ok() && !blocking {
-            self.stats.async_submits += 1;
-        } else if let Some(table) = scratch {
-            // Claimed at once, or rejected before it entered the rings.
-            self.release(mach, table)?;
-        }
-        submitted.map(|future| future.busy)
     }
 
     /// The device just (functionally) wrote these ranges: any resident
@@ -597,12 +591,14 @@ impl CimContext {
 
     fn check_live(&self, ptr: &DevPtr) -> Result<(), CimError> {
         // Sub-ranges of a live allocation are valid pointers (tiled code
-        // passes views into larger buffers).
+        // passes views into larger buffers). `DevPtr`'s fields are
+        // public, so a pointer whose end passes `u64::MAX` is rejected,
+        // never wrapped.
+        let Some((va_end, pa_end)) = ptr.ends() else {
+            return Err(CimError::InvalidPointer(ptr.va));
+        };
         let inside = self.allocations.iter().any(|p| {
-            ptr.va >= p.va
-                && ptr.va + ptr.len <= p.va + p.len
-                && ptr.pa >= p.pa
-                && ptr.pa + ptr.len <= p.pa + p.len
+            ptr.va >= p.va && va_end <= p.va + p.len && ptr.pa >= p.pa && pa_end <= p.pa + p.len
         });
         if inside {
             Ok(())
@@ -620,9 +616,14 @@ impl CimContext {
     ///
     /// # Errors
     ///
-    /// [`CimError::NotInitialized`] before `cim_init`.
+    /// [`CimError::NotInitialized`] before `cim_init`;
+    /// [`CimError::InvalidPointer`] for a buffer whose end passes
+    /// `u64::MAX`.
     pub fn cim_adopt(&mut self, mach: &mut Machine, ptr: DevPtr) -> Result<(), CimError> {
         self.ensure_init()?;
+        if ptr.ends().is_none() {
+            return Err(CimError::InvalidPointer(ptr.va));
+        }
         self.device.borrow_mut().driver.ioctl(mach);
         self.device.borrow_mut().driver.charge_malloc(mach);
         self.allocations.push(ptr);
@@ -760,31 +761,9 @@ impl CimContext {
         c: DevPtr,
         ldc: usize,
     ) -> Result<SimTime, CimError> {
-        self.ensure_init()?;
-        for p in [&a, &b, &c] {
-            self.check_live(p)?;
-        }
         let (a_rows, a_cols) = trans_a.stored(m, k);
-        check_extent("A", &a, a_rows, a_cols, lda)?;
         // A transposed B is the engine's to reject.
-        if trans_b == Transpose::No {
-            check_extent("B", &b, k, n, ldb)?;
-        }
-        check_extent("C", &c, m, n, ldc)?;
-        self.stats.gemm_calls += 1;
-        self.tenant_admission(mach);
-        self.device.borrow_mut().driver.ioctl(mach);
-        let (region, a_resident) = self.place_stationary(&a, m, k);
-        if a_resident {
-            // Pinned and installed: nothing host-side touched A since,
-            // so its flush would walk clean lines for nothing.
-            self.device.borrow_mut().driver.flush_shared(mach, &[(b.pa, b.len), (c.pa, c.len)]);
-        } else {
-            self.device
-                .borrow_mut()
-                .driver
-                .flush_shared(mach, &[(a.pa, a.len), (b.pa, b.len), (c.pa, c.len)]);
-        }
+        let b_extent = (trans_b == Transpose::No).then_some((k, n, ldb));
         let regs = [
             (Reg::M, m as u64),
             (Reg::N, n as u64),
@@ -799,20 +778,21 @@ impl CimContext {
             (Reg::Beta, beta.to_bits() as u64),
             (Reg::TransA, trans_a.as_reg()),
             (Reg::TransB, trans_b.as_reg()),
-            (Reg::Region, region.encode()),
-            (Reg::Command, Command::Gemm as u64),
         ];
-        {
-            let mut guard = self.device.borrow_mut();
-            let dev = &mut *guard;
-            dev.driver.write_regs(mach, &mut dev.accel, &regs);
-        }
-        self.dispatch_armed(
+        self.offload(
             mach,
-            None,
-            region,
-            vec![(a.pa, a.len), (b.pa, b.len)],
-            vec![(c.pa, c.len)],
+            Offload {
+                operands: [
+                    Operands::one("A", &a, Some((a_rows, a_cols, lda)), false),
+                    Operands::one("B", &b, b_extent, false),
+                    Operands::one("C", &c, Some((m, n, ldc)), true),
+                ],
+                stationary: Some((m, k)),
+                table: false,
+                regs: &regs,
+                command: Command::Gemm,
+                calls: |s| &mut s.gemm_calls,
+            },
         )
     }
 
@@ -835,26 +815,7 @@ impl CimContext {
         beta: f32,
         y: DevPtr,
     ) -> Result<SimTime, CimError> {
-        self.ensure_init()?;
-        for p in [&a, &x, &y] {
-            self.check_live(p)?;
-        }
         let (a_rows, a_cols) = trans_a.stored(m, k);
-        check_extent("A", &a, a_rows, a_cols, lda)?;
-        check_extent("x", &x, k, 1, 1)?;
-        check_extent("y", &y, m, 1, 1)?;
-        self.stats.gemv_calls += 1;
-        self.tenant_admission(mach);
-        self.device.borrow_mut().driver.ioctl(mach);
-        let (region, a_resident) = self.place_stationary(&a, m, k);
-        if a_resident {
-            self.device.borrow_mut().driver.flush_shared(mach, &[(x.pa, x.len), (y.pa, y.len)]);
-        } else {
-            self.device
-                .borrow_mut()
-                .driver
-                .flush_shared(mach, &[(a.pa, a.len), (x.pa, x.len), (y.pa, y.len)]);
-        }
         let regs = [
             (Reg::M, m as u64),
             (Reg::K, k as u64),
@@ -866,20 +827,21 @@ impl CimContext {
             (Reg::Beta, beta.to_bits() as u64),
             (Reg::TransA, trans_a.as_reg()),
             (Reg::TransB, 0),
-            (Reg::Region, region.encode()),
-            (Reg::Command, Command::Gemv as u64),
         ];
-        {
-            let mut guard = self.device.borrow_mut();
-            let dev = &mut *guard;
-            dev.driver.write_regs(mach, &mut dev.accel, &regs);
-        }
-        self.dispatch_armed(
+        self.offload(
             mach,
-            None,
-            region,
-            vec![(a.pa, a.len), (x.pa, x.len)],
-            vec![(y.pa, y.len)],
+            Offload {
+                operands: [
+                    Operands::one("A", &a, Some((a_rows, a_cols, lda)), false),
+                    Operands::one("x", &x, Some((k, 1, 1)), false),
+                    Operands::one("y", &y, Some((m, 1, 1)), true),
+                ],
+                stationary: Some((m, k)),
+                table: false,
+                regs: &regs,
+                command: Command::Gemv,
+                calls: |s| &mut s.gemv_calls,
+            },
         )
     }
 
@@ -910,64 +872,8 @@ impl CimContext {
         c_list: &[DevPtr],
         ldc: usize,
     ) -> Result<SimTime, CimError> {
-        self.ensure_init()?;
-        let count = a_list.len();
-        if count == 0 || b_list.len() != count || c_list.len() != count {
-            return Err(CimError::InvalidArg(format!(
-                "batch lists must be equal and non-empty (a={}, b={}, c={})",
-                a_list.len(),
-                b_list.len(),
-                c_list.len()
-            )));
-        }
-        let mut flush = Vec::new();
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for p in a_list.iter().chain(b_list).chain(c_list) {
-            self.check_live(p)?;
-            flush.push((p.pa, p.len));
-        }
         let (a_rows, a_cols) = trans_a.stored(m, k);
-        for i in 0..count {
-            check_extent(&format!("A[{i}]"), &a_list[i], a_rows, a_cols, lda)?;
-            if trans_b == Transpose::No {
-                check_extent(&format!("B[{i}]"), &b_list[i], k, n, ldb)?;
-            }
-            check_extent(&format!("C[{i}]"), &c_list[i], m, n, ldc)?;
-        }
-        for p in a_list.iter().chain(b_list) {
-            reads.push((p.pa, p.len));
-        }
-        for p in c_list {
-            writes.push((p.pa, p.len));
-        }
-        self.stats.gemm_batched_calls += 1;
-        self.tenant_admission(mach);
-        self.device.borrow_mut().driver.ioctl(mach);
-        // Descriptor table written into a scratch CMA buffer by user space.
-        let table = self.cim_malloc(mach, (count * 24) as u64)?;
-        let mut raw = Vec::with_capacity(count * 24);
-        for i in 0..count {
-            raw.extend_from_slice(&a_list[i].pa.to_le_bytes());
-            raw.extend_from_slice(&b_list[i].pa.to_le_bytes());
-            raw.extend_from_slice(&c_list[i].pa.to_le_bytes());
-        }
-        // Host writes descriptors (cached), flushed with the operands.
-        for (i, chunk) in raw.chunks_exact(8).enumerate() {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            let pa = table.pa + (i * 8) as u64;
-            let out = mach.hier.access(pa, 8, true);
-            mach.core.stall(out.stall_cycles);
-            mach.core.retire(InstClass::Store, 1);
-            mach.mem.write(pa, &word);
-        }
-        flush.push((table.pa, table.len));
-        reads.push((table.pa, table.len));
-        self.device.borrow_mut().driver.flush_shared(mach, &flush);
-        // The batch schedules its own elements across sub-grids inside
-        // the engine; the command as a whole occupies the full grid.
-        let region = GridRegion::full(self.device.borrow().accel.config().grid);
+        let b_extent = (trans_b == Transpose::No).then_some((k, n, ldb));
         let regs = [
             (Reg::M, m as u64),
             (Reg::N, n as u64),
@@ -979,23 +885,26 @@ impl CimContext {
             (Reg::Beta, beta.to_bits() as u64),
             (Reg::TransA, trans_a.as_reg()),
             (Reg::TransB, trans_b.as_reg()),
-            (Reg::BatchCount, count as u64),
-            (Reg::AddrBatch, table.pa),
-            (Reg::Region, region.encode()),
-            (Reg::Command, Command::GemmBatched as u64),
+            (Reg::BatchCount, a_list.len() as u64),
         ];
-        {
-            let mut guard = self.device.borrow_mut();
-            let dev = &mut *guard;
-            dev.driver.write_regs(mach, &mut dev.accel, &regs);
-        }
-        // The scratch table rides in the command's reactor record: freed
-        // when the command is claimed (at once under synchronous
-        // dispatch) or when the device rejects it — never leaked. The
-        // reads list every input operand plus the table itself, the
-        // writes every output, which together are exactly the
-        // observation footprint of the command.
-        self.dispatch_armed(mach, Some(table), region, reads, writes)
+        self.offload(
+            mach,
+            Offload {
+                operands: [
+                    Operands::list("A", a_list, Some((a_rows, a_cols, lda)), false),
+                    Operands::list("B", b_list, b_extent, false),
+                    Operands::list("C", c_list, Some((m, n, ldc)), true),
+                ],
+                // The batch schedules its own elements across sub-grids
+                // inside the engine; the command as a whole occupies the
+                // full grid.
+                stationary: None,
+                table: true,
+                regs: &regs,
+                command: Command::GemmBatched,
+                calls: |s| &mut s.gemm_batched_calls,
+            },
+        )
     }
 
     /// `polly_cimConv2d`: single-channel 2-D convolution (valid padding).
@@ -1015,27 +924,10 @@ impl CimContext {
         fw: usize,
         out: DevPtr,
     ) -> Result<SimTime, CimError> {
-        self.ensure_init()?;
-        for p in [&img, &filt, &out] {
-            self.check_live(p)?;
-        }
         // A filter that does not fit the image is the engine's to reject.
-        if fh > 0 && fw > 0 && fh <= h && fw <= w {
-            let (out_h, out_w) = (h - fh + 1, w - fw + 1);
-            check_extent("image", &img, h, w, w)?;
-            check_extent("filter", &filt, fh, fw, fw)?;
-            check_extent("output", &out, out_h, out_w, out_w)?;
-        }
-        self.stats.conv_calls += 1;
-        self.tenant_admission(mach);
-        self.device.borrow_mut().driver.ioctl(mach);
-        self.device
-            .borrow_mut()
-            .driver
-            .flush_shared(mach, &[(img.pa, img.len), (filt.pa, filt.len), (out.pa, out.len)]);
-        // Convolution always runs on tile (0, 0); arm the full grid so
-        // the doorbell serializes it against anything touching that tile.
-        let region = GridRegion::full(self.device.borrow().accel.config().grid);
+        let fits = fh > 0 && fw > 0 && fh <= h && fw <= w;
+        let extent = |rows: usize, cols: usize| fits.then_some((rows, cols, cols));
+        let (out_h, out_w) = if fits { (h - fh + 1, w - fw + 1) } else { (0, 0) };
         let regs = [
             (Reg::AddrA, img.pa),
             (Reg::AddrB, filt.pa),
@@ -1044,23 +936,158 @@ impl CimContext {
             (Reg::ImgW, w as u64),
             (Reg::FiltH, fh as u64),
             (Reg::FiltW, fw as u64),
-            (Reg::Region, region.encode()),
-            (Reg::Command, Command::Conv2d as u64),
         ];
-        {
+        self.offload(
+            mach,
+            Offload {
+                operands: [
+                    Operands::one("image", &img, extent(h, w), false),
+                    Operands::one("filter", &filt, extent(fh, fw), false),
+                    // The conv kernel accumulates into its output: `out`
+                    // is both read and written.
+                    Operands::one("output", &out, extent(out_h, out_w), true),
+                ],
+                // Convolution always runs on tile (0, 0); the full grid
+                // makes the doorbell serialize it against anything
+                // touching that tile.
+                stationary: None,
+                table: false,
+                regs: &regs,
+                command: Command::Conv2d,
+                calls: |s| &mut s.conv_calls,
+            },
+        )
+    }
+
+    /// The one offload path behind the BLAS entry points: validates the
+    /// operation, then charges, arms and dispatches it. Every check runs
+    /// before anything is charged, so a rejected call leaves the clock,
+    /// the driver and the statistics as they were.
+    ///
+    /// The command always enters the reactor as a record owned by this
+    /// context; under [`DispatchMode::Sync`] it is claimed at once. A
+    /// descriptor table is freed when the command is claimed, or right
+    /// away if the device rejects it — it must never leak. The operands'
+    /// physical extents key both the driver's per-region doorbell and
+    /// the observation ranges later sync points check.
+    fn offload(&mut self, mach: &mut Machine, op: Offload<'_>) -> Result<SimTime, CimError> {
+        self.ensure_init()?;
+        let [a, b, c] = &op.operands;
+        let count = a.ptrs.len();
+        if count == 0 || b.ptrs.len() != count || c.ptrs.len() != count {
+            return Err(CimError::InvalidArg(format!(
+                "batch lists must be equal and non-empty (a={}, b={}, c={})",
+                a.ptrs.len(),
+                b.ptrs.len(),
+                c.ptrs.len()
+            )));
+        }
+        for p in op.operands.iter().flat_map(|role| role.ptrs) {
+            self.check_live(p)?;
+        }
+        for i in 0..count {
+            for role in &op.operands {
+                role.check_extent(i)?;
+            }
+        }
+        *(op.calls)(&mut self.stats) += 1;
+        self.tenant_admission(mach);
+        self.device.borrow_mut().driver.ioctl(mach);
+        let table = if op.table { Some(self.write_table(mach, &op.operands)?) } else { None };
+        let (region, a_resident) = match op.stationary {
+            Some((m, k)) => self.place_stationary(&a.ptrs[0], m, k),
+            None => (GridRegion::full(self.device.borrow().accel.config().grid), false),
+        };
+        // One buffer for the three range lists: the flush (every operand,
+        // then the table), the reads (the inputs and the table) and the
+        // writes (the outputs).
+        let table_range = table.map(|t| (t.pa, t.len));
+        let mut ranges = Vec::with_capacity(2 * (3 * count + 1));
+        ranges.extend(op.operands.iter().flat_map(Operands::ranges).chain(table_range));
+        let flushed = ranges.len();
+        let inputs = op.operands.iter().filter(|role| !role.written);
+        ranges.extend(inputs.flat_map(Operands::ranges).chain(table_range));
+        let read = ranges.len() - flushed;
+        let outputs = op.operands.iter().filter(|role| role.written);
+        ranges.extend(outputs.flat_map(Operands::ranges));
+        let (flush, accessed) = ranges.split_at(flushed);
+        let (reads, writes) = accessed.split_at(read);
+        // Pinned and installed: nothing host-side touched A since, so its
+        // flush would walk clean lines for nothing.
+        self.device.borrow_mut().driver.flush_shared(mach, &flush[usize::from(a_resident)..]);
+        let tail = [
+            (Reg::AddrBatch, table.map_or(0, |t| t.pa)),
+            (Reg::Region, region.encode()),
+            (Reg::Command, op.command as u64),
+        ];
+        let tail = if table.is_some() { &tail[..] } else { &tail[1..] };
+        let blocking = self.driver().config().dispatch == DispatchMode::Sync;
+        let submitted = {
             let mut guard = self.device.borrow_mut();
             let dev = &mut *guard;
-            dev.driver.write_regs(mach, &mut dev.accel, &regs);
+            dev.driver.write_regs(mach, &mut dev.accel, op.regs);
+            dev.driver.write_regs(mach, &mut dev.accel, tail);
+            let stalls0 = dev.driver.stats().queue_full_stalls;
+            let cells0 = dev.accel.stats().cell_writes;
+            let submitted =
+                dev.driver.submit(mach, &mut dev.accel, region, reads, writes, self.tenant, table);
+            // Queue-full backpressure lands on the tenant whose
+            // submission stalled, not smeared across the device.
+            self.stats.queue_full_stalls += dev.driver.stats().queue_full_stalls - stalls0;
+            if let Ok(future) = &submitted {
+                // A blocking dispatch claims the command at once; its
+                // retire instant is wherever the wait left the host.
+                let ready_at = if blocking {
+                    dev.driver.sync(mach, &mut dev.accel, future.cmd_id);
+                    mach.now()
+                } else {
+                    future.ready_at
+                };
+                if let (Some(tid), Some(sched)) = (self.tenant, dev.scheduler.as_mut()) {
+                    // The scheduler meters what the command actually
+                    // consumed: tile-time until its predicted retire
+                    // instant and the cell writes of its installs.
+                    let cells = dev.accel.stats().cell_writes - cells0;
+                    sched.note_dispatch(tid, region, future.busy, ready_at, cells);
+                }
+            }
+            submitted
+        };
+        if submitted.is_ok() {
+            // After the submit: the command ran against the residency
+            // it found.
+            self.invalidate_written(writes);
         }
-        // The conv kernel accumulates into its output: `out` is both
-        // read and written.
-        self.dispatch_armed(
-            mach,
-            None,
-            region,
-            vec![(img.pa, img.len), (filt.pa, filt.len)],
-            vec![(out.pa, out.len)],
-        )
+        if submitted.is_ok() && !blocking {
+            self.stats.async_submits += 1;
+        } else if let Some(table) = table {
+            // Claimed at once, or rejected before it entered the rings.
+            self.release(mach, table)?;
+        }
+        submitted.map(|future| future.busy)
+    }
+
+    /// Writes a batch's descriptor table into a fresh scratch CMA
+    /// buffer: for each element, the physical address of its buffer of
+    /// every operand role, one 8-byte word each. The host writes the
+    /// words with cached stores, which the flush covers with the
+    /// operands.
+    fn write_table(
+        &mut self,
+        mach: &mut Machine,
+        operands: &[Operands<'_>; 3],
+    ) -> Result<DevPtr, CimError> {
+        let count = operands[0].ptrs.len();
+        let table = self.cim_malloc(mach, (8 * operands.len() * count) as u64)?;
+        let words = (0..count).flat_map(|i| operands.iter().map(move |role| role.ptrs[i].pa));
+        for (i, word) in words.enumerate() {
+            let pa = table.pa + (i * 8) as u64;
+            let out = mach.hier.access(pa, 8, true);
+            mach.core.stall(out.stall_cycles);
+            mach.core.retire(InstClass::Store, 1);
+            mach.mem.write(pa, &word.to_le_bytes());
+        }
+        Ok(table)
     }
 }
 
@@ -1484,18 +1511,170 @@ mod tests {
         assert!(ctx.cim_conv2d(&mut mach, img, 6, 6, filt, 2, 2, out).is_ok());
     }
 
+    /// Calls BLAS entry point `entry` on 2x2 operands `a`, `b`, `c` (the
+    /// image, filter and output of a 2x2 convolution with a 1x1 filter);
+    /// the batch takes `cs` as its `C` list.
+    fn offload_2x2(
+        ctx: &mut CimContext,
+        mach: &mut Machine,
+        entry: &str,
+        [a, b, c]: [DevPtr; 3],
+        cs: &[DevPtr],
+    ) -> Result<SimTime, CimError> {
+        let no = Transpose::No;
+        match entry {
+            "sgemm" => ctx.cim_blas_sgemm(mach, no, no, 2, 2, 2, 1.0, a, 2, b, 2, 0.0, c, 2),
+            "sgemv" => ctx.cim_blas_sgemv(mach, no, 2, 2, 1.0, a, 2, b, 0.0, c),
+            "gemm_batched" => {
+                let (a, b) = ([a], [b]);
+                ctx.cim_blas_gemm_batched(mach, no, no, 2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, cs, 2)
+            }
+            "conv2d" => ctx.cim_conv2d(mach, a, 2, 2, b, 1, 1, c),
+            _ => unreachable!("unknown entry point {entry}"),
+        }
+    }
+
+    /// Everything an offload charges: the clock, the host's
+    /// instructions, the driver's ioctls and register accesses, the
+    /// runtime statistics, the CMA and the in-flight commands.
+    fn charges(ctx: &CimContext, mach: &Machine) -> impl PartialEq + std::fmt::Debug {
+        let drv = ctx.driver().stats();
+        (
+            mach.now(),
+            mach.core.instructions(),
+            drv.ioctls,
+            drv.reg_accesses,
+            *ctx.stats(),
+            mach.cma.used(),
+            ctx.pending_commands(),
+        )
+    }
+
+    /// Every rejection a BLAS entry point makes — an uninitialized
+    /// context, a dead pointer, an undersized operand, unequal batch
+    /// lists, a pointer whose end passes `u64::MAX` — returns its error
+    /// before anything is charged, under both dispatch modes. A valid
+    /// call on the same context does charge.
     #[test]
-    fn context_applies_driver_overrides() {
-        use cim_accel::DeviceKind;
-        let mach = Machine::new(MachineConfig::test_small());
-        let drv = DriverConfig {
-            device: Some(DeviceKind::Reram),
-            tile_grid: Some((2, 2)),
-            ..DriverConfig::default()
-        };
-        let ctx = CimContext::new(AccelConfig::test_small(), drv, &mach);
-        assert_eq!(ctx.accel().config().device, DeviceKind::Reram);
-        assert_eq!(ctx.accel().tiles().len(), 4);
+    fn rejected_offload_charges_nothing() {
+        let top = u64::MAX - 3;
+        let overflowing = DevPtr { va: top, pa: top, len: 8 };
+        for dispatch in [DispatchMode::Sync, DispatchMode::Async] {
+            for entry in ["sgemm", "sgemv", "gemm_batched", "conv2d"] {
+                let mut mach = Machine::new(MachineConfig::test_small());
+                let drv_cfg = DriverConfig { dispatch, ..DriverConfig::default() };
+                let mut ctx = CimContext::new(AccelConfig::test_small(), drv_cfg, &mach);
+                let unregistered = |mach: &mut Machine| {
+                    let (va, pa) = mach.alloc_cma(16).expect("cma");
+                    DevPtr { va, pa, len: 16 }
+                };
+                let cold =
+                    [unregistered(&mut mach), unregistered(&mut mach), unregistered(&mut mach)];
+                let before = charges(&ctx, &mach);
+                let r = offload_2x2(&mut ctx, &mut mach, entry, cold, &cold[2..]);
+                assert_eq!(r, Err(CimError::NotInitialized), "{entry} {dispatch:?}");
+                assert_eq!(charges(&ctx, &mach), before, "{entry} {dispatch:?}: not initialized");
+
+                ctx.cim_init(&mut mach, 0).expect("init");
+                let a = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+                let b = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+                let c = dev_mat(&mut ctx, &mut mach, &[0.0; 4]);
+                let short = dev_mat(&mut ctx, &mut mach, &[0.0]);
+                let dead = ctx.cim_malloc(&mut mach, 16).expect("malloc");
+                ctx.cim_free(&mut mach, dead).expect("free");
+                let bad_pointer: fn(&CimError) -> bool =
+                    |e| matches!(e, CimError::InvalidPointer(_));
+                let bad_arg: fn(&CimError) -> bool = |e| matches!(e, CimError::InvalidArg(_));
+                let mut rows = vec![
+                    ("dead pointer", [a, dead, c], vec![c], bad_pointer),
+                    ("undersized operand", [a, b, short], vec![short], bad_arg),
+                    ("overflowing pointer", [a, overflowing, c], vec![c], bad_pointer),
+                ];
+                if entry == "gemm_batched" {
+                    rows.push(("unequal batch lists", [a, b, c], vec![c, c], bad_arg));
+                }
+                for (fault, ops, cs, expected) in rows {
+                    let label = format!("{entry} {dispatch:?}: {fault}");
+                    let before = charges(&ctx, &mach);
+                    let r = offload_2x2(&mut ctx, &mut mach, entry, ops, &cs);
+                    assert!(r.as_ref().is_err_and(expected), "{label}: {r:?}");
+                    assert_eq!(charges(&ctx, &mach), before, "{label}");
+                }
+
+                let before = charges(&ctx, &mach);
+                offload_2x2(&mut ctx, &mut mach, entry, [a, b, c], &[c]).expect(entry);
+                assert_ne!(
+                    charges(&ctx, &mach),
+                    before,
+                    "{entry} {dispatch:?}: a valid call charges"
+                );
+            }
+        }
+    }
+
+    /// A `DevPtr` whose end passes `u64::MAX` — built by hand, or as an
+    /// overlong view of a live buffer — is rejected as an invalid
+    /// pointer by every call that takes one, never wrapped into a live
+    /// range.
+    #[test]
+    fn pointer_whose_end_overflows_is_rejected() {
+        let (mut mach, mut ctx) = setup();
+        ctx.cim_init(&mut mach, 0).expect("init");
+        let a = dev_mat(&mut ctx, &mut mach, &[1.0; 4]);
+        let host = mach.alloc_host(16);
+        let top = u64::MAX - 3;
+        let no = Transpose::No;
+        for bad in [DevPtr { va: top, pa: top, len: 8 }, DevPtr { len: u64::MAX, ..a }] {
+            let m = &mut mach;
+            let results = [
+                ("cim_pin", ctx.cim_pin(m, bad)),
+                ("cim_adopt", ctx.cim_adopt(m, bad)),
+                ("cim_free", ctx.cim_free(m, bad)),
+                ("cim_sync_to_dev", ctx.cim_sync_to_dev(m, bad)),
+                ("cim_sync_to_host", ctx.cim_sync_to_host(m, bad)),
+                ("cim_host_to_dev", ctx.cim_host_to_dev(m, bad, host, 16)),
+                ("cim_dev_to_host", ctx.cim_dev_to_host(m, host, bad, 16)),
+                (
+                    "cim_blas_sgemm",
+                    ctx.cim_blas_sgemm(m, no, no, 2, 2, 2, 1.0, a, 2, a, 2, 0.0, bad, 2).map(drop),
+                ),
+                (
+                    "cim_blas_sgemv",
+                    ctx.cim_blas_sgemv(m, no, 2, 2, 1.0, a, 2, a, 0.0, bad).map(drop),
+                ),
+                (
+                    "cim_blas_gemm_batched",
+                    ctx.cim_blas_gemm_batched(
+                        m,
+                        no,
+                        no,
+                        2,
+                        2,
+                        2,
+                        1.0,
+                        &[a],
+                        2,
+                        &[bad],
+                        2,
+                        0.0,
+                        &[a],
+                        2,
+                    )
+                    .map(drop),
+                ),
+                ("cim_conv2d", ctx.cim_conv2d(m, a, 2, 2, bad, 1, 1, a).map(drop)),
+            ];
+            for (call, r) in results {
+                assert!(
+                    matches!(r, Err(CimError::InvalidPointer(_))),
+                    "{call} with {bad:?}: {r:?}"
+                );
+            }
+        }
+        let s = ctx.stats();
+        assert_eq!((s.gemm_calls, s.gemv_calls, s.gemm_batched_calls, s.conv_calls), (0, 0, 0, 0));
+        // Only the setup's malloc and copy of `a` went through.
+        assert_eq!((s.h2d_calls, s.d2h_calls, s.pin_calls, s.malloc_calls), (1, 0, 0, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! offloading in Fig. 6.
 
 use cim_accel::regs::{Command, Reg, Status};
-use cim_accel::{AccelConfig, CimAccelerator, DeviceKind, GridRegion, MAX_DMA_CHANNELS};
+use cim_accel::{CimAccelerator, GridRegion, MAX_DMA_CHANNELS};
 use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
@@ -77,10 +77,8 @@ pub enum FlushMode {
     Full,
 }
 
-/// Instruction-cost parameters of the driver paths, plus the device-tree
-/// style overrides the driver applies to the accelerator it binds
-/// (device technology and tile-grid shape — the two sweep knobs of
-/// `docs/DEVICES.md`).
+/// Instruction-cost parameters of the driver paths, and how the driver
+/// dispatches, waits and flushes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
     /// Instructions per `ioctl` round trip (syscall + driver dispatch).
@@ -97,13 +95,6 @@ pub struct DriverConfig {
     pub dispatch: DispatchMode,
     /// Flush coverage.
     pub flush: FlushMode,
-    /// Device-model override: when set, the context re-derives the
-    /// accelerator's cell/ADC/energy parameters from this technology
-    /// (see [`cim_accel::AccelConfig::with_device`]).
-    pub device: Option<DeviceKind>,
-    /// Tile-grid override `(k_tiles, m_tiles)`: when set, the context
-    /// reshapes the accelerator's tile array.
-    pub tile_grid: Option<(usize, usize)>,
     /// Slots in each reactor ring. Submissions finding the ring full
     /// stall the host (counted in [`DriverStats::queue_full_stalls`])
     /// until the pinning command's doorbell is claimed.
@@ -120,8 +111,6 @@ impl Default for DriverConfig {
             wait: WaitPolicy::Spin,
             dispatch: DispatchMode::Sync,
             flush: FlushMode::Ranges,
-            device: None,
-            tile_grid: None,
             queue_capacity: 64,
         }
     }
@@ -151,19 +140,6 @@ impl DriverConfig {
             ));
         }
         Ok(())
-    }
-
-    /// Applies the driver's device/tile overrides to an accelerator
-    /// configuration (identity when both are `None`).
-    pub fn apply_overrides(&self, cfg: AccelConfig) -> AccelConfig {
-        let cfg = match self.device {
-            Some(kind) => cfg.with_device(kind),
-            None => cfg,
-        };
-        match self.tile_grid {
-            Some((gk, gm)) => cfg.with_grid(gk, gm),
-            None => cfg,
-        }
     }
 }
 
@@ -871,22 +847,5 @@ mod tests {
     fn translate_rejects_unmapped() {
         let (mach, _acc, drv) = setup();
         assert!(matches!(drv.translate(&mach, 0xdead_0000), Err(CimError::InvalidPointer(_))));
-    }
-
-    #[test]
-    fn overrides_retarget_device_and_grid() {
-        let drv_cfg = DriverConfig {
-            device: Some(DeviceKind::Reram),
-            tile_grid: Some((2, 2)),
-            ..DriverConfig::default()
-        };
-        let cfg = drv_cfg.apply_overrides(AccelConfig::test_small());
-        assert_eq!(cfg.device, DeviceKind::Reram);
-        assert_eq!(cfg.grid, (2, 2));
-        assert_eq!(cfg.rows, 8, "geometry preserved");
-        assert_eq!(cfg.energy, DeviceKind::Reram.model().energy());
-        // Defaults change nothing.
-        let same = DriverConfig::default().apply_overrides(AccelConfig::test_small());
-        assert_eq!(same, AccelConfig::test_small());
     }
 }

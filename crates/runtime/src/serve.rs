@@ -369,15 +369,13 @@ pub struct CimServer {
 }
 
 impl CimServer {
-    /// Builds a server around a fresh device. Driver overrides are
-    /// applied to `accel_cfg` as in [`CimContext::new`].
+    /// Builds a server around a fresh device built from `accel_cfg`.
     pub fn new(
         accel_cfg: AccelConfig,
         driver_cfg: DriverConfig,
         policy: ServePolicy,
         mach: &Machine,
     ) -> Self {
-        let accel_cfg = driver_cfg.apply_overrides(accel_cfg);
         let grid = accel_cfg.grid;
         let device = Rc::new(RefCell::new(CimDevice {
             accel: CimAccelerator::new(accel_cfg, mach.cfg.bus),

@@ -1,12 +1,11 @@
 //! Property tests: asynchronous, tile-partitioned batched dispatch is
 //! pure schedule — `C` results stay bit-for-bit identical to the serial
-//! synchronous path for every tile grid and fidelity, the modeled time
+//! synchronous path for every tile grid, the modeled time
 //! never regresses, and identical async runs replay identical timelines.
 
 use cim_accel::AccelConfig;
 use cim_machine::units::SimTime;
 use cim_machine::{Machine, MachineConfig};
-use cim_pcm::Fidelity;
 use cim_runtime::{CimContext, DevPtr, DispatchMode, DriverConfig, Transpose};
 use proptest::prelude::*;
 
@@ -30,18 +29,17 @@ struct BatchRun {
     timeline: String,
 }
 
-/// Builds a context over `grid`/`fidelity` and runs the case's batch,
+/// Builds a context over `grid` and runs the case's batch,
 /// either as one `cim_blas_gemm_batched` call under `dispatch`, or — with
 /// `serial` — as `count` individual synchronous `cim_blas_sgemm` calls.
 fn run_batch(
     case: &BatchCase,
     grid: (usize, usize),
-    fidelity: Fidelity,
     dispatch: DispatchMode,
     serial: bool,
 ) -> BatchRun {
     let mut mach = Machine::new(MachineConfig::test_small());
-    let accel_cfg = AccelConfig { fidelity, ..AccelConfig::test_small() }.with_grid(grid.0, grid.1);
+    let accel_cfg = AccelConfig::test_small().with_grid(grid.0, grid.1);
     let drv_cfg = DriverConfig { dispatch, ..DriverConfig::default() };
     let mut ctx = CimContext::new(accel_cfg, drv_cfg, &mach);
     ctx.cim_init(&mut mach, 0).expect("init");
@@ -118,7 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Async batched dispatch produces bit-for-bit the `C` results of
-    /// the serial synchronous path, for every grid/fidelity combination.
+    /// the serial synchronous path, for every grid.
     #[test]
     fn async_batched_matches_serial_bit_for_bit(
         m in 1usize..16,
@@ -129,16 +127,14 @@ proptest! {
         count in 1usize..5,
         alpha_q in -3i32..4,
         beta_q in -2i32..3,
-        int8 in proptest::bool::ANY,
     ) {
         let case = BatchCase {
             m, n, k, count,
             alpha: alpha_q as f32 * 0.5,
             beta: beta_q as f32 * 0.5,
         };
-        let fidelity = if int8 { Fidelity::Int8 } else { Fidelity::Exact };
-        let serial = run_batch(&case, (1, 1), fidelity, DispatchMode::Sync, true);
-        let async_run = run_batch(&case, (gk, gm), fidelity, DispatchMode::Async, false);
+        let serial = run_batch(&case, (1, 1), DispatchMode::Sync, true);
+        let async_run = run_batch(&case, (gk, gm), DispatchMode::Async, false);
         prop_assert_eq!(&async_run.c_bits, &serial.c_bits);
         // (No universal timing claim here: for degenerate batches the
         // descriptor-table overhead legitimately outweighs the saved
@@ -157,8 +153,8 @@ proptest! {
         gm in 1usize..3,
     ) {
         let case = BatchCase { m, n: 3, k, count, alpha: 1.0, beta: 0.5 };
-        let one = run_batch(&case, (gk, gm), Fidelity::Exact, DispatchMode::Async, false);
-        let two = run_batch(&case, (gk, gm), Fidelity::Exact, DispatchMode::Async, false);
+        let one = run_batch(&case, (gk, gm), DispatchMode::Async, false);
+        let two = run_batch(&case, (gk, gm), DispatchMode::Async, false);
         prop_assert_eq!(one.timeline, two.timeline);
         prop_assert_eq!(one.c_bits, two.c_bits);
         prop_assert_eq!(one.elapsed, two.elapsed);
@@ -172,8 +168,8 @@ proptest! {
 #[test]
 fn async_batch_beats_serial_sum() {
     let case = BatchCase { m: 8, n: 8, k: 8, count: 4, alpha: 1.0, beta: 0.0 };
-    let serial = run_batch(&case, (1, 1), Fidelity::Exact, DispatchMode::Sync, true);
-    let async_run = run_batch(&case, (2, 2), Fidelity::Exact, DispatchMode::Async, false);
+    let serial = run_batch(&case, (1, 1), DispatchMode::Sync, true);
+    let async_run = run_batch(&case, (2, 2), DispatchMode::Async, false);
     assert_eq!(async_run.c_bits, serial.c_bits, "results must not depend on the schedule");
     assert!(
         async_run.elapsed.as_ns() < serial.elapsed.as_ns(),

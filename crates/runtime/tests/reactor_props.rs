@@ -10,7 +10,6 @@
 use cim_accel::AccelConfig;
 use cim_machine::units::SimTime;
 use cim_machine::{Machine, MachineConfig};
-use cim_pcm::Fidelity;
 use cim_runtime::driver::DriverStats;
 use cim_runtime::{CimContext, DevPtr, DispatchMode, DriverConfig, Transpose, WaitPolicy};
 use proptest::prelude::*;
@@ -25,7 +24,6 @@ struct Schedule {
     beta: f32,
     grid: (usize, usize),
     channels: usize,
-    fidelity: Fidelity,
     dispatch: DispatchMode,
     wait: WaitPolicy,
 }
@@ -47,9 +45,8 @@ struct Run {
 /// produces several concurrent futures, then drains them all.
 fn run(s: &Schedule) -> Run {
     let mut mach = Machine::new(MachineConfig::test_small());
-    let accel_cfg = AccelConfig { fidelity: s.fidelity, ..AccelConfig::test_small() }
-        .with_grid(s.grid.0, s.grid.1)
-        .with_dma_channels(s.channels);
+    let accel_cfg =
+        AccelConfig::test_small().with_grid(s.grid.0, s.grid.1).with_dma_channels(s.channels);
     let drv_cfg = DriverConfig { dispatch: s.dispatch, wait: s.wait, ..DriverConfig::default() };
     let mut ctx = CimContext::new(accel_cfg, drv_cfg, &mach);
     ctx.cim_init(&mut mach, 0).expect("init");
@@ -146,7 +143,6 @@ proptest! {
         ch_ix in 0usize..3,
         alpha_q in -3i32..4,
         beta_q in -2i32..3,
-        int8 in proptest::bool::ANY,
         async_dispatch in proptest::bool::ANY,
         poll_wait in proptest::bool::ANY,
     ) {
@@ -156,7 +152,6 @@ proptest! {
             beta: beta_q as f32 * 0.5,
             grid: (gk, gm),
             channels: [1, 2, 4][ch_ix],
-            fidelity: if int8 { Fidelity::Int8 } else { Fidelity::Exact },
             dispatch: if async_dispatch { DispatchMode::Async } else { DispatchMode::Sync },
             wait: if poll_wait {
                 WaitPolicy::Poll { interval: SimTime::from_us(1.0), insts_per_poll: 20 }
@@ -165,8 +160,8 @@ proptest! {
             },
         };
         let label = format!(
-            "m={m} n={n} k={k} count={count} grid={gk}x{gm} ch={} {:?} {:?} poll={poll_wait}",
-            s.channels, s.fidelity, s.dispatch
+            "m={m} n={n} k={k} count={count} grid={gk}x{gm} ch={} {:?} poll={poll_wait}",
+            s.channels, s.dispatch
         );
         assert_guards(&s, &label)?;
     }
@@ -234,7 +229,6 @@ fn sync_spin_timing_is_bit_identical() {
         beta: 0.5,
         grid: (2, 2),
         channels: 2,
-        fidelity: Fidelity::Exact,
         dispatch: DispatchMode::Sync,
         wait: WaitPolicy::Spin,
     };

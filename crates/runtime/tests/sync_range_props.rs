@@ -1,8 +1,9 @@
 //! Boundary cases of the buffer-scoped doorbell
 //! (`CimContext::cim_sync_range`): adjacent-but-disjoint physical
 //! ranges must not sync, zero-length ranges never sync, a range
-//! spanning several pending commands syncs them all — and `cim_free`
-//! rides the same selective path instead of sweeping the whole queue.
+//! spanning several pending commands syncs them all, a range running
+//! past `u64::MAX` reaches the end of memory — and `cim_free` rides the
+//! same selective path instead of sweeping the whole queue.
 
 use cim_accel::AccelConfig;
 use cim_machine::{Machine, MachineConfig};
@@ -93,6 +94,24 @@ fn free_of_disjoint_buffer_leaves_commands_in_flight() {
     // Freeing an actual operand completes the command first.
     ctx.cim_free(&mut mach, c).expect("free operand");
     assert_eq!(ctx.pending_commands(), 0);
+}
+
+/// A range whose end passes `u64::MAX` reaches the end of the address
+/// space, so it overlaps an in-flight command whose operands lie above
+/// its start: the command is claimed, not left running while the caller
+/// goes on as if it had been synchronized.
+#[test]
+fn range_to_the_end_of_memory_syncs_overlapping_command() {
+    let (mut mach, mut ctx) = setup();
+    ctx.cim_init(&mut mach, 0).expect("init");
+    let a = dev_mat(&mut ctx, &mut mach, &[1.0, 0.0, 0.0, 1.0]);
+    let x = dev_mat(&mut ctx, &mut mach, &[2.0, 3.0]);
+    let y = dev_mat(&mut ctx, &mut mach, &[0.0; 2]);
+    ctx.cim_blas_sgemv(&mut mach, Transpose::No, 2, 2, 1.0, a, 2, x, 0.0, y).expect("submits");
+    assert_eq!(ctx.pending_commands(), 1);
+    ctx.cim_sync_range(&mut mach, a.pa, u64::MAX).expect("sync");
+    assert_eq!(ctx.pending_commands(), 0, "a range to the end of memory must sync the GEMV");
+    assert_eq!(ctx.stats().selective_sync_skips, 0);
 }
 
 proptest! {

@@ -206,7 +206,7 @@ impl ChainSpec {
     /// Reference outputs: every `H` array in layer-major order, computed
     /// operation-for-operation like the source (same loop order, same
     /// `f32` rounding points), so equivalence tests can require bitwise
-    /// equality against host and exact-fidelity CIM execution.
+    /// equality against host and CIM execution.
     pub fn reference_outputs(&self) -> Vec<(String, Vec<f32>)> {
         let (r, d) = (self.rows, self.width);
         let s = self.activation_scale();
