@@ -43,8 +43,8 @@ pub const BUFFER_BYTES: usize = 1536;
 ///     let (_, b) = mach.alloc_cma((n * n * 4) as u64).unwrap();
 ///     let (_, c) = mach.alloc_cma((n * n * 4) as u64).unwrap();
 ///     let data: Vec<f32> = (0..n * n).map(|i| (i % 7) as f32 - 3.0).collect();
-///     mach.mem.write_f32_slice(a, &data);
-///     mach.mem.write_f32_slice(b, &data);
+///     mach.mem.write_f32_run(a, 4, &data);
+///     mach.mem.write_f32_run(b, 4, &data);
 ///     for (r, v) in [(Reg::M, n as u64), (Reg::N, n as u64), (Reg::K, n as u64),
 ///                    (Reg::Lda, n as u64), (Reg::Ldb, n as u64), (Reg::Ldc, n as u64),
 ///                    (Reg::AddrA, a), (Reg::AddrB, b), (Reg::AddrC, c),

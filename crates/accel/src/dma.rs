@@ -23,9 +23,9 @@ pub struct DmaStats {
 
 /// The load/store engine.
 ///
-/// Every transfer moves its payload through the bulk
-/// [`cim_machine::mem::PhysMem`] paths (contiguous runs frame by frame,
-/// strided runs per frame burst). Memory sees the same bytes as with one
+/// Every transfer moves its payload through the run pair
+/// [`PhysMem::read_f32_run`] / [`PhysMem::write_f32_run`], one frame
+/// burst at a time. Memory sees the same bytes as with one
 /// 4-byte uncacheable access per element, and each call charges the bus
 /// its bursts in a fixed order, so the memory, bus and DMA counters match
 /// an element-at-a-time engine exactly.
@@ -69,7 +69,7 @@ impl DmaEngine {
     /// Reads `out.len() * 4` bytes of `f32`s from physical address `pa`.
     /// Returns the burst time.
     pub fn read_f32s(&mut self, mach: &mut Machine, pa: u64, out: &mut [f32]) -> SimTime {
-        mach.mem.read_f32_slice(pa, out);
+        mach.mem.read_f32_run(pa, 4, out);
         self.burst(mach, (out.len() * 4) as u64, true)
     }
 
@@ -115,7 +115,7 @@ impl DmaEngine {
 
     /// Writes `data` as little-endian `f32`s to physical address `pa`.
     pub fn write_f32s(&mut self, mach: &mut Machine, pa: u64, data: &[f32]) -> SimTime {
-        mach.mem.write_f32_slice(pa, data);
+        mach.mem.write_f32_run(pa, 4, data);
         self.burst(mach, (data.len() * 4) as u64, false)
     }
 
@@ -123,7 +123,7 @@ impl DmaEngine {
     pub fn read_u64s(&mut self, mach: &mut Machine, pa: u64, count: usize) -> (Vec<u64>, SimTime) {
         let bytes = (count * 8) as u64;
         let mut raw = vec![0u8; count * 8];
-        mach.uncached_read(pa, &mut raw);
+        mach.mem.read(pa, &mut raw);
         let vals = raw
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
@@ -146,12 +146,12 @@ pub(crate) fn read_block(
 ) {
     let out = &mut out[..rows * cols];
     if ld == cols {
-        mem.read_f32_slice(pa, out);
+        mem.read_f32_run(pa, 4, out);
     } else if cols == 1 {
-        mem.read_f32_strided(pa, 4 * ld as i64, out);
+        mem.read_f32_run(pa, 4 * ld as i64, out);
     } else {
         for (r, row) in out.chunks_exact_mut(cols).enumerate() {
-            mem.read_f32_slice(pa + (4 * r * ld) as u64, row);
+            mem.read_f32_run(pa + (4 * r * ld) as u64, 4, row);
         }
     }
 }
@@ -169,12 +169,12 @@ pub(crate) fn write_block(
 ) {
     let data = &data[..rows * cols];
     if ld == cols {
-        mem.write_f32_slice(pa, data);
+        mem.write_f32_run(pa, 4, data);
     } else if cols == 1 {
-        mem.write_f32_strided(pa, 4 * ld as i64, data);
+        mem.write_f32_run(pa, 4 * ld as i64, data);
     } else {
         for (r, row) in data.chunks_exact(cols).enumerate() {
-            mem.write_f32_slice(pa + (4 * r * ld) as u64, row);
+            mem.write_f32_run(pa + (4 * r * ld) as u64, 4, row);
         }
     }
 }
@@ -257,7 +257,7 @@ mod tests {
         for d in &descr {
             raw.extend_from_slice(&d.to_le_bytes());
         }
-        m.uncached_write(pa, &raw);
+        m.mem.write(pa, &raw);
         let (vals, _) = dma.read_u64s(&mut m, pa, 3);
         assert_eq!(vals, descr);
     }
@@ -292,7 +292,7 @@ mod tests {
         ) -> SimTime {
             for (i, slot) in out.iter_mut().enumerate() {
                 let mut b = [0u8; 4];
-                m.uncached_read(pa + (4 * i * stride) as u64, &mut b);
+                m.mem.read(pa + (4 * i * stride) as u64, &mut b);
                 *slot = f32::from_le_bytes(b);
             }
             self.burst(m, (out.len() * 4) as u64, true)
@@ -309,7 +309,7 @@ mod tests {
         fn write_block(&mut self, m: &mut Machine, pa: u64, cols: usize, ld: usize, data: &[f32]) {
             for (i, v) in data.iter().enumerate() {
                 let at = pa + (4 * ((i / cols) * ld + i % cols)) as u64;
-                m.uncached_write(at, &v.to_le_bytes());
+                m.mem.write(at, &v.to_le_bytes());
             }
         }
     }
@@ -324,7 +324,7 @@ mod tests {
         let words = FRAME_BYTES / 4;
         for (f, _) in filled.iter().enumerate().filter(|(_, on)| **on) {
             let data: Vec<f32> = (0..words).map(|i| pool[(f * 31 + i) % pool.len()]).collect();
-            m.mem.write_f32_slice(REGION + (f * FRAME_BYTES) as u64, &data);
+            m.mem.write_f32_run(REGION + (f * FRAME_BYTES) as u64, 4, &data);
         }
         m.mem.reset_stats();
         m
@@ -372,8 +372,8 @@ mod tests {
             prop_assert_eq!(bits(&got), bits(&want));
             prop_assert_eq!(t.as_ns().to_bits(), t_ref.as_ns().to_bits());
 
-            // Strided column reads (stride `ld`, and the unit-stride slice
-            // path) and a contiguous read.
+            // Column reads (stride `ld`, and the unit-stride contiguous
+            // run) and a contiguous read.
             for stride in [ld, 1] {
                 let (mut got, mut want) = (vec![0f32; rows], vec![0f32; rows]);
                 read_block(&mut bulk.mem, base, rows, 1, stride, &mut got);
@@ -417,8 +417,8 @@ mod tests {
             prop_assert_eq!(bulk.mem.resident_frames(), per_elem.mem.resident_frames());
             let span = filled.len() * FRAME_BYTES;
             let (mut got, mut want) = (vec![0u8; span], vec![0u8; span]);
-            bulk.uncached_read(REGION, &mut got);
-            per_elem.uncached_read(REGION, &mut want);
+            bulk.mem.read(REGION, &mut got);
+            per_elem.mem.read(REGION, &mut want);
             prop_assert!(got == want, "memory contents differ");
         }
     }

@@ -33,8 +33,8 @@
 //! let (_, a) = mach.alloc_cma(64).unwrap();
 //! let (_, x) = mach.alloc_cma(64).unwrap();
 //! let (_, y) = mach.alloc_cma(64).unwrap();
-//! mach.mem.write_f32_slice(a, &[1.0, 0.0, 0.0, 1.0]);
-//! mach.mem.write_f32_slice(x, &[3.0, 4.0]);
+//! mach.mem.write_f32_run(a, 4, &[1.0, 0.0, 0.0, 1.0]);
+//! mach.mem.write_f32_run(x, 4, &[3.0, 4.0]);
 //! for (r, v) in [(Reg::M, 2u64), (Reg::N, 1), (Reg::K, 2), (Reg::Lda, 2),
 //!                (Reg::Ldb, 1), (Reg::Ldc, 1), (Reg::AddrA, a), (Reg::AddrB, x),
 //!                (Reg::AddrC, y)] {
@@ -199,13 +199,15 @@ impl CimAccelerator {
     /// whose source bytes overlap `[pa, pa+len)` (conservatively, via
     /// [`TileKey::pa_span`]). Used by the zero-copy sync path so
     /// refreshing one buffer does not evict an unrelated resident
-    /// operand.
+    /// operand. A range whose end passes `u64::MAX` reaches the end of
+    /// the address space.
     pub fn invalidate_range(&mut self, pa: u64, len: u64) {
+        let end = pa.saturating_add(len);
         for tile in &mut self.tiles {
             if let Some(key) = tile.resident() {
                 let (s, l) = key.pa_span();
-                let base_inside = key.base_pa >= pa && key.base_pa < pa + len;
-                let span_overlaps = s < pa + len && pa < s + l;
+                let base_inside = key.base_pa >= pa && key.base_pa < end;
+                let span_overlaps = s < end && pa < s.saturating_add(l);
                 if base_inside || span_overlaps {
                     tile.invalidate();
                 }
@@ -386,7 +388,7 @@ mod tests {
 
     fn alloc_mat(mach: &mut Machine, data: &[f32]) -> u64 {
         let (_va, pa) = mach.alloc_cma((data.len() * 4) as u64).expect("cma");
-        mach.mem.write_f32_slice(pa, data);
+        mach.mem.write_f32_run(pa, 4, data);
         pa
     }
 
@@ -409,7 +411,7 @@ mod tests {
 
     fn read_mat(mach: &mut Machine, pa: u64, len: usize) -> Vec<f32> {
         let mut out = vec![0f32; len];
-        mach.mem.read_f32_slice(pa, &mut out);
+        mach.mem.read_f32_run(pa, 4, &mut out);
         out
     }
 
@@ -502,7 +504,7 @@ mod tests {
             raw.extend_from_slice(&v.to_le_bytes());
         }
         let (_va, table) = mach.alloc_cma(raw.len() as u64).expect("cma");
-        mach.uncached_write(table, &raw);
+        mach.mem.write(table, &raw);
         arm_gemm(&mut acc, 2, 2, 2, a, b1, c1);
         acc.pmio_write(Reg::BatchCount, 2);
         acc.pmio_write(Reg::AddrBatch, table);
@@ -537,7 +539,7 @@ mod tests {
             raw.extend_from_slice(&v.to_le_bytes());
         }
         let (_va, table) = mach.alloc_cma(raw.len() as u64).expect("cma");
-        mach.uncached_write(table, &raw);
+        mach.mem.write(table, &raw);
         arm_gemm(&mut acc, n, n, n, descr[0], descr[1], descr[2]);
         acc.pmio_write(Reg::BatchCount, count as u64);
         acc.pmio_write(Reg::AddrBatch, table);
@@ -584,7 +586,7 @@ mod tests {
             raw.extend_from_slice(&v.to_le_bytes());
         }
         let (_va, table) = mach.alloc_cma(raw.len() as u64).expect("cma");
-        mach.uncached_write(table, &raw);
+        mach.mem.write(table, &raw);
         arm_gemm(&mut acc, 2, 2, 2, a, b, c);
         acc.pmio_write(Reg::Beta, 0.0f32.to_bits() as u64);
         acc.pmio_write(Reg::BatchCount, 2);
@@ -666,7 +668,7 @@ mod tests {
     fn batch_table(mach: &mut Machine, descr: &[u64]) -> u64 {
         let raw: Vec<u8> = descr.iter().flat_map(|v| v.to_le_bytes()).collect();
         let (_va, table) = mach.alloc_cma(raw.len() as u64).expect("cma");
-        mach.uncached_write(table, &raw);
+        mach.mem.write(table, &raw);
         table
     }
 
@@ -776,6 +778,24 @@ mod tests {
         assert_eq!(acc.stats().cell_writes, w1);
         // Host rewrites shared memory -> must reinstall.
         acc.bump_generation();
+        arm_gemm(&mut acc, 2, 2, 2, a, b, c);
+        acc.execute(&mut mach);
+        assert_eq!(acc.stats().cell_writes, 2 * w1);
+    }
+
+    #[test]
+    fn invalidate_range_to_end_of_memory_drops_the_install() {
+        // A range that starts just below `A` and whose end passes
+        // `u64::MAX` covers `A`: its end saturates instead of wrapping
+        // below `A`, so the stale install is dropped and reprogrammed.
+        let (mut mach, mut acc) = setup();
+        let a = alloc_mat(&mut mach, &[1.0, 0.0, 0.0, 1.0]);
+        let b = alloc_mat(&mut mach, &[1.0, 1.0, 1.0, 1.0]);
+        let c = alloc_mat(&mut mach, &[0.0; 4]);
+        arm_gemm(&mut acc, 2, 2, 2, a, b, c);
+        acc.execute(&mut mach);
+        let w1 = acc.stats().cell_writes;
+        acc.invalidate_range(a - 4, u64::MAX);
         arm_gemm(&mut acc, 2, 2, 2, a, b, c);
         acc.execute(&mut mach);
         assert_eq!(acc.stats().cell_writes, 2 * w1);

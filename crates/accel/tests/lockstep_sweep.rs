@@ -34,7 +34,7 @@ fn fill(len: usize, seed: usize) -> Vec<f32> {
 
 fn alloc_mat(mach: &mut Machine, data: &[f32]) -> u64 {
     let (_va, pa) = mach.alloc_cma((data.len() * 4) as u64).expect("cma");
-    mach.mem.write_f32_slice(pa, data);
+    mach.mem.write_f32_run(pa, 4, data);
     pa
 }
 
@@ -112,7 +112,7 @@ fn run_engine(cfg: AccelConfig, cmd: Cmd) -> (AccelStats, SimTime) {
                 }
             }
             let (_va, table) = mach.alloc_cma(raw.len() as u64).expect("cma");
-            mach.uncached_write(table, &raw);
+            mach.mem.write(table, &raw);
             arm_gemm(&mut acc, dims, first.expect("count >= 1"), 0.0);
             acc.pmio_write(Reg::BatchCount, count as u64);
             acc.pmio_write(Reg::AddrBatch, table);

@@ -27,7 +27,7 @@ fn run_case(cfg: AccelConfig, case: &GemmCase) -> (Vec<u32>, cim_accel::AccelSta
     let mut acc = CimAccelerator::new(cfg, mach.cfg.bus);
     let alloc = |mach: &mut Machine, data: &[f32]| {
         let (_va, pa) = mach.alloc_cma((data.len() * 4) as u64).expect("cma");
-        mach.mem.write_f32_slice(pa, data);
+        mach.mem.write_f32_run(pa, 4, data);
         pa
     };
     let a = alloc(&mut mach, &case.a);
@@ -55,7 +55,7 @@ fn run_case(cfg: AccelConfig, case: &GemmCase) -> (Vec<u32>, cim_accel::AccelSta
     acc.execute(&mut mach);
     assert_eq!(acc.regs().status(), Status::Done, "{:?}", acc.last_error());
     let mut out = vec![0f32; case.m * case.n];
-    mach.mem.read_f32_slice(c, &mut out);
+    mach.mem.read_f32_run(c, 4, &mut out);
     (out.iter().map(|v| v.to_bits()).collect(), *acc.stats())
 }
 
@@ -124,7 +124,7 @@ proptest! {
         let mut acc = CimAccelerator::new(cfg, mach.cfg.bus);
         let alloc = |mach: &mut Machine, data: &[f32]| {
             let (_va, pa) = mach.alloc_cma((data.len() * 4) as u64).expect("cma");
-            mach.mem.write_f32_slice(pa, data);
+            mach.mem.write_f32_run(pa, 4, data);
             pa
         };
         let a = alloc(&mut mach, &case.a);

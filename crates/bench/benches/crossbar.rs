@@ -73,8 +73,8 @@ fn bench_accel_gemv_64(c: &mut Criterion) {
     let (_, y) = mach.alloc_cma(4 * N).expect("cma");
     let a_data: Vec<f32> = (0..N * N).map(|i| (i % 17) as f32 - 8.0).collect();
     let x_data: Vec<f32> = (0..N).map(|i| (i % 13) as f32 - 6.0).collect();
-    mach.mem.write_f32_slice(a, &a_data);
-    mach.mem.write_f32_slice(x, &x_data);
+    mach.mem.write_f32_run(a, 4, &a_data);
+    mach.mem.write_f32_run(x, 4, &x_data);
     for (r, v) in [
         (Reg::M, N),
         (Reg::N, 1),
@@ -116,8 +116,8 @@ fn bench_accel_gemm_panel(c: &mut Criterion) {
     let (_, y) = mach.alloc_cma(4 * N * LD).expect("cma");
     let a_data: Vec<f32> = (0..N * N).map(|i| (i % 17) as f32 - 8.0).collect();
     let b_data: Vec<f32> = (0..N * LD).map(|i| (i % 13) as f32 - 6.0).collect();
-    mach.mem.write_f32_slice(a, &a_data);
-    mach.mem.write_f32_slice(b, &b_data);
+    mach.mem.write_f32_run(a, 4, &a_data);
+    mach.mem.write_f32_run(b, 4, &b_data);
     for (r, v) in [
         (Reg::M, N),
         (Reg::N, COLS),

@@ -10,13 +10,12 @@
 //!
 //! Storage is struct-of-arrays: one packed tag row and one packed stamp row
 //! per set plus per-set valid/dirty bitmasks, so a lookup touches two small
-//! arrays instead of walking `Line` structs. On top of the scalar
-//! [`Cache::access_line`] the simulator offers a bulk path —
-//! [`Cache::access_run`] / [`Hierarchy::access_block`] — that classifies a
-//! constant-stride run at line granularity: one tag lookup per distinct
-//! line instead of one per scalar, with stats, LRU stamps and victim
-//! choices provably identical to the scalar loop (see
-//! `tests/bulk_access_props.rs`).
+//! arrays instead of walking `Line` structs. Besides the scalar
+//! [`Hierarchy::access`] the hierarchy has one bulk walk,
+//! [`Hierarchy::access_block`], which classifies a constant-stride run at
+//! line granularity: one tag lookup per distinct line instead of one per
+//! scalar, with stats, LRU stamps and victim choices identical to the
+//! scalar loop (see `tests/bulk_access_props.rs`).
 
 use std::fmt;
 
@@ -97,18 +96,6 @@ pub enum LineOutcome {
         /// Dirty victim evicted.
         writeback: bool,
     },
-}
-
-/// Aggregate outcome of a bulk [`Cache::access_run`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Accesses that hit (per scalar element, exactly as the scalar loop
-    /// would count them).
-    pub hits: u64,
-    /// Accesses that missed (one per absent line).
-    pub misses: u64,
-    /// Dirty victims evicted to the next level.
-    pub writebacks: u64,
 }
 
 /// One set-associative, write-back, write-allocate cache level with LRU
@@ -254,33 +241,6 @@ impl Cache {
         self.access_line_n(addr, write, 1)
     }
 
-    /// Bulk access: `count` scalar accesses at `start`, `start + stride`,
-    /// `start + 2*stride`, … with one tag lookup per *distinct line*
-    /// instead of one per scalar. A constant stride visits each line in
-    /// one consecutive burst, so the aggregate outcome — stats, LRU
-    /// stamps, victim choices, dirty bits — is identical to the scalar
-    /// loop `for i in 0..count { access_line(start + i*stride, write) }`.
-    pub fn access_run(&mut self, start: u64, count: u64, stride: i64, write: bool) -> RunOutcome {
-        let mut out = RunOutcome::default();
-        let lb = self.cfg.line_bytes;
-        let mut done = 0u64;
-        let mut addr = start;
-        while done < count {
-            let k = burst_len(addr, lb, stride, count - done);
-            match self.access_line_n(addr, write, k) {
-                LineOutcome::Hit => out.hits += k,
-                LineOutcome::Miss { writeback } => {
-                    out.misses += 1;
-                    out.hits += k - 1;
-                    out.writebacks += u64::from(writeback);
-                }
-            }
-            addr = addr.wrapping_add((k as i64).wrapping_mul(stride) as u64);
-            done += k;
-        }
-        out
-    }
-
     /// Returns whether the line containing `addr` is present (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
@@ -393,11 +353,12 @@ fn lru_way(stamps: &[u64]) -> usize {
 /// Number of leading elements of the run `addr, addr+stride, …` (at most
 /// `remaining`) that fall on the line containing `addr`. A constant
 /// stride is monotonic, so these are exactly the consecutive accesses the
-/// line receives. Also used with `line_bytes = PAGE_BYTES` to group a run
-/// into per-page translation bursts. `line_bytes` is a power of two
-/// ([`CacheConfig::sets`]), so the line offset is a mask; a stride of a
-/// line or more leaves after one element, and a power-of-two stride
-/// divides by shifting.
+/// line receives. Also used with `line_bytes = PAGE_BYTES` and
+/// `FRAME_BYTES` to group a run into page and frame bursts, where an
+/// element belongs to the unit holding its first byte. `line_bytes` is
+/// a power of two ([`CacheConfig::sets`]), so the line offset is a mask;
+/// a stride of a line or more leaves after one element, and a
+/// power-of-two stride divides by shifting.
 pub(crate) fn burst_len(addr: u64, line_bytes: u64, stride: i64, remaining: u64) -> u64 {
     if stride == 0 {
         return remaining;
@@ -417,6 +378,11 @@ pub(crate) fn burst_len(addr: u64, line_bytes: u64, stride: i64, remaining: u64)
     };
     let k = if stride > 0 { k } else { k + 1 };
     k.min(remaining)
+}
+
+/// Address of element `i` of the run `addr, addr + stride, …`.
+pub(crate) fn run_addr(addr: u64, stride: i64, i: usize) -> u64 {
+    addr.wrapping_add((i as i64).wrapping_mul(stride) as u64)
 }
 
 /// Where an access was satisfied in the hierarchy.
@@ -757,41 +723,6 @@ mod tests {
         c.access_line(8 * 64, true);
         c.access_line(0, false);
         assert_eq!(c.resident_lines(), vec![(0, false), (8 * 64, true)]);
-    }
-
-    #[test]
-    fn access_run_matches_scalar_loop() {
-        // Sequential 4-byte run over 4 KiB (64 lines) vs the scalar loop,
-        // then a second pass (all hits) and a strided pass.
-        for (count, stride, write) in [
-            (1024u64, 4i64, false),
-            (1024, 4, true),
-            (64, 64, false),
-            (128, -4, true),
-            (7, 0, true),
-        ] {
-            let mut bulk = small_cache();
-            let mut scalar = small_cache();
-            let start = 4096u64;
-            let out = bulk.access_run(start, count, stride, write);
-            let mut hits = 0;
-            let mut misses = 0;
-            let mut wbs = 0;
-            let mut addr = start;
-            for _ in 0..count {
-                match scalar.access_line(addr, write) {
-                    LineOutcome::Hit => hits += 1,
-                    LineOutcome::Miss { writeback } => {
-                        misses += 1;
-                        wbs += u64::from(writeback);
-                    }
-                }
-                addr = addr.wrapping_add(stride as u64);
-            }
-            assert_eq!(out, RunOutcome { hits, misses, writebacks: wbs }, "{count} {stride}");
-            assert_eq!(bulk.stats(), scalar.stats(), "{count} {stride}");
-            assert_eq!(bulk.resident_lines(), scalar.resident_lines(), "{count} {stride}");
-        }
     }
 
     fn hierarchy() -> Hierarchy {

@@ -40,7 +40,9 @@ pub use mem::PhysMem;
 pub use mmu::Mmu;
 pub use units::{Energy, SimTime};
 
+use cache::{burst_len, run_addr};
 use mmu::PAGE_BYTES;
+use std::ops::Range;
 
 /// Base of the host heap in virtual address space.
 const HOST_HEAP_BASE: u64 = 0x1000_0000;
@@ -161,120 +163,36 @@ impl Machine {
         self.mem.write_f32(pa, v);
     }
 
-    /// Cached host load of a strided run of `f32`s: element `i` comes from
-    /// `va + i*stride`. The run is classified at page and cache-line
-    /// granularity — one translate per 4 KiB page, one tag lookup per
-    /// distinct line — and the aggregate stall is charged to the core
-    /// once, with totals identical to calling [`Machine::host_load_f32`]
-    /// per element.
+    /// Cached host load of the `f32` run `va, va + stride, …` into `out`
+    /// (a contiguous slice is `stride == 4`): one translate per page
+    /// burst, one tag lookup per distinct cache line, and the aggregate
+    /// stall charged to the core once, with totals identical to calling
+    /// [`Machine::host_load_f32`] per element.
     pub fn host_load_f32_run(&mut self, va: u64, stride: i64, out: &mut [f32]) {
-        if stride == 4 {
-            return self.host_load_f32_slice(va, out);
-        }
-        if !va.is_multiple_of(4) || stride % 4 != 0 {
-            // Words may straddle page boundaries: scalar path.
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.host_load_f32(va.wrapping_add((i as i64 * stride) as u64));
-            }
-            return;
-        }
-        let mut done = 0usize;
-        let mut addr = va;
-        let mut stall = 0u64;
-        while done < out.len() {
-            // All elements of the burst sit on one VA page: one translate,
-            // physically contiguous with the same stride.
-            let k = cache::burst_len(addr, PAGE_BYTES, stride, (out.len() - done) as u64) as usize;
-            let pa = self.translate(addr);
-            stall += self.hier.access_block(pa, 4, k as u64, stride, false).stall_cycles;
-            self.mem.read_f32_strided(pa, stride, &mut out[done..done + k]);
-            addr = addr.wrapping_add((k as i64).wrapping_mul(stride) as u64);
-            done += k;
+        let mut stall = 0;
+        for (pa, words) in PageBursts::new(&self.mmu, va, stride, out.len()) {
+            stall += self.hier.access_block(pa, 4, words.len() as u64, stride, false).stall_cycles;
+            self.mem.read_f32_run(pa, stride, &mut out[words]);
         }
         self.core.stall(stall);
     }
 
-    /// Cached host store of a strided run of `f32`s; the store-side dual
-    /// of [`Machine::host_load_f32_run`].
+    /// Cached host store of an `f32` run; the store-side dual of
+    /// [`Machine::host_load_f32_run`].
     pub fn host_store_f32_run(&mut self, va: u64, stride: i64, data: &[f32]) {
-        if stride == 4 {
-            return self.host_store_f32_slice(va, data);
-        }
-        if !va.is_multiple_of(4) || stride % 4 != 0 {
-            for (i, v) in data.iter().enumerate() {
-                self.host_store_f32(va.wrapping_add((i as i64 * stride) as u64), *v);
-            }
-            return;
-        }
-        let mut done = 0usize;
-        let mut addr = va;
-        let mut stall = 0u64;
-        while done < data.len() {
-            let k = cache::burst_len(addr, PAGE_BYTES, stride, (data.len() - done) as u64) as usize;
-            let pa = self.translate(addr);
-            stall += self.hier.access_block(pa, 4, k as u64, stride, true).stall_cycles;
-            self.mem.write_f32_strided(pa, stride, &data[done..done + k]);
-            addr = addr.wrapping_add((k as i64).wrapping_mul(stride) as u64);
-            done += k;
-        }
-        self.core.stall(stall);
-    }
-
-    /// Cached host load of a contiguous run of `f32`s starting at `va`,
-    /// chunked by [`Mmu::translate_run`] so each physically contiguous
-    /// stretch costs one cache run and one frame-chunked memory copy.
-    pub fn host_load_f32_slice(&mut self, va: u64, out: &mut [f32]) {
-        if !va.is_multiple_of(4) {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.host_load_f32(va + 4 * i as u64);
-            }
-            return;
-        }
-        let mut done = 0usize;
-        let mut stall = 0u64;
-        while done < out.len() {
-            let want = 4 * (out.len() - done) as u64;
-            let (pa, run) = self
-                .mmu
-                .translate_run(va + 4 * done as u64, want)
-                .expect("host access to unmapped page");
-            let k = (run / 4) as usize;
-            stall += self.hier.access_block(pa, 4, k as u64, 4, false).stall_cycles;
-            self.mem.read_f32_slice(pa, &mut out[done..done + k]);
-            done += k;
-        }
-        self.core.stall(stall);
-    }
-
-    /// Cached host store of a contiguous run of `f32`s starting at `va`;
-    /// the store-side dual of [`Machine::host_load_f32_slice`].
-    pub fn host_store_f32_slice(&mut self, va: u64, data: &[f32]) {
-        if !va.is_multiple_of(4) {
-            for (i, v) in data.iter().enumerate() {
-                self.host_store_f32(va + 4 * i as u64, *v);
-            }
-            return;
-        }
-        let mut done = 0usize;
-        let mut stall = 0u64;
-        while done < data.len() {
-            let want = 4 * (data.len() - done) as u64;
-            let (pa, run) = self
-                .mmu
-                .translate_run(va + 4 * done as u64, want)
-                .expect("host access to unmapped page");
-            let k = (run / 4) as usize;
-            stall += self.hier.access_block(pa, 4, k as u64, 4, true).stall_cycles;
-            self.mem.write_f32_slice(pa, &data[done..done + k]);
-            done += k;
+        let mut stall = 0;
+        for (pa, words) in PageBursts::new(&self.mmu, va, stride, data.len()) {
+            stall += self.hier.access_block(pa, 4, words.len() as u64, stride, true).stall_cycles;
+            self.mem.write_f32_run(pa, stride, &data[words]);
         }
         self.core.stall(stall);
     }
 
     /// Cached host copy of `count` `f32` words from `src` to `dst`,
     /// chunked through a bounded buffer. Equivalent to the per-word
-    /// load/store loop for non-overlapping ranges; overlapping ranges take
-    /// that loop verbatim to preserve its forward-propagation semantics.
+    /// load/store loop for non-overlapping ranges; overlapping or
+    /// misaligned ranges take that loop verbatim, which keeps its
+    /// forward-propagation semantics and its cache-access order.
     pub fn host_copy_f32(&mut self, src: u64, dst: u64, count: u64) {
         let overlap = src < dst + 4 * count && dst < src + 4 * count;
         if overlap || !src.is_multiple_of(4) || !dst.is_multiple_of(4) {
@@ -288,67 +206,25 @@ impl Machine {
         let mut done = 0u64;
         while done < count {
             let k = buf.len().min((count - done) as usize);
-            self.host_load_f32_slice(src + 4 * done, &mut buf[..k]);
-            self.host_store_f32_slice(dst + 4 * done, &buf[..k]);
+            self.host_load_f32_run(src + 4 * done, 4, &mut buf[..k]);
+            self.host_store_f32_run(dst + 4 * done, 4, &buf[..k]);
             done += k as u64;
         }
     }
 
-    /// Uncacheable (device-side or flushed-region) read of raw bytes at a
-    /// *physical* address. Used by the accelerator's DMA engine.
-    pub fn uncached_read(&mut self, pa: u64, buf: &mut [u8]) {
-        self.mem.read(pa, buf);
-    }
-
-    /// Uncacheable write of raw bytes at a *physical* address.
-    pub fn uncached_write(&mut self, pa: u64, buf: &[u8]) {
-        self.mem.write(pa, buf);
-    }
-
     /// Writes initial data into an array without charging the core
-    /// (test-bench initialization, "outside the ROI"). Word-aligned runs
-    /// go through [`Mmu::translate_run`] and the frame-chunked memory
-    /// path — one translate per page instead of per element.
+    /// (test-bench initialization, "outside the ROI"): the page-burst
+    /// walk of [`Machine::host_store_f32_run`] without the caches.
     pub fn poke_f32_slice(&mut self, va: u64, data: &[f32]) {
-        if !va.is_multiple_of(4) {
-            for (i, v) in data.iter().enumerate() {
-                let pa = self.translate(va + 4 * i as u64);
-                self.mem.write_f32(pa, *v);
-            }
-            return;
-        }
-        let mut done = 0usize;
-        while done < data.len() {
-            let want = 4 * (data.len() - done) as u64;
-            let (pa, run) = self
-                .mmu
-                .translate_run(va + 4 * done as u64, want)
-                .expect("host access to unmapped page");
-            let k = (run / 4) as usize;
-            self.mem.write_f32_slice(pa, &data[done..done + k]);
-            done += k;
+        for (pa, words) in PageBursts::new(&self.mmu, va, 4, data.len()) {
+            self.mem.write_f32_run(pa, 4, &data[words]);
         }
     }
 
     /// Reads data from an array without charging the core.
     pub fn peek_f32_slice(&mut self, va: u64, out: &mut [f32]) {
-        if !va.is_multiple_of(4) {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let pa = self.translate(va + 4 * i as u64);
-                *slot = self.mem.read_f32(pa);
-            }
-            return;
-        }
-        let mut done = 0usize;
-        while done < out.len() {
-            let want = 4 * (out.len() - done) as u64;
-            let (pa, run) = self
-                .mmu
-                .translate_run(va + 4 * done as u64, want)
-                .expect("host access to unmapped page");
-            let k = (run / 4) as usize;
-            self.mem.read_f32_slice(pa, &mut out[done..done + k]);
-            done += k;
+        for (pa, words) in PageBursts::new(&self.mmu, va, 4, out.len()) {
+            self.mem.read_f32_run(pa, 4, &mut out[words]);
         }
     }
 
@@ -373,6 +249,43 @@ impl Machine {
     /// Host energy so far.
     pub fn host_energy(&self) -> Energy {
         self.core.energy()
+    }
+}
+
+/// The page bursts of the `f32` run `va, va + stride, …` of `len` words:
+/// maximal stretches of consecutive words whose first bytes lie on one
+/// virtual page, each translated once and yielded as `(pa, word range)`.
+/// A page maps onto one frame, so a burst is physically the same strided
+/// run, with each word at the address [`Machine::host_load_f32`] would
+/// translate it to. A word of a misaligned run may straddle the page's
+/// end; the cache and memory walks take such runs word by word.
+struct PageBursts<'a> {
+    mmu: &'a Mmu,
+    va: u64,
+    stride: i64,
+    done: usize,
+    len: usize,
+}
+
+impl<'a> PageBursts<'a> {
+    fn new(mmu: &'a Mmu, va: u64, stride: i64, len: usize) -> Self {
+        PageBursts { mmu, va, stride, done: 0, len }
+    }
+}
+
+impl Iterator for PageBursts<'_> {
+    type Item = (u64, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done == self.len {
+            return None;
+        }
+        let at = run_addr(self.va, self.stride, self.done);
+        let k = burst_len(at, PAGE_BYTES, self.stride, (self.len - self.done) as u64) as usize;
+        let pa = self.mmu.translate(at).expect("host access to unmapped page");
+        let words = self.done..self.done + k;
+        self.done += k;
+        Some((pa, words))
     }
 }
 
@@ -424,7 +337,7 @@ mod tests {
         let (_, dirty) = m.hier.flush_range(pa, 64);
         assert_eq!(dirty, 1);
         let mut buf = [0u8; 4];
-        m.uncached_read(pa, &mut buf);
+        m.mem.read(pa, &mut buf);
         assert_eq!(f32::from_le_bytes(buf), 7.0);
     }
 

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::cache::{burst_len, run_addr};
+
 /// Size of one backing frame in bytes.
 pub const FRAME_BYTES: usize = 4096;
 
@@ -151,66 +153,65 @@ impl PhysMem {
         self.write(addr, &v.to_le_bytes());
     }
 
-    /// Frame index and in-frame offset of `addr` when the `n ≥ 1` words
-    /// `addr, addr + stride, …` all lie inside that one frame (and inside
-    /// memory), as the per-page bursts of a strided host run do.
-    fn frame_span(&self, addr: u64, stride: i64, n: usize) -> Option<(usize, usize)> {
-        let last = addr.wrapping_add((stride * (n as i64 - 1)) as u64);
-        let (lo, hi) = (addr.min(last), addr.max(last));
-        let frame = lo / FRAME_BYTES as u64;
-        let inside = hi / FRAME_BYTES as u64 == frame
-            && hi % FRAME_BYTES as u64 + 4 <= FRAME_BYTES as u64
-            && hi + 4 <= self.size;
-        inside.then_some((frame as usize, (addr % FRAME_BYTES as u64) as usize))
-    }
-
-    /// Reads the `f32`s at `addr`, `addr + stride`, … into `out`. When they
-    /// share one frame (a page burst of a strided run), the bounds check,
-    /// stats update and frame lookup happen once for the whole burst;
-    /// otherwise this is the [`PhysMem::read_f32`] loop.
-    pub fn read_f32_strided(&mut self, addr: u64, stride: i64, out: &mut [f32]) {
-        if out.is_empty() {
-            return;
-        }
-        let Some((idx, start)) = self.frame_span(addr, stride, out.len()) else {
+    /// Reads the `f32`s at `addr`, `addr + stride`, … into `out`; a
+    /// contiguous slice is `stride == 4`. A word-aligned run with a
+    /// word-multiple stride moves one frame burst at a time — one bounds
+    /// check, stats update and frame lookup per burst; any other run is
+    /// the [`PhysMem::read_f32`] loop, as its words may straddle frames.
+    pub fn read_f32_run(&mut self, addr: u64, stride: i64, out: &mut [f32]) {
+        if !addr.is_multiple_of(4) || stride % 4 != 0 {
             for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.read_f32(addr.wrapping_add((i as i64 * stride) as u64));
+                *slot = self.read_f32(run_addr(addr, stride, i));
             }
             return;
-        };
-        self.stats.bytes_read += 4 * out.len() as u64;
-        let Some(frame) = &self.frames[idx] else {
-            out.fill(0.0);
-            return;
-        };
-        let mut off = start as i64;
-        for slot in out {
-            let o = off as usize;
-            *slot = f32::from_le_bytes(frame[o..o + 4].try_into().expect("4 bytes"));
-            off += stride;
+        }
+        let mut done = 0;
+        while done < out.len() {
+            let a = run_addr(addr, stride, done);
+            let k = self.frame_burst(a, stride, out.len() - done);
+            self.stats.bytes_read += 4 * k as u64;
+            let burst = &mut out[done..done + k];
+            match &self.frames[(a / FRAME_BYTES as u64) as usize] {
+                Some(frame) => {
+                    decode_burst(frame, (a % FRAME_BYTES as u64) as usize, stride, burst)
+                }
+                None => burst.fill(0.0),
+            }
+            done += k;
         }
     }
 
     /// Writes `data` to `addr`, `addr + stride`, … in order; the
-    /// store-side dual of [`PhysMem::read_f32_strided`].
-    pub fn write_f32_strided(&mut self, addr: u64, stride: i64, data: &[f32]) {
-        if data.is_empty() {
-            return;
-        }
-        let Some((_, start)) = self.frame_span(addr, stride, data.len()) else {
+    /// store-side dual of [`PhysMem::read_f32_run`].
+    pub fn write_f32_run(&mut self, addr: u64, stride: i64, data: &[f32]) {
+        if !addr.is_multiple_of(4) || stride % 4 != 0 {
             for (i, v) in data.iter().enumerate() {
-                self.write_f32(addr.wrapping_add((i as i64 * stride) as u64), *v);
+                self.write_f32(run_addr(addr, stride, i), *v);
             }
             return;
-        };
-        self.stats.bytes_written += 4 * data.len() as u64;
-        let frame = self.frame_mut(addr);
-        let mut off = start as i64;
-        for v in data {
-            let o = off as usize;
-            frame[o..o + 4].copy_from_slice(&v.to_le_bytes());
-            off += stride;
         }
+        let mut done = 0;
+        while done < data.len() {
+            let a = run_addr(addr, stride, done);
+            let k = self.frame_burst(a, stride, data.len() - done);
+            self.stats.bytes_written += 4 * k as u64;
+            let off = (a % FRAME_BYTES as u64) as usize;
+            encode_burst(self.frame_mut(a), off, stride, &data[done..done + k]);
+            done += k;
+        }
+    }
+
+    /// Number of leading words of the word-aligned run `addr, addr +
+    /// stride, …` (at most `remaining`) that share `addr`'s frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of those words lies past the end of memory.
+    fn frame_burst(&self, addr: u64, stride: i64, remaining: usize) -> usize {
+        let k = burst_len(addr, FRAME_BYTES as u64, stride, remaining as u64) as usize;
+        let hi = addr.max(run_addr(addr, stride, k - 1));
+        assert!(hi.saturating_add(4) <= self.size, "run past end of memory");
+        k
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -225,68 +226,46 @@ impl PhysMem {
         self.write(addr, &v.to_le_bytes());
     }
 
-    /// Reads a contiguous run of `f32`s starting at `addr`.
-    ///
-    /// Word-aligned runs are copied frame by frame — one bounds check,
-    /// stats update and frame lookup per 4 KiB instead of per element.
-    pub fn read_f32_slice(&mut self, addr: u64, out: &mut [f32]) {
-        if !addr.is_multiple_of(4) {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.read_f32(addr + 4 * i as u64);
-            }
-            return;
-        }
-        assert!(addr + 4 * out.len() as u64 <= self.size, "read past end of memory");
-        self.stats.bytes_read += 4 * out.len() as u64;
-        let mut off = 0usize;
-        while off < out.len() {
-            let a = addr + 4 * off as u64;
-            let in_frame = (a % FRAME_BYTES as u64) as usize;
-            let n = ((FRAME_BYTES - in_frame) / 4).min(out.len() - off);
-            let idx = (a / FRAME_BYTES as u64) as usize;
-            match &self.frames[idx] {
-                Some(frame) => {
-                    for (j, slot) in out[off..off + n].iter_mut().enumerate() {
-                        let s = in_frame + 4 * j;
-                        *slot = f32::from_le_bytes(frame[s..s + 4].try_into().expect("4 bytes"));
-                    }
-                }
-                None => out[off..off + n].fill(0.0),
-            }
-            off += n;
-        }
-    }
-
-    /// Writes a contiguous run of `f32`s starting at `addr`.
-    ///
-    /// Word-aligned runs are copied frame by frame, as in
-    /// [`PhysMem::read_f32_slice`].
-    pub fn write_f32_slice(&mut self, addr: u64, data: &[f32]) {
-        if !addr.is_multiple_of(4) {
-            for (i, v) in data.iter().enumerate() {
-                self.write_f32(addr + 4 * i as u64, *v);
-            }
-            return;
-        }
-        assert!(addr + 4 * data.len() as u64 <= self.size, "write past end of memory");
-        self.stats.bytes_written += 4 * data.len() as u64;
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = addr + 4 * off as u64;
-            let in_frame = (a % FRAME_BYTES as u64) as usize;
-            let n = ((FRAME_BYTES - in_frame) / 4).min(data.len() - off);
-            let frame = self.frame_mut(a);
-            for (j, v) in data[off..off + n].iter().enumerate() {
-                let s = in_frame + 4 * j;
-                frame[s..s + 4].copy_from_slice(&v.to_le_bytes());
-            }
-            off += n;
-        }
-    }
-
     /// Number of frames currently materialized (for tests / diagnostics).
     pub fn resident_frames(&self) -> usize {
         self.frames.iter().filter(|f| f.is_some()).count()
+    }
+}
+
+/// Decodes the words at byte offsets `off, off + stride, …` of `frame`
+/// into `out`. A contiguous burst (`stride == 4`) decodes its bytes as
+/// one slice, without a bounds check per word.
+fn decode_burst(frame: &[u8; FRAME_BYTES], off: usize, stride: i64, out: &mut [f32]) {
+    if stride == 4 {
+        let words = frame[off..off + 4 * out.len()].chunks_exact(4);
+        for (slot, w) in out.iter_mut().zip(words) {
+            *slot = f32::from_le_bytes(w.try_into().expect("4 bytes"));
+        }
+        return;
+    }
+    let mut at = off as i64;
+    for slot in out {
+        let o = at as usize;
+        *slot = f32::from_le_bytes(frame[o..o + 4].try_into().expect("4 bytes"));
+        at += stride;
+    }
+}
+
+/// Encodes `data` at byte offsets `off, off + stride, …` of `frame`; the
+/// store-side dual of [`decode_burst`].
+fn encode_burst(frame: &mut [u8; FRAME_BYTES], off: usize, stride: i64, data: &[f32]) {
+    if stride == 4 {
+        let words = frame[off..off + 4 * data.len()].chunks_exact_mut(4);
+        for (w, v) in words.zip(data) {
+            w.copy_from_slice(&v.to_le_bytes());
+        }
+        return;
+    }
+    let mut at = off as i64;
+    for v in data {
+        let o = at as usize;
+        frame[o..o + 4].copy_from_slice(&v.to_le_bytes());
+        at += stride;
     }
 }
 
@@ -337,9 +316,9 @@ mod tests {
     fn f32_slice_helpers() {
         let mut m = PhysMem::new(1 << 20);
         let data = [1.0f32, -2.0, 0.5, 1e9];
-        m.write_f32_slice(4096, &data);
+        m.write_f32_run(4096, 4, &data);
         let mut out = [0f32; 4];
-        m.read_f32_slice(4096, &mut out);
+        m.read_f32_run(4096, 4, &mut out);
         assert_eq!(out, data);
     }
 
@@ -348,31 +327,39 @@ mod tests {
         let mut m = PhysMem::new(1 << 20);
         let data: Vec<f32> = (0..2048).map(|i| i as f32 * 0.5 - 7.0).collect();
         // Straddles two frame boundaries; word aligned but not frame aligned.
-        m.write_f32_slice(FRAME_BYTES as u64 - 36, &data);
+        m.write_f32_run(FRAME_BYTES as u64 - 36, 4, &data);
         let mut out = vec![0f32; 2048];
-        m.read_f32_slice(FRAME_BYTES as u64 - 36, &mut out);
+        m.read_f32_run(FRAME_BYTES as u64 - 36, 4, &mut out);
         assert_eq!(out, data);
         // Unaligned base takes the byte-wise path and still round-trips.
-        m.write_f32_slice(13, &data[..8]);
+        m.write_f32_run(13, 4, &data[..8]);
         let mut out = vec![0f32; 8];
-        m.read_f32_slice(13, &mut out);
+        m.read_f32_run(13, 4, &mut out);
         assert_eq!(out, &data[..8]);
     }
 
     #[test]
     fn strided_f32_matches_scalar_loop() {
-        // In-frame bursts (forward, backward, stride 0) and runs that
-        // leave the frame or memory take the same values and stats as the
-        // per-word loop.
+        // In-frame bursts (forward, backward, stride 0), runs that cross
+        // frames either way and misaligned runs take the same values and
+        // stats as the per-word loop.
         let data: Vec<f32> = (0..16).map(|i| i as f32 * 1.5 - 4.0).collect();
         let frame = FRAME_BYTES as u64;
-        for (addr, stride) in
-            [(64u64, 4i64), (64, 512), (frame - 4, -256), (128, 0), (frame - 64, 16), (8190, 4)]
-        {
+        for (addr, stride) in [
+            (64u64, 4i64),
+            (64, 512),
+            (frame - 4, -256),
+            (128, 0),
+            (frame - 64, 16),
+            (8190, 4),
+            (64, 1028),
+            (4 * frame - 4, -1024),
+            (100, 6),
+        ] {
             let (mut bulk, mut scalar) = (PhysMem::new(4 * frame), PhysMem::new(4 * frame));
             let mut got = vec![0f32; data.len()];
-            bulk.write_f32_strided(addr, stride, &data);
-            bulk.read_f32_strided(addr, stride, &mut got);
+            bulk.write_f32_run(addr, stride, &data);
+            bulk.read_f32_run(addr, stride, &mut got);
             let mut want = vec![0f32; data.len()];
             for (i, v) in data.iter().enumerate() {
                 scalar.write_f32(addr.wrapping_add((i as i64 * stride) as u64), *v);
@@ -386,7 +373,7 @@ mod tests {
         // An untouched frame reads as zeros.
         let mut m = PhysMem::new(2 * frame);
         let mut out = [1f32; 4];
-        m.read_f32_strided(frame, 8, &mut out);
+        m.read_f32_run(frame, 8, &mut out);
         assert_eq!(out, [0.0; 4]);
     }
 

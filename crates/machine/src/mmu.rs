@@ -155,34 +155,6 @@ impl Mmu {
         }
     }
 
-    /// Translates the run `[va, va+len)`, returning `(pa, run_len)` where
-    /// `run_len` is the length of the maximal physically *contiguous*
-    /// prefix (at most `len`). One table walk per 4 KiB page instead of
-    /// one per scalar; the TLB is left holding the last page of the run so
-    /// a following run continues without a walk. The run stops early at a
-    /// discontiguous or unmapped page — callers resume at `va + run_len`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TranslateError`] if the *first* page is unmapped.
-    pub fn translate_run(&self, va: u64, len: u64) -> Result<(u64, u64), TranslateError> {
-        let base = self.translate(va)?;
-        if len == 0 {
-            return Ok((base, 0));
-        }
-        let mut off = PAGE_BYTES - va % PAGE_BYTES;
-        while off < len {
-            let vpn = (va + off) / PAGE_BYTES;
-            let Some(&pfn) = self.table.get(&vpn) else { break };
-            if pfn * PAGE_BYTES != base + off {
-                break;
-            }
-            self.tlb.set((vpn, pfn));
-            off += PAGE_BYTES;
-        }
-        Ok((base, off.min(len)))
-    }
-
     /// Returns whether `[va, va+len)` is mapped physically contiguously.
     pub fn is_contiguous(&self, va: u64, len: u64) -> bool {
         if len == 0 {
@@ -242,38 +214,6 @@ mod tests {
         m.map_anonymous(0x9000, PAGE_BYTES); // consumes next frame
         m.map_anonymous(0x2000, PAGE_BYTES); // third frame: 0x1000..0x3000 not linear
         assert!(!m.is_contiguous(0x1000, 2 * PAGE_BYTES));
-    }
-
-    #[test]
-    fn translate_run_covers_contiguous_prefix() {
-        let mut m = Mmu::new(0x10_0000, 0x20_0000);
-        m.map_contiguous(0x5000_0000, 0x8000_0000, 3 * PAGE_BYTES);
-        // Whole range in one run, from an offset within the first page.
-        let (pa, run) = m.translate_run(0x5000_0010, 3 * PAGE_BYTES - 0x10).unwrap();
-        assert_eq!(pa, 0x8000_0010);
-        assert_eq!(run, 3 * PAGE_BYTES - 0x10);
-        // Run clipped to the requested length.
-        let (_, run) = m.translate_run(0x5000_0000, 100).unwrap();
-        assert_eq!(run, 100);
-        // Run stops at the end of the mapping (next page unmapped).
-        let (_, run) = m.translate_run(0x5000_0000 + 2 * PAGE_BYTES, 4 * PAGE_BYTES).unwrap();
-        assert_eq!(run, PAGE_BYTES);
-    }
-
-    #[test]
-    fn translate_run_stops_at_discontiguity() {
-        let mut m = Mmu::new(0x10_0000, 0x20_0000);
-        m.map_anonymous(0x1000, PAGE_BYTES);
-        m.map_anonymous(0x9000, PAGE_BYTES); // consumes next frame
-        m.map_anonymous(0x2000, PAGE_BYTES); // not contiguous with 0x1000
-        let (pa, run) = m.translate_run(0x1000, 2 * PAGE_BYTES).unwrap();
-        assert_eq!(pa, m.translate(0x1000).unwrap());
-        assert_eq!(run, PAGE_BYTES);
-        // Resuming past the prefix picks up the next page.
-        let (pa2, run2) = m.translate_run(0x1000 + run, PAGE_BYTES).unwrap();
-        assert_eq!(pa2, m.translate(0x2000).unwrap());
-        assert_eq!(run2, PAGE_BYTES);
-        assert!(m.translate_run(0x8_0000, 16).is_err());
     }
 
     #[test]

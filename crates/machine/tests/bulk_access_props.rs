@@ -1,15 +1,17 @@
 //! Differential properties for the bulk memory-system fast path.
 //!
-//! The bulk entry points — [`Cache::access_run`], [`Hierarchy::access_block`],
-//! `Machine::host_{load,store}_f32_run` — promise results *provably
-//! identical* to the scalar loops they replace: same `CacheStats`, same LRU
-//! stamps and victim choices (observable as the resident-line sets after any
-//! interleaving), same stall cycles, same memory contents. Each property
-//! drives a bulk instance and a scalar-only reference through a random
-//! interleaving of accesses and flushes decoded from sampled words, and
-//! asserts bit-for-bit equality after every operation.
+//! Each layer has one bulk walk — [`Hierarchy::access_block`] for the
+//! caches, `Machine::host_{load,store}_f32_run` for translation, caches,
+//! memory and stall charging together — and each promises results
+//! identical to the scalar loop it replaces: same `CacheStats`, same LRU
+//! stamps and victim choices (observable as the resident-line sets after
+//! any interleaving), same stall cycles, same memory contents. Each
+//! property drives a bulk instance and a scalar-only reference through a
+//! random interleaving of accesses and flushes decoded from sampled words,
+//! and asserts bit-for-bit equality after every operation.
 
-use cim_machine::cache::{Cache, CacheConfig, Hierarchy, LineOutcome, MemLatency, RunOutcome};
+use cim_machine::cache::{CacheConfig, Hierarchy, MemLatency};
+use cim_machine::mmu::PAGE_BYTES;
 use cim_machine::{Machine, MachineConfig};
 use proptest::prelude::*;
 
@@ -23,12 +25,6 @@ impl Fields {
         self.0 >>= bits;
         v
     }
-}
-
-fn small_cache() -> Cache {
-    // 8 sets x 2 ways x 64 B lines = 1 KiB: small enough that random
-    // traffic constantly evicts, exercising victim choice and writebacks.
-    Cache::new(CacheConfig { size_bytes: 1024, line_bytes: 64, ways: 2 })
 }
 
 fn small_hierarchy() -> Hierarchy {
@@ -54,60 +50,10 @@ fn decode_stride(f: &mut Fields) -> i64 {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48 })]
 
-    /// `Cache::access_run` vs the scalar `access_line` loop under random
-    /// interleavings of lines, runs and flushes.
-    #[test]
-    fn cache_runs_match_scalar_interleaved(words in collection::vec(0u64..u64::MAX, 4..40)) {
-        let mut bulk = small_cache();
-        let mut scalar = small_cache();
-        for w in words {
-            let mut f = Fields(w);
-            match f.take(2) {
-                0 => {
-                    let addr = f.take(14);
-                    let write = f.take(1) == 1;
-                    prop_assert_eq!(bulk.access_line(addr, write), scalar.access_line(addr, write));
-                }
-                1 => {
-                    let count = f.take(9) + 1;
-                    let stride = decode_stride(&mut f);
-                    let write = f.take(1) == 1;
-                    // Keep every address of the run nonnegative.
-                    let span = count as i64 * stride.abs();
-                    let start = f.take(13) + span.max(0) as u64;
-                    let out = bulk.access_run(start, count, stride, write);
-                    let mut want = RunOutcome::default();
-                    let mut addr = start;
-                    for _ in 0..count {
-                        match scalar.access_line(addr, write) {
-                            LineOutcome::Hit => want.hits += 1,
-                            LineOutcome::Miss { writeback } => {
-                                want.misses += 1;
-                                want.writebacks += u64::from(writeback);
-                            }
-                        }
-                        addr = addr.wrapping_add(stride as u64);
-                    }
-                    prop_assert_eq!(out, want);
-                }
-                2 => {
-                    let start = f.take(14);
-                    // Large lengths trigger the set-sweep flush on both.
-                    let len = f.take(24);
-                    prop_assert_eq!(bulk.flush_range(start, len), scalar.flush_range(start, len));
-                }
-                _ => {
-                    prop_assert_eq!(bulk.flush_all(), scalar.flush_all());
-                }
-            }
-            prop_assert_eq!(bulk.stats(), scalar.stats());
-            prop_assert_eq!(bulk.dirty_lines(), scalar.dirty_lines());
-            prop_assert_eq!(bulk.resident_lines(), scalar.resident_lines());
-        }
-    }
-
-    /// `Hierarchy::access_block` vs the scalar `access` loop: stall
-    /// cycles, worst level reached, both levels' stats and resident sets.
+    /// `Hierarchy::access_block` vs the scalar `access` loop under random
+    /// interleavings of accesses, blocks, range flushes and whole flushes:
+    /// stall cycles, worst level reached, both levels' stats and resident
+    /// sets.
     #[test]
     fn hierarchy_blocks_match_scalar_interleaved(words in collection::vec(0u64..u64::MAX, 4..32)) {
         let mut bulk = small_hierarchy();
@@ -125,9 +71,16 @@ proptest! {
                     prop_assert_eq!(a.level, b.level);
                 }
                 1 => {
-                    let start = f.take(11);
-                    let len = f.take(18);
-                    prop_assert_eq!(bulk.flush_range(start, len), scalar.flush_range(start, len));
+                    if f.take(2) == 0 {
+                        prop_assert_eq!(bulk.flush_all(), scalar.flush_all());
+                    } else {
+                        let start = f.take(11);
+                        let len = f.take(18);
+                        prop_assert_eq!(
+                            bulk.flush_range(start, len),
+                            scalar.flush_range(start, len)
+                        );
+                    }
                 }
                 _ => {
                     let count = f.take(8) + 1;
@@ -165,18 +118,34 @@ proptest! {
 
     /// Machine-level run accessors (translate + cache + memory + stall
     /// charging) vs per-element `host_load_f32`/`host_store_f32`, with
-    /// flushes interleaved; memory contents compared byte for byte.
+    /// flushes interleaved, over a heap buffer, a CMA buffer (physically
+    /// contiguous across its pages) and a buffer whose pages sit on
+    /// every other frame, from word-aligned and misaligned starts;
+    /// memory contents compared byte for byte.
     #[test]
     fn machine_runs_match_scalar_interleaved(words in collection::vec(0u64..u64::MAX, 4..24)) {
-        const ELEMS: u64 = 4096; // 16 KiB buffer spanning four pages
+        const ELEMS: u64 = 4096; // 16 KiB buffers spanning four pages
+        const SCATTERED: u64 = 0x4000_0000;
+        const SPARE: u64 = 0x5000_0000;
         let mut bulk = Machine::new(MachineConfig::test_small());
         let mut scalar = Machine::new(MachineConfig::test_small());
-        let vb = bulk.alloc_host(4 * ELEMS);
-        let vs = scalar.alloc_host(4 * ELEMS);
-        assert_eq!(vb, vs);
-        let va = vb;
+        let mut bufs = Vec::new();
+        for m in [&mut bulk, &mut scalar] {
+            let heap = m.alloc_host(4 * ELEMS);
+            let cma = m.alloc_cma(4 * ELEMS).expect("cma").0;
+            // A spare page mapped after each page of `SCATTERED` takes
+            // the next frame, so no two of its pages are adjacent.
+            for p in 0..4 * ELEMS / PAGE_BYTES {
+                m.mmu.map_anonymous(SCATTERED + p * PAGE_BYTES, PAGE_BYTES);
+                m.mmu.map_anonymous(SPARE + p * PAGE_BYTES, PAGE_BYTES);
+            }
+            bufs.push([heap, cma, SCATTERED]);
+        }
+        assert_eq!(bufs[0], bufs[1]);
+        let bufs = bufs[0];
         for w in words {
             let mut f = Fields(w);
+            let va = bufs[f.take(2) as usize % bufs.len()];
             match f.take(2) {
                 0 => {
                     let idx = f.take(12) % ELEMS;
@@ -204,19 +173,21 @@ proptest! {
                 }
                 _ => {
                     // Strided run within the buffer: pick stride (in
-                    // elements), then a base that keeps both endpoints in
-                    // range for the sampled count.
+                    // elements), a misalignment of 0..=3 bytes, then a
+                    // base that keeps the whole run in range for the
+                    // sampled count.
                     let stride_e = f.take(3) as i64 - 3; // -3..=4
+                    let mis = if f.take(1) == 1 { 1 + f.take(2) % 3 } else { 0 };
                     let count = (f.take(8) + 1).min(if stride_e == 0 {
                         256
                     } else {
-                        ELEMS / stride_e.unsigned_abs()
+                        (ELEMS - 1) / stride_e.unsigned_abs()
                     }).max(1);
                     let span_e = (count as i64 - 1) * stride_e;
                     let base_min = (-span_e).max(0) as u64;
-                    let base_max = (ELEMS as i64 - 1 - span_e.max(0)) as u64;
+                    let base_max = (ELEMS as i64 - 2 - span_e.max(0)) as u64;
                     let base = base_min + f.take(12) % (base_max - base_min + 1);
-                    let start = va + 4 * base;
+                    let start = va + 4 * base + mis;
                     let stride = 4 * stride_e;
                     if f.take(1) == 1 {
                         let seed = f.take(8) as f32;
@@ -245,13 +216,16 @@ proptest! {
             prop_assert_eq!(bulk.hier.l2.stats(), scalar.hier.l2.stats());
             prop_assert_eq!(bulk.hier.l1d.resident_lines(), scalar.hier.l1d.resident_lines());
             prop_assert_eq!(bulk.hier.l2.resident_lines(), scalar.hier.l2.resident_lines());
+            prop_assert_eq!(bulk.mem.stats(), scalar.mem.stats());
         }
-        // Final functional state: the whole buffer matches byte for byte.
-        let mut a = vec![0f32; ELEMS as usize];
-        let mut b = vec![0f32; ELEMS as usize];
-        bulk.peek_f32_slice(va, &mut a);
-        scalar.peek_f32_slice(va, &mut b);
+        // Final functional state: every buffer matches byte for byte.
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&a), bits(&b));
+        for va in bufs {
+            let mut a = vec![0f32; ELEMS as usize];
+            let mut b = vec![0f32; ELEMS as usize];
+            bulk.peek_f32_slice(va, &mut a);
+            scalar.peek_f32_slice(va, &mut b);
+            prop_assert_eq!(bits(&a), bits(&b));
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! paper): [`scop`] detects static control parts and models statements
 //! with affine domains and access relations; [`tree`] represents their
 //! schedules as trees; [`transforms`] implements the paper's revisited
-//! tiling (Listing 3) and fusion (Listing 2) plus interchange as tree
-//! rewrites; [`deps`] provides the kernel-independence test those rewrites
-//! rely on; [`codegen`] lowers schedules back to loop IR.
+//! tiling (Listing 3) plus interchange as tree rewrites; [`deps`]
+//! provides the kernel-independence test that makes the fusion of
+//! Listing 2 (Loop Tactics' batched grouping) legal; [`codegen`] lowers
+//! schedules back to loop IR.
 //!
 //! ```
 //! let src = r#"

@@ -1,14 +1,13 @@
-//! Schedule-tree transformations: tiling, interchange, fusion.
+//! Schedule-tree transformations: tiling, interchange, subtree rewrites.
 //!
 //! Section III-B revisits tiling and fusion "in the light of this new CIM
 //! computing paradigm trying to minimize write operations to crossbar to
 //! enhance endurance": tiling + interchange make a stationary-operand tile
-//! reusable across consecutive point-loop executions (Listing 3), and
-//! fusion merges independent same-shape kernels so a batched runtime call
-//! can keep shared inputs resident (Listing 2).
+//! reusable across consecutive point-loop executions (Listing 3). Fusion
+//! (Listing 2) is not a tree rewrite here: Loop Tactics groups independent
+//! kernels into one batched runtime call (`tdo_tactics::pass`), legal per
+//! [`crate::deps::kernels_independent`].
 
-use crate::deps::kernels_independent;
-use crate::scop::Scop;
 use crate::tree::{BandDim, ScheduleTree};
 use tdo_ir::affine::AffineExpr;
 use tdo_ir::{Expr, Program, Stmt, VarId};
@@ -105,120 +104,6 @@ pub fn interchange(tree: &ScheduleTree, a: usize, b: usize) -> Option<ScheduleTr
         t = ScheduleTree::band(d, t);
     }
     Some(t)
-}
-
-/// Classical loop fusion of two adjacent children of a sequence: both must
-/// be band chains of identical shape over leaves, and the kernels must be
-/// independent per the paper's rule. The second kernel's statements are
-/// re-rooted onto the first kernel's induction variables (new statements
-/// are appended to the SCoP). Returns the fused tree or `None`.
-pub fn fuse_adjacent(scop: &mut Scop, seq: &ScheduleTree, at: usize) -> Option<ScheduleTree> {
-    let ScheduleTree::Sequence { children } = seq else { return None };
-    if at + 1 >= children.len() {
-        return None;
-    }
-    let (dims_a, inner_a) = children[at].band_chain();
-    let (dims_b, inner_b) = children[at + 1].band_chain();
-    if dims_a.is_empty() || dims_a.len() != dims_b.len() {
-        return None;
-    }
-    for (da, db) in dims_a.iter().zip(&dims_b) {
-        if da.lo != db.lo || da.hi != db.hi || da.step != db.step {
-            return None;
-        }
-    }
-    let leaves_a = inner_a.leaf_stmts();
-    let leaves_b = inner_b.leaf_stmts();
-    if leaves_a.is_empty() || leaves_b.is_empty() {
-        return None;
-    }
-    {
-        let xs: Vec<&crate::scop::ScopStmt> = leaves_a.iter().map(|i| &scop.stmts[*i]).collect();
-        let ys: Vec<&crate::scop::ScopStmt> = leaves_b.iter().map(|i| &scop.stmts[*i]).collect();
-        if !kernels_independent(&xs, &ys) {
-            return None;
-        }
-    }
-    // Rename B's band variables to A's in B's statements.
-    let var_map: Vec<(VarId, VarId)> =
-        dims_b.iter().zip(&dims_a).map(|(db, da)| (db.var, da.var)).collect();
-    let mut new_leaves = Vec::new();
-    for id in &leaves_b {
-        let mut stmt = scop.stmts[*id].clone();
-        stmt.id = scop.stmts.len();
-        rename_assign(&mut stmt.assign, &var_map);
-        for dim in &mut stmt.domain {
-            if let Some((_, to)) = var_map.iter().find(|(from, _)| *from == dim.var) {
-                dim.var = *to;
-            }
-            dim.lb = rename_affine(&dim.lb, &var_map);
-            dim.ub = rename_affine(&dim.ub, &var_map);
-        }
-        // Recompute affine accesses after renaming.
-        stmt.write = tdo_ir::affine::AffineAccess::from_access(&stmt.assign.target)
-            .expect("renaming preserves affinity");
-        let mut reads = Vec::new();
-        stmt.assign.value.visit_accesses(&mut |a| {
-            reads.push(
-                tdo_ir::affine::AffineAccess::from_access(a).expect("renaming preserves affinity"),
-            );
-        });
-        stmt.reads = reads;
-        new_leaves.push(ScheduleTree::Leaf { stmt: stmt.id });
-        scop.stmts.push(stmt);
-    }
-    // Fused body: A's inner subtree followed by B's renamed leaves.
-    let mut fused_children = match inner_a {
-        ScheduleTree::Sequence { children } => children.clone(),
-        other => vec![other.clone()],
-    };
-    fused_children.extend(new_leaves);
-    let mut fused = ScheduleTree::Sequence { children: fused_children };
-    for d in dims_a.into_iter().rev() {
-        fused = ScheduleTree::band(d.clone(), fused);
-    }
-    let mut children = children.clone();
-    children[at] = ScheduleTree::mark("fused", fused);
-    children.remove(at + 1);
-    if children.len() == 1 {
-        Some(children.pop().expect("len 1"))
-    } else {
-        Some(ScheduleTree::Sequence { children })
-    }
-}
-
-fn rename_affine(e: &AffineExpr, map: &[(VarId, VarId)]) -> AffineExpr {
-    let mut out = AffineExpr::constant(e.constant);
-    for (v, c) in &e.terms {
-        let v = map.iter().find(|(f, _)| f == v).map(|(_, t)| *t).unwrap_or(*v);
-        let entry = out.terms.entry(v).or_insert(0);
-        *entry += c;
-    }
-    out
-}
-
-fn rename_assign(a: &mut tdo_ir::Assign, map: &[(VarId, VarId)]) {
-    rename_expr_vars(&mut a.value, map);
-    for e in &mut a.target.idx {
-        rename_expr_vars(e, map);
-    }
-}
-
-fn rename_expr_vars(e: &mut Expr, map: &[(VarId, VarId)]) {
-    match e {
-        Expr::Var(v) => {
-            if let Some((_, t)) = map.iter().find(|(f, _)| f == v) {
-                *v = *t;
-            }
-        }
-        Expr::Load(a) => a.idx.iter_mut().for_each(|e| rename_expr_vars(e, map)),
-        Expr::Unary(_, inner) => rename_expr_vars(inner, map),
-        Expr::Bin(_, l, r) => {
-            rename_expr_vars(l, map);
-            rename_expr_vars(r, map);
-        }
-        Expr::Int(_) | Expr::Float(_) => {}
-    }
 }
 
 /// Substitutes statements of `old` for `replacement` wherever `pred` holds
@@ -369,59 +254,6 @@ mod tests {
         let prog = compile(src).expect("compiles");
         let scop = extract(&prog).expect("affine");
         assert!(interchange(&scop.tree, 0, 1).is_none());
-    }
-
-    const TWO_INDEPENDENT: &str = r#"
-        const int N = 6;
-        float A[N][N]; float B[N][N]; float C[N][N]; float D[N][N]; float E[N][N];
-        void kernel() {
-          for (int i = 0; i < N; i++)
-            for (int j = 0; j < N; j++)
-              for (int k = 0; k < N; k++)
-                C[i][j] += A[i][k] * B[k][j];
-          for (int i = 0; i < N; i++)
-            for (int j = 0; j < N; j++)
-              for (int k = 0; k < N; k++)
-                D[i][j] += A[i][k] * E[k][j];
-        }
-    "#;
-
-    #[test]
-    fn fusion_merges_independent_kernels() {
-        let prog = compile(TWO_INDEPENDENT).expect("compiles");
-        let mut scop = extract(&prog).expect("affine");
-        let reference = run_to_arrays(&prog);
-        let tree = scop.tree.clone();
-        let fused = fuse_adjacent(&mut scop, &tree, 0).expect("fuses");
-        let mut fused_prog = prog.clone();
-        fused_prog.body = generate(&scop, &fused);
-        tdo_ir::verify::verify(&fused_prog).expect("well-formed");
-        assert_eq!(run_to_arrays(&fused_prog), reference);
-        // One loop nest remains.
-        let (dims, _) = fused.band_chain();
-        assert_eq!(dims.len(), 3);
-    }
-
-    #[test]
-    fn fusion_refuses_dependent_kernels() {
-        let src = TWO_INDEPENDENT
-            .replace("D[i][j] += A[i][k] * E[k][j];", "D[i][j] += C[i][k] * E[k][j];");
-        let prog = compile(&src).expect("compiles");
-        let mut scop = extract(&prog).expect("affine");
-        let tree = scop.tree.clone();
-        assert!(fuse_adjacent(&mut scop, &tree, 0).is_none());
-    }
-
-    #[test]
-    fn fusion_refuses_mismatched_domains() {
-        let src = TWO_INDEPENDENT.replace(
-            "for (int i = 0; i < N; i++)\n            for (int j = 0; j < N; j++)\n              for (int k = 0; k < N; k++)\n                D[i][j] += A[i][k] * E[k][j];",
-            "for (int i = 0; i < 3; i++)\n            for (int j = 0; j < N; j++)\n              for (int k = 0; k < N; k++)\n                D[i][j] += A[i][k] * E[k][j];",
-        );
-        let prog = compile(&src).expect("compiles");
-        let mut scop = extract(&prog).expect("affine");
-        let tree = scop.tree.clone();
-        assert!(fuse_adjacent(&mut scop, &tree, 0).is_none());
     }
 
     #[test]

@@ -557,8 +557,8 @@ mod tests {
         let (_v, a) = mach.alloc_cma(64).expect("cma");
         let (_v, x) = mach.alloc_cma(64).expect("cma");
         let (_v, y) = mach.alloc_cma(64).expect("cma");
-        mach.mem.write_f32_slice(a, &[1.0, 0.0, 0.0, 1.0]);
-        mach.mem.write_f32_slice(x, &[5.0, -3.0]);
+        mach.mem.write_f32_run(a, 4, &[1.0, 0.0, 0.0, 1.0]);
+        mach.mem.write_f32_run(x, 4, &[5.0, -3.0]);
         drv.write_regs(
             mach,
             acc,
