@@ -178,11 +178,6 @@ impl AccelConfig {
         self.rows * self.cols * self.tile_count()
     }
 
-    /// Crossbar capacity in bytes (one byte per logical 8-bit cell).
-    pub fn capacity_bytes(&self) -> usize {
-        self.cells()
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics

@@ -237,8 +237,7 @@ impl CimAccelerator {
 
     /// Cumulative install-gather DMA time queued on each per-tile DMA
     /// channel (one entry per configured channel). With the default
-    /// single channel this equals the serial install bus occupancy; the
-    /// driver mirrors it into `DriverStats` on every batched poll.
+    /// single channel this equals the serial install bus occupancy.
     pub fn dma_channel_busy(&self) -> &[SimTime] {
         &self.channel_busy
     }
@@ -246,11 +245,6 @@ impl CimAccelerator {
     /// Recorded event timeline.
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
-    }
-
-    /// Clears the event timeline.
-    pub fn clear_timeline(&mut self) {
-        self.timeline.clear();
     }
 
     /// Error from the last failed command, if any.

@@ -1,10 +1,10 @@
 //! Reactor batching and per-tile DMA channels — the two host/device
-//! mechanisms PR 7 adds on top of the paper's single status register
-//! and single install bus. Two phases:
+//! mechanisms the runtime adds on top of the paper's single status
+//! register and single install bus. Two phases:
 //!
 //! 1. **doorbell batching** — the fig7 batched workload (independent
 //!    async GEMMs on disjoint tile sub-grids) drained through the
-//!    ring-buffer reactor: one batched completion-queue read services
+//!    completion reactor: one batched completion-queue read services
 //!    every in-flight command, with results bit-for-bit identical to the
 //!    serial reference. The per-future drain it replaced — one PMIO
 //!    status-register read per future — is derived analytically from

@@ -49,11 +49,6 @@ impl CompiledProgram {
         self.report.as_ref().is_some_and(|r| r.any_offloaded())
     }
 
-    /// The report of the named pass, if it ran.
-    pub fn pass_report(&self, name: &str) -> Option<&PassReport> {
-        self.passes.iter().find(|p| p.name == name)
-    }
-
     /// A named counter summed across every pass report (e.g.
     /// `"hoisted_syncs"`, `"elided_syncs"`, `"pins"`, `"spills"`).
     pub fn pass_counter(&self, key: &str) -> u64 {

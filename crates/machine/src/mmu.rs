@@ -171,6 +171,16 @@ impl Mmu {
         true
     }
 
+    /// Returns whether every page of `[va, va+len)` is mapped. A range
+    /// whose end passes `u64::MAX` is not.
+    pub fn is_mapped(&self, va: u64, len: u64) -> bool {
+        if len == 0 {
+            return true;
+        }
+        let Some(end) = va.checked_add(len) else { return false };
+        (va / PAGE_BYTES..=(end - 1) / PAGE_BYTES).all(|vpn| self.table.contains_key(&vpn))
+    }
+
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
         self.table.len()

@@ -40,11 +40,6 @@ impl Energy {
         Energy { pj: nj * 1e3 }
     }
 
-    /// Creates an energy from microjoules.
-    pub fn from_uj(uj: f64) -> Self {
-        Energy { pj: uj * 1e6 }
-    }
-
     /// Creates an energy from millijoules.
     pub fn from_mj(mj: f64) -> Self {
         Energy { pj: mj * 1e9 }

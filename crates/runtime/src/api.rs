@@ -18,7 +18,7 @@ use cim_accel::{operand_bytes, partition_grid, AccelConfig, CimAccelerator, Grid
 use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
-use std::cell::{Ref, RefCell, RefMut};
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use crate::driver::{CimDriver, DispatchMode, DriverConfig};
@@ -155,20 +155,22 @@ struct Offload<'a> {
 }
 
 /// The hardware a context (or N tenant contexts) submits against: one
-/// accelerator, one kernel driver — the reactor's rings and in-flight
-/// table — and, when the device is fronted by
+/// accelerator, one kernel driver — the reactor's submission slots and
+/// in-flight table — and, when the device is fronted by
 /// [`crate::serve::CimServer`], the serving scheduler that
 /// space/time-multiplexes the tile grid.
 ///
 /// A plain [`CimContext::new`] wraps a private device (the historical
 /// single-program shape); the serving layer instead builds one device
 /// and hands every tenant a context over the same [`SharedDevice`], so
-/// all tenants share the reactor's rings and per-region doorbells.
+/// all tenants share the reactor's submission slots and per-region
+/// doorbells.
 #[derive(Debug)]
 pub struct CimDevice {
     /// The modeled accelerator.
     pub accel: CimAccelerator,
-    /// The kernel driver session (shared rings + in-flight table).
+    /// The kernel driver session (shared submission slots + in-flight
+    /// table).
     pub driver: CimDriver,
     /// Serving scheduler — `None` for private single-program devices.
     pub scheduler: Option<GridScheduler>,
@@ -246,12 +248,6 @@ impl CimContext {
     /// must not be held across another runtime call on the same device.
     pub fn accel(&self) -> Ref<'_, CimAccelerator> {
         Ref::map(self.device.borrow(), |d| &d.accel)
-    }
-
-    /// Mutable accelerator access (tests). The guard must not be held
-    /// across another runtime call on the same device.
-    pub fn accel_mut(&mut self) -> RefMut<'_, CimAccelerator> {
-        RefMut::map(self.device.borrow_mut(), |d| &mut d.accel)
     }
 
     /// The kernel driver model. The guard must not be held across
@@ -476,7 +472,7 @@ impl CimContext {
 
     /// Serving-policy admission control, run before a tenant kernel
     /// reaches the hardware. The host-side delay is the fairness lever:
-    /// a command already in the rings cannot be reordered, so the
+    /// a command already in the reactor cannot be reordered, so the
     /// scheduler shapes traffic where commands are *born* — a tenant
     /// whose accumulated tile-time backlog exceeds its weighted quota
     /// (or whose wear budget is spent) idles before submitting, leaving
@@ -502,8 +498,8 @@ impl CimContext {
 
     /// Detaches this context from the shared device: its pending
     /// commands are synchronized (the reactor records it owns are
-    /// claimed — a departing tenant leaves nothing unclaimed in the
-    /// completion ring, and its neighbours' records stay in flight),
+    /// claimed — a departing tenant leaves no delivered completion
+    /// unclaimed, and its neighbours' records stay in flight),
     /// every live allocation is released (which invalidates its
     /// pins), and the serving lease is reclaimed for the remaining
     /// tenants. The context is left uninitialized; it can be dropped or
@@ -642,8 +638,8 @@ impl CimContext {
     /// [`CimError::InvalidPointer`] for unregistered buffers.
     pub fn cim_sync_to_dev(&mut self, mach: &mut Machine, ptr: DevPtr) -> Result<(), CimError> {
         self.ensure_init()?;
-        self.cim_sync_range(mach, ptr.pa, ptr.len)?;
         self.check_live(&ptr)?;
+        self.cim_sync_range(mach, ptr.pa, ptr.len)?;
         self.device.borrow_mut().driver.flush_shared(mach, &[(ptr.pa, ptr.len)]);
         self.invalidate_residency(ptr.pa, ptr.len);
         self.stats.h2d_calls += 1;
@@ -669,8 +665,8 @@ impl CimContext {
     /// [`CimError::InvalidPointer`] for unregistered buffers.
     pub fn cim_sync_to_host(&mut self, mach: &mut Machine, ptr: DevPtr) -> Result<(), CimError> {
         self.ensure_init()?;
-        self.cim_sync_range(mach, ptr.pa, ptr.len)?;
         self.check_live(&ptr)?;
+        self.cim_sync_range(mach, ptr.pa, ptr.len)?;
         self.device.borrow_mut().driver.flush_shared(mach, &[(ptr.pa, ptr.len)]);
         self.stats.d2h_calls += 1;
         Ok(())
@@ -682,7 +678,9 @@ impl CimContext {
     ///
     /// # Errors
     ///
-    /// [`CimError::InvalidArg`] if the copy exceeds the allocation.
+    /// [`CimError::InvalidPointer`] for an unregistered buffer or a host
+    /// range with an unmapped page; [`CimError::InvalidArg`] if the copy
+    /// exceeds the allocation. A rejected copy charges nothing.
     pub fn cim_host_to_dev(
         &mut self,
         mach: &mut Machine,
@@ -691,14 +689,9 @@ impl CimContext {
         len: u64,
     ) -> Result<(), CimError> {
         self.ensure_init()?;
-        self.cim_sync_range(mach, dst.pa, dst.len)?;
         self.check_live(&dst)?;
-        if len > dst.len {
-            return Err(CimError::InvalidArg(format!(
-                "copy of {len} bytes into {}-byte buffer",
-                dst.len
-            )));
-        }
+        check_copy(mach, src_va, len, "into", &dst)?;
+        self.cim_sync_range(mach, dst.pa, dst.len)?;
         copy_words(mach, src_va, dst.va, len);
         self.invalidate_residency(dst.pa, dst.len);
         self.stats.h2d_bytes += len;
@@ -712,7 +705,7 @@ impl CimContext {
     ///
     /// # Errors
     ///
-    /// [`CimError::InvalidArg`] if the copy exceeds the allocation.
+    /// As for [`CimContext::cim_host_to_dev`].
     pub fn cim_dev_to_host(
         &mut self,
         mach: &mut Machine,
@@ -721,14 +714,9 @@ impl CimContext {
         len: u64,
     ) -> Result<(), CimError> {
         self.ensure_init()?;
-        self.cim_sync_range(mach, src.pa, src.len)?;
         self.check_live(&src)?;
-        if len > src.len {
-            return Err(CimError::InvalidArg(format!(
-                "copy of {len} bytes from {}-byte buffer",
-                src.len
-            )));
-        }
+        check_copy(mach, dst_va, len, "from", &src)?;
+        self.cim_sync_range(mach, src.pa, src.len)?;
         self.device.borrow_mut().driver.flush_shared(mach, &[(src.pa, len)]);
         copy_words(mach, src.va, dst_va, len);
         self.stats.d2h_bytes += len;
@@ -1061,7 +1049,7 @@ impl CimContext {
         if submitted.is_ok() && !blocking {
             self.stats.async_submits += 1;
         } else if let Some(table) = table {
-            // Claimed at once, or rejected before it entered the rings.
+            // Claimed at once, or rejected before it entered the reactor.
             self.release(mach, table)?;
         }
         submitted.map(|future| future.busy)
@@ -1089,6 +1077,28 @@ impl CimContext {
         }
         Ok(table)
     }
+}
+
+/// Checks a copy of `len` bytes between the host range at `host_va` and
+/// the live buffer `dev` (`dir` is "into" or "from" it): the copy must
+/// fit the buffer, and every page of the host range must be mapped.
+fn check_copy(
+    mach: &Machine,
+    host_va: u64,
+    len: u64,
+    dir: &str,
+    dev: &DevPtr,
+) -> Result<(), CimError> {
+    if len > dev.len {
+        return Err(CimError::InvalidArg(format!(
+            "copy of {len} bytes {dir} {}-byte buffer",
+            dev.len
+        )));
+    }
+    if !mach.mmu.is_mapped(host_va, len) {
+        return Err(CimError::InvalidPointer(host_va));
+    }
+    Ok(())
 }
 
 /// Cached word copy: `ldr; str; add; bne` per 4 bytes. The data moves
@@ -1610,6 +1620,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every rejection a data-movement call makes — a view that overlaps
+    /// an in-flight command's buffer but lies outside any live
+    /// allocation, a copy longer than its buffer, a host range with an
+    /// unmapped page or an end past `u64::MAX` — returns its error before
+    /// the call syncs the buffer: the command stays in flight and
+    /// nothing is charged.
+    #[test]
+    fn data_movement_rejections_charge_nothing() {
+        let mut mach = Machine::new(MachineConfig::test_small());
+        let drv_cfg = DriverConfig { dispatch: DispatchMode::Async, ..DriverConfig::default() };
+        let mut ctx = CimContext::new(AccelConfig::test_small(), drv_cfg, &mach);
+        ctx.cim_init(&mut mach, 0).expect("init");
+        let a = dev_mat(&mut ctx, &mut mach, &[1.0, 0.0, 0.0, 1.0]);
+        let x = dev_mat(&mut ctx, &mut mach, &[2.0, 3.0]);
+        let y = dev_mat(&mut ctx, &mut mach, &[0.0; 2]);
+        ctx.cim_blas_sgemv(&mut mach, Transpose::No, 2, 2, 1.0, a, 2, x, 0.0, y).expect("gemv");
+        assert_eq!(ctx.pending_commands(), 1);
+        let host = mach.alloc_host(2 * y.len);
+        let grown = DevPtr { len: y.len + 16, ..y };
+        let unmapped = 0xDEAD_0000;
+        assert!(mach.mmu.translate(unmapped).is_err(), "the probe address must be unmapped");
+        let top = u64::MAX - 3;
+        let bad_pointer: fn(&CimError) -> bool = |e| matches!(e, CimError::InvalidPointer(_));
+        let bad_arg: fn(&CimError) -> bool = |e| matches!(e, CimError::InvalidArg(_));
+        type Call = fn(&mut CimContext, &mut Machine, DevPtr, u64, u64) -> Result<(), CimError>;
+        let h2d: Call = |ctx, m, dev, va, len| ctx.cim_host_to_dev(m, dev, va, len);
+        let d2h: Call = |ctx, m, dev, va, len| ctx.cim_dev_to_host(m, va, dev, len);
+        let to_dev: Call = |ctx, m, dev, _, _| ctx.cim_sync_to_dev(m, dev);
+        let to_host: Call = |ctx, m, dev, _, _| ctx.cim_sync_to_host(m, dev);
+        let mut rows = Vec::new();
+        for (name, call) in [("sync_to_dev", to_dev), ("sync_to_host", to_host)] {
+            rows.push((name, call, "overlapping dead view", grown, host, y.len, bad_pointer));
+        }
+        for (name, call) in [("host_to_dev", h2d), ("dev_to_host", d2h)] {
+            rows.push((name, call, "overlapping dead view", grown, host, y.len, bad_pointer));
+            rows.push((name, call, "oversized copy", y, host, y.len + 4, bad_arg));
+            rows.push((name, call, "unmapped host range", y, unmapped, y.len, bad_pointer));
+            rows.push((name, call, "host range end overflows", y, top, y.len, bad_pointer));
+        }
+        for (name, call, fault, dev, va, len, expected) in rows {
+            let before = charges(&ctx, &mach);
+            let r = call(&mut ctx, &mut mach, dev, va, len);
+            assert!(r.as_ref().is_err_and(expected), "{name}: {fault}: {r:?}");
+            assert_eq!(charges(&ctx, &mach), before, "{name}: {fault}");
+        }
+        assert_eq!(ctx.pending_commands(), 1, "the command is still in flight");
     }
 
     /// A `DevPtr` whose end passes `u64::MAX` — built by hand, or as an

@@ -15,7 +15,7 @@
 //! offloading in Fig. 6.
 
 use cim_accel::regs::{Command, Reg, Status};
-use cim_accel::{CimAccelerator, GridRegion, MAX_DMA_CHANNELS};
+use cim_accel::{CimAccelerator, GridRegion};
 use cim_machine::cpu::InstClass;
 use cim_machine::units::SimTime;
 use cim_machine::Machine;
@@ -61,7 +61,7 @@ pub enum DispatchMode {
     /// (the historical behavior).
     #[default]
     Sync,
-    /// Invocations return once the command is in the rings; the host
+    /// Invocations return once the command is in the reactor; the host
     /// overlaps other work and pays only the *remaining* wait when an
     /// observation point claims the command ([`CimDriver::sync`]).
     Async,
@@ -95,9 +95,11 @@ pub struct DriverConfig {
     pub dispatch: DispatchMode,
     /// Flush coverage.
     pub flush: FlushMode,
-    /// Slots in each reactor ring. Submissions finding the ring full
-    /// stall the host (counted in [`DriverStats::queue_full_stalls`])
-    /// until the pinning command's doorbell is claimed.
+    /// Slots in the reactor's submission queue: sequence `s` holds slot
+    /// `s mod queue_capacity` until a sweep delivers it. A submission
+    /// whose slot is still held stalls the host (counted in
+    /// [`DriverStats::queue_full_stalls`]) until the holding command's
+    /// doorbell is delivered.
     pub queue_capacity: usize,
 }
 
@@ -174,13 +176,10 @@ pub struct DriverStats {
     /// Completions delivered by those sweeps (ratio to
     /// [`DriverStats::batched_polls`] = completions per poll).
     pub completions_polled: u64,
-    /// Submissions that found the submission ring full and stalled the
-    /// host until a slot freed (queue-full backpressure).
+    /// Submissions that found their submission-queue slot held and
+    /// stalled the host until a sweep freed it (queue-full
+    /// backpressure).
     pub queue_full_stalls: u64,
-    /// Cumulative busy time of each per-tile DMA channel, mirrored from
-    /// the accelerator at every reactor sweep. Channels beyond
-    /// `AccelConfig::dma_channels` stay zero.
-    pub dma_channel_busy: [SimTime; MAX_DMA_CHANNELS],
 }
 
 impl DriverStats {
@@ -236,7 +235,8 @@ impl CimDriver {
         CimDriver { cfg, stats: DriverStats::default(), reactor: Reactor::new(cfg.queue_capacity) }
     }
 
-    /// The completion reactor: the rings and the in-flight command table.
+    /// The completion reactor: the in-flight command table and the
+    /// delivered completions.
     pub fn reactor(&self) -> &Reactor {
         &self.reactor
     }
@@ -369,34 +369,31 @@ impl CimDriver {
     }
 
     /// One batched host sweep of the completion queue, billed as
-    /// `polls` status reads: the device model retires everything due by
-    /// `horizon` and all fresh doorbells are delivered at once.
-    fn poll_reactor(&mut self, acc: &CimAccelerator, horizon: SimTime, polls: u64) {
+    /// `polls` status reads: every doorbell visible by `horizon` is
+    /// delivered at once.
+    fn poll_reactor(&mut self, horizon: SimTime, polls: u64) {
         let delivered = self.reactor.poll(horizon);
         self.stats.batched_polls += polls;
         self.stats.status_reads += polls;
         self.stats.completions_polled += delivered as u64;
-        for (slot, t) in self.stats.dma_channel_busy.iter_mut().zip(acc.dma_channel_busy()) {
-            *slot = *t;
-        }
     }
 
-    /// Blocks the host until the submission ring can admit another
+    /// Blocks the host until the submission queue can admit another
     /// command — queue-full backpressure. Each stall waits (per the
-    /// configured policy) for the in-flight command pinning the needed
+    /// configured policy) for the in-flight command holding the needed
     /// slot, then sweeps the completion queue to free it.
-    fn admit(&mut self, mach: &mut Machine, acc: &CimAccelerator) {
+    fn admit(&mut self, mach: &mut Machine) {
         while !self.reactor.can_submit() {
             self.stats.queue_full_stalls += 1;
             let wake = self
                 .reactor
                 .blocking_ready_at()
-                .expect("a full submission ring implies an in-flight pinning command");
+                .expect("a full submission queue implies an in-flight holding command");
             let polls = self.wait_until(mach, wake).max(1);
             // Cycle-granular waits can land a fraction of a cycle short
-            // of `wake`; sweep at the later of the two so the pinning
-            // command's doorbell is guaranteed to post.
-            self.poll_reactor(acc, mach.now().max(wake), polls);
+            // of `wake`; sweep at the later of the two so the holding
+            // command's doorbell is guaranteed to be delivered.
+            self.poll_reactor(mach.now().max(wake), polls);
         }
     }
 
@@ -419,7 +416,7 @@ impl CimDriver {
     /// Returns [`CimError::InvalidArg`] if the armed command is
     /// [`Command::Nop`], which starts nothing and takes no command id,
     /// and [`CimError::Device`] if the engine flagged an error. Either
-    /// way the command never entered the rings.
+    /// way the command never entered the reactor.
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
@@ -435,10 +432,10 @@ impl CimDriver {
             return Err(CimError::InvalidArg("no command armed: a Nop starts nothing".into()));
         }
         self.stats.invocations += 1;
-        // The doorbell cannot ring until the submission ring has a slot:
-        // a full ring stalls the host first, which pushes the start
-        // instant (and everything behind it) later.
-        self.admit(mach, acc);
+        // The doorbell cannot ring until the submission queue has a
+        // slot: a full queue stalls the host first, which pushes the
+        // start instant (and everything behind it) later.
+        self.admit(mach);
         let now = mach.now();
         let start = self.reactor.earliest_start(region, reads, writes, now);
         let dur = acc.execute_at(mach, start);
@@ -515,8 +512,8 @@ impl CimDriver {
         };
         // Cycle-granular waits can land a fraction of a cycle short of
         // `ready_at`; sweep at the later of the two so this command's
-        // doorbell is guaranteed to post.
-        self.poll_reactor(acc, mach.now().max(ready_at), polls);
+        // doorbell is guaranteed to be delivered.
+        self.poll_reactor(mach.now().max(ready_at), polls);
         self.reactor.claim(cmd_id).expect("the sweep delivered the command's doorbell")
     }
 }

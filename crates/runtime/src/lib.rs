@@ -42,7 +42,7 @@ pub use api::{CimContext, CimDevice, DevPtr, SharedDevice, Transpose};
 pub use cim_accel::DeviceKind;
 pub use driver::{CimDriver, CimFuture, DispatchMode, DriverConfig, FlushMode, WaitPolicy};
 pub use error::CimError;
-pub use reactor::{CmdRecord, Completion, Reactor, RingBuffer};
+pub use reactor::{CmdRecord, Reactor};
 pub use residency::{ResidencyEntry, ResidencyTable};
 pub use serve::{
     CimServer, FairnessPolicy, GridScheduler, ServePolicy, TenantConfig, TenantId, TenantUsage,

@@ -2,7 +2,7 @@
 //!
 //! The rest of the stack runs one program in one [`CimContext`]; this
 //! module makes the runtime a *server*. A [`CimServer`] owns a single
-//! [`crate::api::CimDevice`] — accelerator, driver rings, reactor — and
+//! [`crate::api::CimDevice`] — accelerator, driver, reactor — and
 //! hands out tenant contexts that all submit against it. Three
 //! mechanisms multiplex the grid:
 //!
@@ -17,7 +17,7 @@
 //!   scheduler meters each tenant's scheduled tile-time and delays the
 //!   *birth* of new commands from a tenant whose backlog exceeds its
 //!   weighted quota ([`FairnessPolicy::DeficitWeighted`]). Commands
-//!   already in the rings cannot be reordered, so host-side admission
+//!   already in the reactor cannot be reordered, so host-side admission
 //!   is the entire lever — and it bounds every victim's wait by the sum
 //!   of its co-lessees' quotas plus one command's busy time.
 //! - **Wear budgets** make endurance a metered shared resource: each
@@ -190,16 +190,6 @@ impl GridScheduler {
         &self.policy
     }
 
-    /// Number of leasable regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Number of tenants ever connected (slots are not recycled).
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Registers a tenant and returns its identity.
     pub fn connect(&mut self, cfg: TenantConfig) -> TenantId {
         let id = TenantId(self.tenants.len() as u32);
@@ -362,7 +352,7 @@ impl GridScheduler {
 
 /// The serving front end: owns the [`SharedDevice`] and hands out
 /// tenant contexts. All tenants share the device's reactor: one set of
-/// rings and one in-flight command table across contexts.
+/// submission slots and one in-flight command table across contexts.
 #[derive(Debug)]
 pub struct CimServer {
     device: SharedDevice,

@@ -47,7 +47,7 @@ pub struct RuntimeStats {
     /// and re-installs on its next use — a capacity spill).
     pub pin_evictions: u64,
     /// Submissions by *this context* that found the shared submission
-    /// ring full and stalled — the per-tenant attribution of
+    /// queue full and stalled — the per-tenant attribution of
     /// [`crate::driver::DriverStats::queue_full_stalls`], so a noisy
     /// neighbor's backpressure shows up on the neighbor, not the victim.
     pub queue_full_stalls: u64,

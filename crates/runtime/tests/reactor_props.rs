@@ -1,6 +1,6 @@
 //! Guard suite for the driver's one completion path: for any schedule —
 //! sync or async dispatch, any tile grid, any DMA channel count,
-//! spinning or polling waits — the ring-buffer reactor must leave
+//! spinning or polling waits — the completion reactor must leave
 //! results bit-for-bit identical to the paper-default blocking Sync+Spin
 //! run of the same schedule, account every status read, and end with
 //! nothing in flight and nothing unclaimed. A golden anchor pins the

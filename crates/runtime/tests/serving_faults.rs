@@ -1,11 +1,11 @@
 //! Fault injection on the serving layer: tenants leave mid-flight and
-//! rings overflow, and the blast radius must stay confined to the
-//! tenant that caused it. A disconnecting tenant's in-flight commands
-//! are synchronized and its doorbells claimed — the shared completion
-//! ring never leaks an unclaimed doorbell to the survivors — its lease
-//! is reclaimed for the next tenant, and the survivors' results are
-//! untouched. Ring-full backpressure lands on the flooding tenant's own
-//! `queue_full_stalls` ledger, never the victim's.
+//! the submission queue overflows, and the blast radius must stay
+//! confined to the tenant that caused it. A disconnecting tenant's
+//! in-flight commands are synchronized and its doorbells claimed — the
+//! shared reactor never leaks an unclaimed doorbell to the survivors —
+//! its lease is reclaimed for the next tenant, and the survivors'
+//! results are untouched. Queue-full backpressure lands on the flooding
+//! tenant's own `queue_full_stalls` ledger, never the victim's.
 
 use cim_accel::AccelConfig;
 use cim_machine::{Machine, MachineConfig};
