@@ -16,9 +16,9 @@ use cim_machine::Machine;
 use cim_runtime::driver::DriverStats;
 use cim_runtime::{CimContext, CimError, DevPtr, RuntimeStats, Transpose};
 use std::fmt;
-use tdo_ir::interp::calls::{parse, CimCall, GemmCall};
-use tdo_ir::interp::{run, Backend, CostEvent, InterpError, ResolvedArg};
-use tdo_ir::{ArrayId, CallStmt, Program, Stmt};
+use tdo_ir::calls::{CimCall, ResolvedCall};
+use tdo_ir::interp::{run, Backend, CostEvent, InterpError};
+use tdo_ir::{ArrayId, Program, Stmt};
 
 /// Execution failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,28 +193,15 @@ pub fn execute(
 /// Arrays passed to `polly_cimMalloc` anywhere in the program.
 fn malloc_targets(prog: &Program) -> Vec<ArrayId> {
     let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<ArrayId>) {
-        for s in stmts {
-            match s {
-                Stmt::Call(CallStmt { callee, args }) if callee == "polly_cimMalloc" => {
-                    for a in args {
-                        if let tdo_ir::CallArg::Array(id) = a {
-                            if !out.contains(id) {
-                                out.push(*id);
-                            }
-                        }
-                    }
+    for s in &prog.body {
+        s.visit(&mut |s| {
+            if let Stmt::Call(CimCall::Malloc(a)) = s {
+                if !out.contains(a) {
+                    out.push(*a);
                 }
-                Stmt::For(l) => walk(&l.body, out),
-                Stmt::If(i) => {
-                    walk(&i.then_body, out);
-                    walk(&i.else_body, out);
-                }
-                _ => {}
             }
-        }
+        });
     }
-    walk(&prog.body, &mut out);
     out
 }
 
@@ -230,53 +217,32 @@ struct MachineBackend<'p> {
 }
 
 impl<'p> MachineBackend<'p> {
-    fn dev(&self, a: ArrayId) -> Result<DevPtr, InterpError> {
-        self.device[a.0].ok_or_else(|| {
+    /// The device pointer of `a` from its `(row, col)` origin on, for a
+    /// leading dimension of `ld`.
+    fn view(&self, a: ArrayId, off: (usize, usize), ld: usize) -> Result<DevPtr, InterpError> {
+        let ptr = self.device[a.0].ok_or_else(|| {
             InterpError::Backend(format!(
-                "array {} used on device before polly_cimMalloc",
-                self.prog.array(a).name
+                "array {} used on device before {}",
+                self.prog.array(a).name,
+                CimCall::Malloc(a).callee()
             ))
-        })
-    }
-
-    fn ctx_mut(&mut self) -> Result<&mut CimContext, InterpError> {
-        self.ctx
-            .as_mut()
-            .ok_or_else(|| InterpError::Backend("runtime call before polly_cimInit".into()))
-    }
-
-    fn view(ptr: DevPtr, off: (usize, usize), ld: usize) -> DevPtr {
+        })?;
         let delta = 4 * (off.0 * ld + off.1) as u64;
-        DevPtr { va: ptr.va + delta, pa: ptr.pa + delta, len: ptr.len.saturating_sub(delta) }
+        Ok(DevPtr { va: ptr.va + delta, pa: ptr.pa + delta, len: ptr.len.saturating_sub(delta) })
     }
 
-    fn run_gemm(&mut self, g: &GemmCall) -> Result<(), InterpError> {
-        let (a, b, c) = (self.dev(g.a)?, self.dev(g.b)?, self.dev(g.c)?);
-        let av = Self::view(a, g.a_off, g.lda);
-        let bv = Self::view(b, g.b_off, g.ldb);
-        let cv = Self::view(c, g.c_off, g.ldc);
-        let trans_a = if g.trans_a { Transpose::Yes } else { Transpose::No };
-        let trans_b = if g.trans_b { Transpose::Yes } else { Transpose::No };
-        let mach = &mut self.mach;
-        let ctx = self.ctx.as_mut().expect("checked by caller");
-        ctx.cim_blas_sgemm(
-            mach,
-            trans_a,
-            trans_b,
-            g.m,
-            g.n,
-            g.k,
-            g.alpha as f32,
-            av,
-            g.lda,
-            bv,
-            g.ldb,
-            g.beta as f32,
-            cv,
-            g.ldc,
-        )
-        .map_err(cim_err)?;
-        Ok(())
+    fn dev(&self, a: ArrayId) -> Result<DevPtr, InterpError> {
+        self.view(a, (0, 0), 0)
+    }
+
+    fn ctx(&mut self) -> Result<(&mut CimContext, &mut Machine), InterpError> {
+        match self.ctx.as_mut() {
+            Some(ctx) => Ok((ctx, &mut self.mach)),
+            None => Err(InterpError::Backend(format!(
+                "runtime call before {}",
+                CimCall::Init(0).callee()
+            ))),
+        }
     }
 }
 
@@ -326,140 +292,113 @@ impl<'p> Backend for MachineBackend<'p> {
         self.mach.core.retire(class, n);
     }
 
-    fn call(
-        &mut self,
-        _prog: &Program,
-        callee: &str,
-        args: &[ResolvedArg],
-    ) -> Result<(), InterpError> {
-        match parse(callee, args)? {
-            CimCall::Init(dev) => {
+    fn call(&mut self, call: &ResolvedCall<'_>) -> Result<(), InterpError> {
+        let done = match *call {
+            ResolvedCall::Init(device) => {
                 let mut ctx = CimContext::new(self.accel_cfg, self.driver_cfg, &self.mach);
-                ctx.cim_init(&mut self.mach, dev as u32).map_err(cim_err)?;
+                ctx.cim_init(&mut self.mach, device).map_err(cim_err)?;
                 self.ctx = Some(ctx);
                 Ok(())
             }
-            CimCall::Malloc(a) => {
+            ResolvedCall::Malloc(a) => {
                 let ptr = self.cma_ptr[a.0].ok_or_else(|| {
                     InterpError::Backend(format!(
                         "array {} was not placed in the CMA region",
                         self.prog.array(a).name
                     ))
                 })?;
-                let mach = &mut self.mach;
-                self.ctx
-                    .as_mut()
-                    .ok_or_else(|| InterpError::Backend("malloc before init".into()))?
-                    .cim_adopt(mach, ptr)
-                    .map_err(cim_err)?;
+                let (ctx, mach) = self.ctx()?;
+                ctx.cim_adopt(mach, ptr).map_err(cim_err)?;
                 self.device[a.0] = Some(ptr);
                 Ok(())
             }
-            CimCall::HostToDev(a) => {
+            ResolvedCall::HostToDev(a) => {
                 let ptr = self.dev(a)?;
-                let mach = &mut self.mach;
-                self.ctx
-                    .as_mut()
-                    .ok_or_else(|| InterpError::Backend("sync before init".into()))?
-                    .cim_sync_to_dev(mach, ptr)
-                    .map_err(cim_err)?;
-                Ok(())
+                let (ctx, mach) = self.ctx()?;
+                ctx.cim_sync_to_dev(mach, ptr)
             }
-            CimCall::DevToHost(a) => {
+            ResolvedCall::DevToHost(a) => {
                 let ptr = self.dev(a)?;
-                let mach = &mut self.mach;
-                self.ctx
-                    .as_mut()
-                    .ok_or_else(|| InterpError::Backend("sync before init".into()))?
-                    .cim_sync_to_host(mach, ptr)
-                    .map_err(cim_err)?;
-                Ok(())
+                let (ctx, mach) = self.ctx()?;
+                ctx.cim_sync_to_host(mach, ptr)
             }
-            CimCall::Free(a) => {
-                let _ = self.dev(a)?;
-                self.ctx_mut()?;
-                // The executor owns the buffers; charge the driver trip.
-                self.mach.core.retire(InstClass::Other, 1500);
-                Ok(())
-            }
-            CimCall::Pin(a) => {
+            ResolvedCall::Pin(a) => {
                 let ptr = self.dev(a)?;
-                let mach = &mut self.mach;
-                self.ctx
-                    .as_mut()
-                    .ok_or_else(|| InterpError::Backend("pin before init".into()))?
-                    .cim_pin(mach, ptr)
-                    .map_err(cim_err)?;
-                Ok(())
+                let (ctx, mach) = self.ctx()?;
+                ctx.cim_pin(mach, ptr)
             }
-            CimCall::Gemm(g) => {
-                self.ctx_mut()?;
-                self.run_gemm(&g)
-            }
-            CimCall::Gemv(g) => {
-                self.ctx_mut()?;
-                let (a, x, y) = (self.dev(g.a)?, self.dev(g.x)?, self.dev(g.y)?);
-                let trans = if g.trans_a { Transpose::Yes } else { Transpose::No };
-                let mach = &mut self.mach;
-                let ctx = self.ctx.as_mut().expect("checked");
-                ctx.cim_blas_sgemv(
+            ResolvedCall::Gemm(g) => {
+                let (s, (a, b, c), [a_off, b_off, c_off]) = (g.shape, g.operands, g.origins);
+                let (a, b, c) = (
+                    self.view(a, a_off, s.lda)?,
+                    self.view(b, b_off, s.ldb)?,
+                    self.view(c, c_off, s.ldc)?,
+                );
+                let (ctx, mach) = self.ctx()?;
+                let (alpha, beta) = (s.alpha as f32, s.beta as f32);
+                let trans_a = if s.trans_a { Transpose::Yes } else { Transpose::No };
+                ctx.cim_blas_sgemm(
                     mach,
-                    trans,
-                    g.m,
-                    g.k,
-                    g.alpha as f32,
+                    trans_a,
+                    Transpose::No,
+                    s.m,
+                    s.n,
+                    s.k,
+                    alpha,
                     a,
-                    g.lda,
-                    x,
-                    g.beta as f32,
-                    y,
+                    s.lda,
+                    b,
+                    s.ldb,
+                    beta,
+                    c,
+                    s.ldc,
                 )
-                .map_err(cim_err)?;
-                Ok(())
+                .map(drop)
             }
-            CimCall::Batched(b) => {
-                self.ctx_mut()?;
-                let t = &b.template;
-                let mut al = Vec::new();
-                let mut bl = Vec::new();
-                let mut cl = Vec::new();
-                for (a, bb, c) in &b.problems {
-                    al.push(self.dev(*a)?);
-                    bl.push(self.dev(*bb)?);
-                    cl.push(self.dev(*c)?);
+            ResolvedCall::Gemv(g) => {
+                let (a, x, y) = (self.dev(g.a)?, self.dev(g.x)?, self.dev(g.y)?);
+                let (ctx, mach) = self.ctx()?;
+                let trans = if g.trans_a { Transpose::Yes } else { Transpose::No };
+                let (m, k, lda, alpha, beta) = (g.m, g.k, g.lda, g.alpha as f32, g.beta as f32);
+                ctx.cim_blas_sgemv(mach, trans, m, k, alpha, a, lda, x, beta, y).map(drop)
+            }
+            ResolvedCall::Batched { shape: s, problems } => {
+                let mut al = Vec::with_capacity(problems.len());
+                let mut bl = Vec::with_capacity(problems.len());
+                let mut cl = Vec::with_capacity(problems.len());
+                for &(a, b, c) in problems {
+                    al.push(self.dev(a)?);
+                    bl.push(self.dev(b)?);
+                    cl.push(self.dev(c)?);
                 }
-                let trans_a = if t.trans_a { Transpose::Yes } else { Transpose::No };
-                let trans_b = if t.trans_b { Transpose::Yes } else { Transpose::No };
-                let mach = &mut self.mach;
-                let ctx = self.ctx.as_mut().expect("checked");
+                let (ctx, mach) = self.ctx()?;
+                let (alpha, beta) = (s.alpha as f32, s.beta as f32);
+                let trans_a = if s.trans_a { Transpose::Yes } else { Transpose::No };
                 ctx.cim_blas_gemm_batched(
                     mach,
                     trans_a,
-                    trans_b,
-                    t.m,
-                    t.n,
-                    t.k,
-                    t.alpha as f32,
+                    Transpose::No,
+                    s.m,
+                    s.n,
+                    s.k,
+                    alpha,
                     &al,
-                    t.lda,
+                    s.lda,
                     &bl,
-                    t.ldb,
-                    t.beta as f32,
+                    s.ldb,
+                    beta,
                     &cl,
-                    t.ldc,
+                    s.ldc,
                 )
-                .map_err(cim_err)?;
-                Ok(())
+                .map(drop)
             }
-            CimCall::Conv(c) => {
-                self.ctx_mut()?;
+            ResolvedCall::Conv(c) => {
                 let (img, filt, out) = (self.dev(c.img)?, self.dev(c.filt)?, self.dev(c.out)?);
-                let mach = &mut self.mach;
-                let ctx = self.ctx.as_mut().expect("checked");
-                ctx.cim_conv2d(mach, img, c.h, c.w, filt, c.fh, c.fw, out).map_err(cim_err)?;
-                Ok(())
+                let (ctx, mach) = self.ctx()?;
+                ctx.cim_conv2d(mach, img, c.h, c.w, filt, c.fh, c.fw, out).map(drop)
             }
-        }
+        };
+        done.map_err(cim_err)
     }
 }
 

@@ -12,8 +12,9 @@
 //! resolved runtime calls, so "host-only" and "host + CIM" executions are
 //! numerically comparable by construction.
 
+use crate::calls::{CimCall, ResolvedCall};
 use crate::expr::{Access, BinOp, Expr, UnOp};
-use crate::stmt::{CallArg, CallStmt, CmpOp, ForLoop, Stmt};
+use crate::stmt::{CmpOp, ForLoop, Stmt};
 use crate::types::{ArrayId, Program};
 use std::collections::HashMap;
 use std::fmt;
@@ -57,9 +58,7 @@ pub enum InterpError {
     },
     /// An expression had the wrong type (e.g. float used as index).
     TypeError(String),
-    /// A call statement named an unknown runtime entry point.
-    UnknownCall(String),
-    /// A call statement had malformed arguments.
+    /// A runtime call's extent or origin was not a non-negative integer.
     BadCallArgs(String),
     /// Backend-specific failure (e.g. device error), carried as text.
     Backend(String),
@@ -72,7 +71,6 @@ impl fmt::Display for InterpError {
                 write!(f, "index {flat} out of bounds for {array} (len {len})")
             }
             InterpError::TypeError(s) => write!(f, "type error: {s}"),
-            InterpError::UnknownCall(s) => write!(f, "unknown runtime call {s}"),
             InterpError::BadCallArgs(s) => write!(f, "bad call arguments: {s}"),
             InterpError::Backend(s) => write!(f, "backend error: {s}"),
         }
@@ -110,15 +108,6 @@ impl Value {
             Value::F(v) => v,
         }
     }
-}
-
-/// A resolved call argument handed to the backend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResolvedArg {
-    /// Evaluated numeric argument.
-    Num(Value),
-    /// Array handle.
-    Array(ArrayId),
 }
 
 /// Execution backend: storage, cost sink and runtime-call handler.
@@ -159,17 +148,12 @@ pub trait Backend {
     /// Receives `n` cost events (default: ignored).
     fn cost(&mut self, _ev: CostEvent, _n: u64) {}
 
-    /// Handles a runtime-library call with resolved arguments.
+    /// Executes a runtime-library call.
     ///
     /// # Errors
     ///
-    /// Unknown callee or malformed arguments.
-    fn call(
-        &mut self,
-        prog: &Program,
-        callee: &str,
-        args: &[ResolvedArg],
-    ) -> Result<(), InterpError>;
+    /// A failure of the call, e.g. a device error.
+    fn call(&mut self, call: &ResolvedCall<'_>) -> Result<(), InterpError>;
 }
 
 /// Runs a program to completion on the given backend.
@@ -301,16 +285,10 @@ impl<'p, B: Backend> Interp<'p, B> {
         }
     }
 
-    fn exec_call(&mut self, c: &CallStmt, env: &mut Vec<i64>) -> Result<(), InterpError> {
-        let mut resolved = Vec::with_capacity(c.args.len());
-        for a in &c.args {
-            resolved.push(match a {
-                CallArg::Value(e) => ResolvedArg::Num(self.eval(e, env)?),
-                CallArg::Array(id) => ResolvedArg::Array(*id),
-            });
-        }
+    fn exec_call(&mut self, c: &CimCall, env: &mut Vec<i64>) -> Result<(), InterpError> {
+        let call = c.resolve(|e| self.eval(e, env))?;
         self.backend.cost(CostEvent::CallOverhead, 1);
-        self.backend.call(self.prog, &c.callee, &resolved)
+        self.backend.call(&call)
     }
 
     fn flat_index(&mut self, a: &Access, env: &mut Vec<i64>) -> Result<usize, InterpError> {
@@ -425,7 +403,6 @@ fn cmp_holds(op: CmpOp, a: f64, b: f64) -> bool {
     }
 }
 
-pub mod calls;
 mod fast;
 pub mod pure;
 
@@ -487,8 +464,8 @@ mod tests {
                     _ => {}
                 }
             }
-            fn call(&mut self, _: &Program, c: &str, _: &[ResolvedArg]) -> Result<(), InterpError> {
-                Err(InterpError::UnknownCall(c.into()))
+            fn call(&mut self, _: &ResolvedCall<'_>) -> Result<(), InterpError> {
+                Err(InterpError::Backend("no runtime".into()))
             }
         }
         let p = simple_program();

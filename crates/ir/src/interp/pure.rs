@@ -6,8 +6,8 @@
 //! rewritten program's accelerator calls must compute exactly what the
 //! loops they replaced computed.
 
-use super::calls::{parse, BatchedCall, CimCall, ConvCall, GemmCall, GemvCall};
-use super::{Backend, InterpError, ResolvedArg};
+use super::{Backend, InterpError};
+use crate::calls::{ConvCall, GemmShape, GemvCall, Operands, ResolvedCall};
 use crate::types::{ArrayId, Program};
 
 /// Reference storage backend.
@@ -54,54 +54,34 @@ impl PureBackend {
         self.arrays
     }
 
-    fn gemm(&mut self, g: &GemmCall) -> Result<(), InterpError> {
-        let a = self.arrays[g.a.0].clone();
-        let b = self.arrays[g.b.0].clone();
-        let c = &mut self.arrays[g.c.0];
+    /// `C = alpha * op(A) * B + beta * C` on the operands `(A, B, C)`,
+    /// each taken from its `(row, col)` origin in `off`.
+    fn gemm(&mut self, s: &GemmShape<f64>, (a, b, c): Operands, off: [(usize, usize); 3]) {
+        let a = self.arrays[a.0].clone();
+        let b = self.arrays[b.0].clone();
+        let c = &mut self.arrays[c.0];
+        let [a_off, b_off, c_off] = off;
         let at = |i: usize, kk: usize| -> f32 {
-            if g.trans_a {
-                a[(g.a_off.0 + kk) * g.lda + g.a_off.1 + i]
+            if s.trans_a {
+                a[(a_off.0 + kk) * s.lda + a_off.1 + i]
             } else {
-                a[(g.a_off.0 + i) * g.lda + g.a_off.1 + kk]
+                a[(a_off.0 + i) * s.lda + a_off.1 + kk]
             }
         };
-        let bt = |kk: usize, j: usize| -> f32 {
-            if g.trans_b {
-                b[(g.b_off.0 + j) * g.ldb + g.b_off.1 + kk]
-            } else {
-                b[(g.b_off.0 + kk) * g.ldb + g.b_off.1 + j]
-            }
-        };
-        for i in 0..g.m {
-            for j in 0..g.n {
+        for i in 0..s.m {
+            for j in 0..s.n {
                 let mut acc = 0f32;
-                for kk in 0..g.k {
-                    acc += at(i, kk) * bt(kk, j);
+                for kk in 0..s.k {
+                    acc += at(i, kk) * b[(b_off.0 + kk) * s.ldb + b_off.1 + j];
                 }
-                let ci = (g.c_off.0 + i) * g.ldc + g.c_off.1 + j;
+                let ci = (c_off.0 + i) * s.ldc + c_off.1 + j;
                 let old = c[ci];
-                c[ci] = g.alpha as f32 * acc + g.beta as f32 * old;
+                c[ci] = s.alpha as f32 * acc + s.beta as f32 * old;
             }
         }
-        Ok(())
     }
 
-    fn gemv(&mut self, g: &GemvCall) -> Result<(), InterpError> {
-        let a = self.arrays[g.a.0].clone();
-        let x = self.arrays[g.x.0].clone();
-        let y = &mut self.arrays[g.y.0];
-        for i in 0..g.m {
-            let mut acc = 0f32;
-            for kk in 0..g.k {
-                let av = if g.trans_a { a[kk * g.lda + i] } else { a[i * g.lda + kk] };
-                acc += av * x[kk];
-            }
-            y[i] = g.alpha as f32 * acc + g.beta as f32 * y[i];
-        }
-        Ok(())
-    }
-
-    fn conv(&mut self, c: &ConvCall) -> Result<(), InterpError> {
+    fn conv(&mut self, c: &ConvCall) {
         let img = self.arrays[c.img.0].clone();
         let filt = self.arrays[c.filt.0].clone();
         let out = &mut self.arrays[c.out.0];
@@ -119,7 +99,6 @@ impl PureBackend {
                 out[oi * ow + oj] += acc;
             }
         }
-        Ok(())
     }
 }
 
@@ -132,36 +111,44 @@ impl Backend for PureBackend {
         self.arrays[array.0][flat] = v;
     }
 
-    fn call(
-        &mut self,
-        _prog: &Program,
-        callee: &str,
-        args: &[ResolvedArg],
-    ) -> Result<(), InterpError> {
-        match parse(callee, args)? {
-            CimCall::Init(_)
-            | CimCall::Malloc(_)
-            | CimCall::HostToDev(_)
-            | CimCall::DevToHost(_)
-            | CimCall::Free(_)
-            | CimCall::Pin(_) => Ok(()), // single storage: data movement is a no-op
-            CimCall::Gemm(g) => self.gemm(&g),
-            CimCall::Gemv(g) => self.gemv(&g),
-            CimCall::Batched(BatchedCall { template, problems }) => {
-                for (a, b, c) in problems {
-                    self.gemm(&GemmCall { a, b, c, ..template })?;
-                }
-                Ok(())
+    fn call(&mut self, call: &ResolvedCall<'_>) -> Result<(), InterpError> {
+        match *call {
+            // Single storage: data movement is a no-op.
+            ResolvedCall::Init(_)
+            | ResolvedCall::Malloc(_)
+            | ResolvedCall::HostToDev(_)
+            | ResolvedCall::DevToHost(_)
+            | ResolvedCall::Pin(_) => {}
+            ResolvedCall::Gemm(g) => self.gemm(&g.shape, g.operands, g.origins),
+            ResolvedCall::Gemv(g) => {
+                // The `n = 1` GEMM: the same products, summed in the same
+                // order.
+                let GemvCall { trans_a, m, k, alpha, a, lda, x, beta, y } = g;
+                let shape = GemmShape { trans_a, m, n: 1, k, alpha, lda, ldb: 1, beta, ldc: 1 };
+                self.gemm(&shape, (a, x, y), [(0, 0); 3]);
             }
-            CimCall::Conv(c) => self.conv(&c),
+            ResolvedCall::Batched { shape, problems } => {
+                for &operands in problems {
+                    self.gemm(&shape, operands, [(0, 0); 3]);
+                }
+            }
+            ResolvedCall::Conv(c) => self.conv(&c),
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::calls::{arr, int, num};
     use super::*;
+    use crate::calls::{CimCall, GemmCall, GemmExtent, GemvCall};
+    use crate::expr::Expr;
+    use crate::interp::run;
+    use crate::stmt::Stmt;
+
+    const A: ArrayId = ArrayId(0);
+    const B: ArrayId = ArrayId(1);
+    const C: ArrayId = ArrayId(2);
 
     fn prog_with(names: &[(&str, Vec<usize>)]) -> Program {
         let mut p = Program::new("t");
@@ -171,65 +158,68 @@ mod tests {
         p
     }
 
+    /// Runs the calls as the body of `p` on `be`.
+    fn exec(p: &Program, be: &mut PureBackend, calls: Vec<CimCall>) {
+        let p = Program { body: calls.into_iter().map(Stmt::Call).collect(), ..p.clone() };
+        run(&p, be).expect("calls run");
+    }
+
     #[test]
     fn gemm_call_semantics() {
         let p = prog_with(&[("A", vec![2, 2]), ("B", vec![2, 2]), ("C", vec![2, 2])]);
-        let mut b = PureBackend::for_program(&p);
-        b.set_array(ArrayId(0), &[1.0, 2.0, 3.0, 4.0]);
-        b.set_array(ArrayId(1), &[5.0, 6.0, 7.0, 8.0]);
-        let args = [
-            int(0),
-            int(0),
-            int(2),
-            int(2),
-            int(2),
-            num(1.0),
-            arr(0),
-            int(2),
-            arr(1),
-            int(2),
-            num(0.0),
-            arr(2),
-            int(2),
-        ];
-        b.call(&p, "polly_cimBlasSGemm", &args).expect("gemm");
-        assert_eq!(b.array(ArrayId(2)), &[19.0, 22.0, 43.0, 50.0]);
+        let mut be = PureBackend::for_program(&p);
+        be.set_array(A, &[1.0, 2.0, 3.0, 4.0]);
+        be.set_array(B, &[5.0, 6.0, 7.0, 8.0]);
+        let (extent, alpha, beta) =
+            (GemmExtent::Whole { m: 2, n: 2, k: 2 }, Expr::Float(1.0), Expr::Float(0.0));
+        let gemm = GemmCall {
+            trans_a: false,
+            extent,
+            alpha,
+            a: A,
+            lda: 2,
+            b: B,
+            ldb: 2,
+            beta,
+            c: C,
+            ldc: 2,
+        };
+        exec(&p, &mut be, vec![CimCall::Gemm(Box::new(gemm))]);
+        assert_eq!(be.array(C), &[19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
     fn transposed_gemv_semantics() {
         let p = prog_with(&[("A", vec![2, 2]), ("x", vec![2]), ("y", vec![2])]);
-        let mut b = PureBackend::for_program(&p);
-        b.set_array(ArrayId(0), &[1.0, 2.0, 3.0, 4.0]);
-        b.set_array(ArrayId(1), &[1.0, 1.0]);
-        let args = [int(1), int(2), int(2), num(1.0), arr(0), int(2), arr(1), num(0.0), arr(2)];
-        b.call(&p, "polly_cimBlasSGemv", &args).expect("gemv");
-        assert_eq!(b.array(ArrayId(2)), &[4.0, 6.0]); // A^T x
+        let mut be = PureBackend::for_program(&p);
+        be.set_array(A, &[1.0, 2.0, 3.0, 4.0]);
+        be.set_array(B, &[1.0, 1.0]);
+        let (alpha, beta) = (Expr::Float(1.0), Expr::Float(0.0));
+        let gemv = GemvCall { trans_a: true, m: 2, k: 2, alpha, a: A, lda: 2, x: B, beta, y: C };
+        exec(&p, &mut be, vec![CimCall::Gemv(Box::new(gemv))]);
+        assert_eq!(be.array(C), &[4.0, 6.0]); // A^T x
     }
 
     #[test]
     fn conv_call_semantics() {
         let p = prog_with(&[("img", vec![3, 3]), ("f", vec![2, 2]), ("out", vec![2, 2])]);
-        let mut b = PureBackend::for_program(&p);
-        b.set_array(ArrayId(0), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
-        b.set_array(ArrayId(1), &[1.0, 0.0, 0.0, 1.0]);
-        let args = [arr(0), int(3), int(3), arr(1), int(2), int(2), arr(2)];
-        b.call(&p, "polly_cimConv2d", &args).expect("conv");
-        assert_eq!(b.array(ArrayId(2)), &[6.0, 8.0, 12.0, 14.0]); // img[i][j]+img[i+1][j+1]
+        let mut be = PureBackend::for_program(&p);
+        be.set_array(A, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+        be.set_array(B, &[1.0, 0.0, 0.0, 1.0]);
+        let conv = ConvCall { img: A, h: 3, w: 3, filt: B, fh: 2, fw: 2, out: C };
+        exec(&p, &mut be, vec![CimCall::Conv(conv)]);
+        assert_eq!(be.array(C), &[6.0, 8.0, 12.0, 14.0]); // img[i][j]+img[i+1][j+1]
     }
 
     #[test]
     fn memory_management_calls_are_noops() {
         let p = prog_with(&[("A", vec![2])]);
-        let mut b = PureBackend::for_program(&p);
-        b.set_array(ArrayId(0), &[1.0, 2.0]);
-        for callee in
-            ["polly_cimMalloc", "polly_cimHostToDev", "polly_cimDevToHost", "polly_cimFree"]
-        {
-            b.call(&p, callee, &[arr(0)]).expect("noop");
-        }
-        b.call(&p, "polly_cimInit", &[int(0)]).expect("init");
-        assert_eq!(b.array(ArrayId(0)), &[1.0, 2.0]);
+        let mut be = PureBackend::for_program(&p);
+        be.set_array(A, &[1.0, 2.0]);
+        let moves =
+            [CimCall::Malloc(A), CimCall::HostToDev(A), CimCall::DevToHost(A), CimCall::Pin(A)];
+        exec(&p, &mut be, moves.into_iter().chain([CimCall::Init(0)]).collect());
+        assert_eq!(be.array(A), &[1.0, 2.0]);
     }
 
     #[test]

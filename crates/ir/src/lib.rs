@@ -8,12 +8,12 @@
 //! without carrying an entire SSA compiler.
 //!
 //! What lives here:
-//! * [`types`]/[`expr`]/[`stmt`] — the IR itself;
+//! * [`types`]/[`expr`]/[`stmt`] — the IR itself, with [`calls`], the
+//!   typed `polly_cim*` runtime calls and their C argument order;
 //! * [`affine`] — affine-form extraction used by SCoP detection and the
 //!   Loop Tactics access matchers;
 //! * [`interp`] — the interpreter with pluggable backends (pure reference
-//!   execution, or the costed machine execution in `tdo-cim`), including
-//!   the `polly_cim*` runtime-call ABI;
+//!   execution, or the costed machine execution in `tdo-cim`);
 //! * [`printer`] — pseudo-C rendering (the paper's listings);
 //! * [`verify`] — structural well-formedness checks.
 //!
@@ -37,6 +37,7 @@
 //! ```
 
 pub mod affine;
+pub mod calls;
 pub mod expr;
 pub mod interp;
 pub mod printer;
@@ -45,6 +46,7 @@ pub mod types;
 pub mod verify;
 
 pub use affine::{AffineAccess, AffineExpr};
+pub use calls::CimCall;
 pub use expr::{Access, BinOp, Expr, UnOp};
-pub use stmt::{Assign, CallArg, CallStmt, CmpOp, Cond, ForLoop, IfStmt, Stmt};
+pub use stmt::{Assign, CmpOp, Cond, ForLoop, IfStmt, Stmt};
 pub use types::{ArrayDecl, ArrayId, Program, VarId};

@@ -4,8 +4,9 @@
 //! quickstart example can show the exact before/after of Listing 1:
 //! loop nests before Loop Tactics, `polly_cim*` calls after.
 
+use crate::calls::Arg;
 use crate::expr::{Access, BinOp, Expr, UnOp};
-use crate::stmt::{CallArg, CmpOp, Stmt};
+use crate::stmt::{CmpOp, Stmt};
 use crate::types::Program;
 use std::fmt::Write;
 
@@ -94,14 +95,15 @@ fn print_stmt(prog: &Program, s: &Stmt, indent: usize, out: &mut String) {
         Stmt::Call(c) => {
             pad(indent, out);
             let args: Vec<String> = c
-                .args
-                .iter()
+                .args()
+                .into_iter()
                 .map(|a| match a {
-                    CallArg::Value(e) => print_expr(prog, e),
-                    CallArg::Array(id) => format!("cim_{}", prog.array(*id).name),
+                    Arg::Expr(e) => print_expr(prog, e),
+                    Arg::Int(v) => v.to_string(),
+                    Arg::Array(id) => format!("cim_{}", prog.array(id).name),
                 })
                 .collect();
-            let _ = writeln!(out, "{}({});", c.callee, args.join(", "));
+            let _ = writeln!(out, "{}({});", c.callee(), args.join(", "));
         }
     }
 }
@@ -181,7 +183,7 @@ fn print_prec(prog: &Program, e: &Expr, parent: u8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stmt::CallStmt;
+    use crate::calls::CimCall;
 
     fn gemm_like() -> Program {
         let mut p = Program::new("kernel_demo");
@@ -222,16 +224,7 @@ mod tests {
     fn prints_calls_with_cim_prefix() {
         let mut p = Program::new("k");
         let a = p.add_array("A", vec![4]);
-        p.body = vec![
-            Stmt::Call(CallStmt {
-                callee: "polly_cimInit".into(),
-                args: vec![CallArg::Value(Expr::Int(0))],
-            }),
-            Stmt::Call(CallStmt {
-                callee: "polly_cimMalloc".into(),
-                args: vec![CallArg::Array(a)],
-            }),
-        ];
+        p.body = vec![Stmt::Call(CimCall::Init(0)), Stmt::Call(CimCall::Malloc(a))];
         let text = print_program(&p);
         assert!(text.contains("polly_cimInit(0);"));
         assert!(text.contains("polly_cimMalloc(cim_A);"));

@@ -1,7 +1,8 @@
 //! Statements of the loop IR.
 
+use crate::calls::CimCall;
 use crate::expr::{Access, Expr};
-use crate::types::{ArrayId, VarId};
+use crate::types::VarId;
 
 /// Comparison operators for `if` conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,25 +71,6 @@ pub struct IfStmt {
     pub else_body: Vec<Stmt>,
 }
 
-/// Argument of a runtime call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CallArg {
-    /// A value (dimension, scale factor, flag).
-    Value(Expr),
-    /// An array handle (rendered as `cim_<name>` by the printer).
-    Array(ArrayId),
-}
-
-/// A call to the CIM runtime library (inserted by Loop Tactics; the
-/// front-end never produces calls).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CallStmt {
-    /// Callee symbol, e.g. `"polly_cimBlasSGemm"`.
-    pub callee: String,
-    /// Arguments.
-    pub args: Vec<CallArg>,
-}
-
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
@@ -99,7 +81,7 @@ pub enum Stmt {
     /// Conditional.
     If(IfStmt),
     /// Runtime-library call.
-    Call(CallStmt),
+    Call(CimCall),
 }
 
 impl Stmt {

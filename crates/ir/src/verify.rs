@@ -5,6 +5,7 @@
 //! mismatches, assignments to loop variables of sibling scopes, and
 //! non-positive loop steps.
 
+use crate::calls::Arg;
 use crate::expr::{Access, Expr};
 use crate::stmt::Stmt;
 use crate::types::{Program, VarId};
@@ -95,14 +96,13 @@ fn verify_block(
                 verify_block(prog, &i.else_body, live)?;
             }
             Stmt::Call(c) => {
-                for arg in &c.args {
+                for arg in c.args() {
                     match arg {
-                        crate::stmt::CallArg::Value(e) => verify_expr(prog, e, live)?,
-                        crate::stmt::CallArg::Array(id) => {
-                            if id.0 >= prog.arrays.len() {
-                                return Err(VerifyError::DanglingArray(id.0));
-                            }
+                        Arg::Expr(e) => verify_expr(prog, e, live)?,
+                        Arg::Array(id) if id.0 >= prog.arrays.len() => {
+                            return Err(VerifyError::DanglingArray(id.0));
                         }
+                        Arg::Array(_) | Arg::Int(_) => {}
                     }
                 }
             }

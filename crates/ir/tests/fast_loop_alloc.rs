@@ -8,7 +8,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tdo_ir::interp::{self, Backend, InterpError, PureBackend, ResolvedArg};
+use tdo_ir::calls::ResolvedCall;
+use tdo_ir::interp::{self, Backend, InterpError, PureBackend};
 use tdo_ir::{Access, ArrayId, Expr, Program, Stmt};
 
 thread_local! {
@@ -50,8 +51,8 @@ impl Backend for Bulk {
     fn prefers_bulk_runs(&self) -> bool {
         true
     }
-    fn call(&mut self, p: &Program, c: &str, a: &[ResolvedArg]) -> Result<(), InterpError> {
-        self.0.call(p, c, a)
+    fn call(&mut self, c: &ResolvedCall<'_>) -> Result<(), InterpError> {
+        self.0.call(c)
     }
 }
 

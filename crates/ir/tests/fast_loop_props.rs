@@ -13,7 +13,8 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
-use tdo_ir::interp::{self, Backend, CostEvent, InterpError, ResolvedArg};
+use tdo_ir::calls::ResolvedCall;
+use tdo_ir::interp::{self, Backend, CostEvent, InterpError};
 use tdo_ir::{Access, ArrayId, Expr, Program, Stmt, VarId};
 
 /// Records everything a backend can observe.
@@ -53,8 +54,8 @@ impl Backend for Recorder {
     fn cost(&mut self, ev: CostEvent, n: u64) {
         *self.costs.entry(format!("{ev:?}")).or_insert(0) += n;
     }
-    fn call(&mut self, _: &Program, c: &str, _: &[ResolvedArg]) -> Result<(), InterpError> {
-        Err(InterpError::UnknownCall(c.into()))
+    fn call(&mut self, c: &ResolvedCall<'_>) -> Result<(), InterpError> {
+        Err(InterpError::Backend(format!("no runtime for {c:?}")))
     }
 }
 
@@ -307,8 +308,8 @@ impl Backend for BulkRecorder {
     fn cost(&mut self, ev: CostEvent, n: u64) {
         self.0.cost(ev, n)
     }
-    fn call(&mut self, p: &Program, c: &str, a: &[ResolvedArg]) -> Result<(), InterpError> {
-        self.0.call(p, c, a)
+    fn call(&mut self, c: &ResolvedCall<'_>) -> Result<(), InterpError> {
+        self.0.call(c)
     }
     fn prefers_bulk_runs(&self) -> bool {
         true

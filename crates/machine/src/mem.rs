@@ -1,8 +1,10 @@
 //! Sparse physical memory backing store.
 //!
 //! Physical memory is modelled as a sparse array of 4 KiB frames that are
-//! materialized on first touch, so a 2 GiB address space costs nothing
-//! until written. All functional data in the simulation (host arrays, CMA
+//! materialized on first write, so a 2 GiB address space costs nothing
+//! until written: the frame table has two levels, one slot per 2 MiB
+//! whose table of 512 frames is built on the first write into that
+//! stretch. All functional data in the simulation (host arrays, CMA
 //! shared buffers, accelerator DMA traffic) lives here — there is a single
 //! source of truth for values, exactly like the unified DRAM of the
 //! emulated platform in Fig. 2 (a) of the paper.
@@ -14,9 +16,18 @@ use crate::cache::{burst_len, run_addr};
 /// Size of one backing frame in bytes.
 pub const FRAME_BYTES: usize = 4096;
 
+/// Frames per second-level table: 2 MiB of memory.
+const CHUNK_FRAMES: usize = 512;
+
+type Frame = [u8; FRAME_BYTES];
+
+/// The frames of one 2 MiB stretch, each `None` until written.
+type Chunk = [Option<Box<Frame>>; CHUNK_FRAMES];
+
 /// Byte-addressable sparse physical memory.
 pub struct PhysMem {
-    frames: Vec<Option<Box<[u8; FRAME_BYTES]>>>,
+    /// One [`Chunk`] per 2 MiB, `None` until written.
+    chunks: Vec<Option<Box<Chunk>>>,
     size: u64,
     stats: MemStats,
 }
@@ -32,10 +43,9 @@ pub struct MemStats {
 
 impl fmt::Debug for PhysMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let resident = self.frames.iter().filter(|f| f.is_some()).count();
         f.debug_struct("PhysMem")
             .field("size", &self.size)
-            .field("resident_frames", &resident)
+            .field("resident_frames", &self.resident_frames())
             .field("stats", &self.stats)
             .finish()
     }
@@ -49,8 +59,8 @@ impl PhysMem {
     /// Panics if `size` is zero.
     pub fn new(size: u64) -> Self {
         assert!(size > 0, "physical memory must be non-empty");
-        let frames = size.div_ceil(FRAME_BYTES as u64) as usize;
-        PhysMem { frames: (0..frames).map(|_| None).collect(), size, stats: MemStats::default() }
+        let chunks = size.div_ceil((CHUNK_FRAMES * FRAME_BYTES) as u64) as usize;
+        PhysMem { chunks: (0..chunks).map(|_| None).collect(), size, stats: MemStats::default() }
     }
 
     /// Total size in bytes.
@@ -68,14 +78,22 @@ impl PhysMem {
         self.stats = MemStats::default();
     }
 
-    fn frame_mut(&mut self, addr: u64) -> &mut [u8; FRAME_BYTES] {
+    /// The frame holding `addr`, or `None` while it reads as zeros.
+    fn frame(&self, addr: u64) -> Option<&Frame> {
         let idx = (addr / FRAME_BYTES as u64) as usize;
+        self.chunks[idx / CHUNK_FRAMES].as_ref()?[idx % CHUNK_FRAMES].as_deref()
+    }
+
+    fn frame_mut(&mut self, addr: u64) -> &mut Frame {
         assert!(
-            idx < self.frames.len(),
+            addr < self.size.next_multiple_of(FRAME_BYTES as u64),
             "physical address {addr:#x} out of range ({:#x})",
             self.size
         );
-        self.frames[idx].get_or_insert_with(|| Box::new([0u8; FRAME_BYTES]))
+        let idx = (addr / FRAME_BYTES as u64) as usize;
+        let chunk = self.chunks[idx / CHUNK_FRAMES]
+            .get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+        chunk[idx % CHUNK_FRAMES].get_or_insert_with(|| Box::new([0u8; FRAME_BYTES]))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -91,8 +109,7 @@ impl PhysMem {
             let a = addr + off as u64;
             let in_frame = (a % FRAME_BYTES as u64) as usize;
             let n = (FRAME_BYTES - in_frame).min(buf.len() - off);
-            let idx = (a / FRAME_BYTES as u64) as usize;
-            match &self.frames[idx] {
+            match self.frame(a) {
                 Some(frame) => buf[off..off + n].copy_from_slice(&frame[in_frame..in_frame + n]),
                 None => buf[off..off + n].fill(0),
             }
@@ -127,8 +144,7 @@ impl PhysMem {
         if in_frame + 4 <= FRAME_BYTES {
             assert!(addr + 4 <= self.size, "read past end of memory");
             self.stats.bytes_read += 4;
-            let idx = (addr / FRAME_BYTES as u64) as usize;
-            return match &self.frames[idx] {
+            return match self.frame(addr) {
                 Some(frame) => {
                     f32::from_le_bytes(frame[in_frame..in_frame + 4].try_into().expect("4 bytes"))
                 }
@@ -171,7 +187,7 @@ impl PhysMem {
             let k = self.frame_burst(a, stride, out.len() - done);
             self.stats.bytes_read += 4 * k as u64;
             let burst = &mut out[done..done + k];
-            match &self.frames[(a / FRAME_BYTES as u64) as usize] {
+            match self.frame(a) {
                 Some(frame) => {
                     decode_burst(frame, (a % FRAME_BYTES as u64) as usize, stride, burst)
                 }
@@ -228,14 +244,14 @@ impl PhysMem {
 
     /// Number of frames currently materialized (for tests / diagnostics).
     pub fn resident_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.is_some()).count()
+        self.chunks.iter().flatten().map(|c| c.iter().flatten().count()).sum()
     }
 }
 
 /// Decodes the words at byte offsets `off, off + stride, …` of `frame`
 /// into `out`. A contiguous burst (`stride == 4`) decodes its bytes as
 /// one slice, without a bounds check per word.
-fn decode_burst(frame: &[u8; FRAME_BYTES], off: usize, stride: i64, out: &mut [f32]) {
+fn decode_burst(frame: &Frame, off: usize, stride: i64, out: &mut [f32]) {
     if stride == 4 {
         let words = frame[off..off + 4 * out.len()].chunks_exact(4);
         for (slot, w) in out.iter_mut().zip(words) {
@@ -253,7 +269,7 @@ fn decode_burst(frame: &[u8; FRAME_BYTES], off: usize, stride: i64, out: &mut [f
 
 /// Encodes `data` at byte offsets `off, off + stride, …` of `frame`; the
 /// store-side dual of [`decode_burst`].
-fn encode_burst(frame: &mut [u8; FRAME_BYTES], off: usize, stride: i64, data: &[f32]) {
+fn encode_burst(frame: &mut Frame, off: usize, stride: i64, data: &[f32]) {
     if stride == 4 {
         let words = frame[off..off + 4 * data.len()].chunks_exact_mut(4);
         for (w, v) in words.zip(data) {
@@ -294,13 +310,15 @@ mod tests {
 
     #[test]
     fn frame_straddling_access() {
-        let mut m = PhysMem::new(1 << 20);
-        let addr = FRAME_BYTES as u64 - 2;
-        m.write(addr, &[9, 8, 7, 6]);
-        let mut buf = [0u8; 4];
-        m.read(addr, &mut buf);
-        assert_eq!(buf, [9, 8, 7, 6]);
-        assert_eq!(m.resident_frames(), 2);
+        // Across a frame boundary, and across a 2 MiB frame-table chunk.
+        for addr in [FRAME_BYTES as u64 - 2, (2 << 20) - 2] {
+            let mut m = PhysMem::new(4 << 20);
+            m.write(addr, &[9, 8, 7, 6]);
+            let mut buf = [0u8; 4];
+            m.read(addr, &mut buf);
+            assert_eq!(buf, [9, 8, 7, 6], "{addr:#x}");
+            assert_eq!(m.resident_frames(), 2, "{addr:#x}");
+        }
     }
 
     #[test]

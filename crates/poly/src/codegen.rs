@@ -85,10 +85,7 @@ mod tests {
         let src = "float A[4]; void kernel() { for (int i = 0; i < 4; i++) A[i] = 1.0; }";
         let prog = compile(src).expect("compiles");
         let scop = extract(&prog).expect("affine");
-        let call = Stmt::Call(tdo_ir::CallStmt {
-            callee: "polly_cimInit".into(),
-            args: vec![tdo_ir::CallArg::Value(tdo_ir::Expr::Int(0))],
-        });
+        let call = Stmt::Call(tdo_ir::CimCall::Init(0));
         let tree = ScheduleTree::Sequence {
             children: vec![ScheduleTree::Extension { stmts: vec![call] }, scop.tree.clone()],
         };

@@ -561,9 +561,13 @@ impl CimContext {
     ///
     /// # Errors
     ///
-    /// [`CimError::InvalidPointer`] if `ptr` is not live.
+    /// [`CimError::InvalidPointer`] if `ptr` is not a live allocation. A
+    /// rejected free charges nothing.
     pub fn cim_free(&mut self, mach: &mut Machine, ptr: DevPtr) -> Result<(), CimError> {
         self.ensure_init()?;
+        if !self.allocations.contains(&ptr) {
+            return Err(CimError::InvalidPointer(ptr.va));
+        }
         // The buffer may back an in-flight command: complete those first.
         self.cim_sync_range(mach, ptr.pa, ptr.len)?;
         self.release(mach, ptr)
@@ -1622,8 +1626,8 @@ mod tests {
         }
     }
 
-    /// Every rejection a data-movement call makes — a view that overlaps
-    /// an in-flight command's buffer but lies outside any live
+    /// Every rejection a data-movement call or `cim_free` makes — a view
+    /// that overlaps an in-flight command's buffer but is no live
     /// allocation, a copy longer than its buffer, a host range with an
     /// unmapped page or an end past `u64::MAX` — returns its error before
     /// the call syncs the buffer: the command stays in flight and
@@ -1651,8 +1655,9 @@ mod tests {
         let d2h: Call = |ctx, m, dev, va, len| ctx.cim_dev_to_host(m, va, dev, len);
         let to_dev: Call = |ctx, m, dev, _, _| ctx.cim_sync_to_dev(m, dev);
         let to_host: Call = |ctx, m, dev, _, _| ctx.cim_sync_to_host(m, dev);
+        let free: Call = |ctx, m, dev, _, _| ctx.cim_free(m, dev);
         let mut rows = Vec::new();
-        for (name, call) in [("sync_to_dev", to_dev), ("sync_to_host", to_host)] {
+        for (name, call) in [("sync_to_dev", to_dev), ("sync_to_host", to_host), ("free", free)] {
             rows.push((name, call, "overlapping dead view", grown, host, y.len, bad_pointer));
         }
         for (name, call) in [("host_to_dev", h2d), ("dev_to_host", d2h)] {

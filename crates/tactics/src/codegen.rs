@@ -7,100 +7,66 @@
 //! (`polly_cimDevToHost`). One prologue per program carries
 //! `polly_cimInit` and the `polly_cimMalloc` calls.
 
-use crate::kernels::{ConvDesc, GemmDesc, GemvDesc, MatchedKernel};
-use tdo_ir::{ArrayId, CallArg, CallStmt, Expr, Stmt};
-
-fn call(callee: &str, args: Vec<CallArg>) -> Stmt {
-    Stmt::Call(CallStmt { callee: callee.into(), args })
-}
-
-fn int(v: usize) -> CallArg {
-    CallArg::Value(Expr::Int(v as i64))
-}
-
-fn flag(v: bool) -> CallArg {
-    CallArg::Value(Expr::Int(v as i64))
-}
-
-fn val(e: &Expr) -> CallArg {
-    CallArg::Value(e.clone())
-}
-
-fn arr(a: ArrayId) -> CallArg {
-    CallArg::Array(a)
-}
+use crate::kernels::{GemmDesc, MatchedKernel};
+use tdo_ir::calls::{BatchedCall, CimCall, ConvCall, GemmCall, GemmExtent, GemmShape, GemvCall};
+use tdo_ir::{ArrayId, Stmt};
 
 /// The program prologue: device init plus one `polly_cimMalloc` per array
 /// touched by any offloaded kernel (Listing 1, lines 2-7).
 pub fn prologue(device: u32, arrays: &[ArrayId]) -> Vec<Stmt> {
-    let mut out = vec![call("polly_cimInit", vec![int(device as usize)])];
-    for a in arrays {
-        out.push(call("polly_cimMalloc", vec![arr(*a)]));
-    }
+    let mut out = vec![Stmt::Call(CimCall::Init(device))];
+    out.extend(arrays.iter().map(|&a| Stmt::Call(CimCall::Malloc(a))));
     out
 }
 
 /// Calls realizing one matched kernel: input transfers, the kernel call,
 /// output transfer.
 pub fn kernel_calls(k: &MatchedKernel) -> Vec<Stmt> {
-    let mut out = Vec::new();
-    for a in k.arrays_read() {
-        out.push(call("polly_cimHostToDev", vec![arr(a)]));
-    }
+    let mut out: Vec<Stmt> =
+        k.arrays_read().into_iter().map(|a| Stmt::Call(CimCall::HostToDev(a))).collect();
     out.push(match k {
-        MatchedKernel::Gemm(g) => gemm_call(g),
-        MatchedKernel::Gemv(g) => gemv_call(g),
-        MatchedKernel::Conv(c) => conv_call(c),
+        MatchedKernel::Gemm(g) => gemm_call(g, GemmExtent::Whole { m: g.m, n: g.n, k: g.k }),
+        MatchedKernel::Gemv(g) => Stmt::Call(CimCall::Gemv(Box::new(GemvCall {
+            trans_a: g.trans_a,
+            m: g.m,
+            k: g.k,
+            alpha: g.alpha.clone(),
+            a: g.a,
+            lda: g.lda,
+            x: g.x,
+            beta: g.beta.clone(),
+            y: g.y,
+        }))),
+        MatchedKernel::Conv(c) => Stmt::Call(CimCall::Conv(ConvCall {
+            img: c.img,
+            h: c.h,
+            w: c.w,
+            filt: c.filt,
+            fh: c.fh,
+            fw: c.fw,
+            out: c.out,
+        })),
     });
-    for a in k.arrays_written() {
-        out.push(call("polly_cimDevToHost", vec![arr(a)]));
-    }
+    out.extend(k.arrays_written().into_iter().map(|a| Stmt::Call(CimCall::DevToHost(a))));
     out
 }
 
-fn gemm_call(g: &GemmDesc) -> Stmt {
-    call(
-        "polly_cimBlasSGemm",
-        vec![
-            flag(g.trans_a),
-            flag(false),
-            int(g.m),
-            int(g.n),
-            int(g.k),
-            val(&g.alpha),
-            arr(g.a),
-            int(g.lda),
-            arr(g.b),
-            int(g.ldb),
-            val(&g.beta),
-            arr(g.c),
-            int(g.ldc),
-        ],
-    )
-}
-
-fn gemv_call(g: &GemvDesc) -> Stmt {
-    call(
-        "polly_cimBlasSGemv",
-        vec![
-            flag(g.trans_a),
-            int(g.m),
-            int(g.k),
-            val(&g.alpha),
-            arr(g.a),
-            int(g.lda),
-            arr(g.x),
-            val(&g.beta),
-            arr(g.y),
-        ],
-    )
-}
-
-fn conv_call(c: &ConvDesc) -> Stmt {
-    call(
-        "polly_cimConv2d",
-        vec![arr(c.img), int(c.h), int(c.w), arr(c.filt), int(c.fh), int(c.fw), arr(c.out)],
-    )
+/// The GEMM call of `g` over `extent`: the whole operands, or one tile of
+/// a compiler-tiled loop (Listing 3) whose extents and origins are
+/// expressions over the tile variables.
+pub fn gemm_call(g: &GemmDesc, extent: GemmExtent) -> Stmt {
+    Stmt::Call(CimCall::Gemm(Box::new(GemmCall {
+        trans_a: g.trans_a,
+        extent,
+        alpha: g.alpha.clone(),
+        a: g.a,
+        lda: g.lda,
+        b: g.b,
+        ldb: g.ldb,
+        beta: g.beta.clone(),
+        c: g.c,
+        ldc: g.ldc,
+    })))
 }
 
 /// Calls realizing a fused group as one batched invocation (Listing 2:
@@ -111,75 +77,32 @@ pub fn batched_calls(group: &[&GemmDesc]) -> Vec<Stmt> {
     let mut out = Vec::new();
     for g in group {
         for a in [g.a, g.b, g.c] {
-            out.push(call("polly_cimHostToDev", vec![arr(a)]));
+            out.push(Stmt::Call(CimCall::HostToDev(a)));
         }
     }
-    let mut args = vec![
-        flag(t.trans_a),
-        flag(false),
-        int(t.m),
-        int(t.n),
-        int(t.k),
-        val(&t.alpha),
-        int(t.lda),
-        int(t.ldb),
-        val(&t.beta),
-        int(t.ldc),
-        int(group.len()),
-    ];
+    let shape = GemmShape {
+        trans_a: t.trans_a,
+        m: t.m,
+        n: t.n,
+        k: t.k,
+        alpha: t.alpha.clone(),
+        lda: t.lda,
+        ldb: t.ldb,
+        beta: t.beta.clone(),
+        ldc: t.ldc,
+    };
+    let problems = group.iter().map(|g| (g.a, g.b, g.c)).collect();
+    out.push(Stmt::Call(CimCall::Batched(Box::new(BatchedCall { shape, problems }))));
     for g in group {
-        args.push(arr(g.a));
-        args.push(arr(g.b));
-        args.push(arr(g.c));
-    }
-    out.push(call("polly_cimBlasGemmBatched", args));
-    for g in group {
-        out.push(call("polly_cimDevToHost", vec![arr(g.c)]));
+        out.push(Stmt::Call(CimCall::DevToHost(g.c)));
     }
     out
-}
-
-/// The per-tile view call used inside compiler-tiled loops (Listing 3):
-/// dimensions and origins are expressions over the tile variables.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_view_call(
-    g: &GemmDesc,
-    m: Expr,
-    n: Expr,
-    k: Expr,
-    a_off: (Expr, Expr),
-    b_off: (Expr, Expr),
-    c_off: (Expr, Expr),
-) -> Stmt {
-    call(
-        "polly_cimBlasSGemmView",
-        vec![
-            flag(g.trans_a),
-            flag(false),
-            CallArg::Value(m),
-            CallArg::Value(n),
-            CallArg::Value(k),
-            val(&g.alpha),
-            arr(g.a),
-            int(g.lda),
-            CallArg::Value(a_off.0),
-            CallArg::Value(a_off.1),
-            arr(g.b),
-            int(g.ldb),
-            CallArg::Value(b_off.0),
-            CallArg::Value(b_off.1),
-            val(&g.beta),
-            arr(g.c),
-            int(g.ldc),
-            CallArg::Value(c_off.0),
-            CallArg::Value(c_off.1),
-        ],
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdo_ir::Expr;
 
     fn gemm_desc() -> GemmDesc {
         GemmDesc {
@@ -205,7 +128,7 @@ mod tests {
         let callees: Vec<&str> = stmts
             .iter()
             .map(|s| match s {
-                Stmt::Call(c) => c.callee.as_str(),
+                Stmt::Call(c) => c.callee(),
                 _ => panic!("expected call"),
             })
             .collect();
@@ -226,7 +149,7 @@ mod tests {
         let stmts = prologue(0, &[ArrayId(0), ArrayId(1)]);
         assert_eq!(stmts.len(), 3);
         let Stmt::Call(c) = &stmts[0] else { panic!() };
-        assert_eq!(c.callee, "polly_cimInit");
+        assert_eq!(c.callee(), "polly_cimInit");
     }
 
     #[test]
@@ -236,39 +159,11 @@ mod tests {
         let stmts = batched_calls(&[&g1, &g2]);
         let Some(Stmt::Call(batched)) = stmts
             .iter()
-            .find(|s| matches!(s, Stmt::Call(c) if c.callee == "polly_cimBlasGemmBatched"))
+            .find(|s| matches!(s, Stmt::Call(c) if c.callee() == "polly_cimBlasGemmBatched"))
         else {
             panic!("no batched call")
         };
         // 11 scalar args + 3 arrays per problem.
-        assert_eq!(batched.args.len(), 11 + 6);
-    }
-
-    #[test]
-    fn parsed_by_runtime_abi() {
-        use tdo_ir::interp::calls::parse;
-        use tdo_ir::interp::{Backend, PureBackend, ResolvedArg, Value};
-        // Build a tiny program so ids resolve, then check the generated
-        // gemm call parses under the canonical ABI.
-        let mut prog = tdo_ir::Program::new("t");
-        for (n, d) in [("C", 16), ("A", 16), ("B", 16)] {
-            prog.add_array(n, vec![4, d / 4]);
-        }
-        let stmts = kernel_calls(&MatchedKernel::Gemm(gemm_desc()));
-        let Stmt::Call(c) = &stmts[3] else { panic!() };
-        let resolved: Vec<ResolvedArg> = c
-            .args
-            .iter()
-            .map(|a| match a {
-                CallArg::Value(Expr::Int(v)) => ResolvedArg::Num(Value::I(*v)),
-                CallArg::Value(Expr::Float(v)) => ResolvedArg::Num(Value::F(*v)),
-                CallArg::Array(id) => ResolvedArg::Array(*id),
-                other => panic!("unexpected arg {other:?}"),
-            })
-            .collect();
-        parse(&c.callee, &resolved).expect("canonical ABI");
-        // And the pure backend executes it.
-        let mut be = PureBackend::for_program(&prog);
-        be.call(&prog, &c.callee, &resolved).expect("executes");
+        assert_eq!(batched.args().len(), 11 + 6);
     }
 }

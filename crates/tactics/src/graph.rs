@@ -33,7 +33,8 @@
 //! the equivalence tests pin.
 
 use std::collections::{BTreeMap, BTreeSet};
-use tdo_ir::{ArrayId, CallArg, CallStmt, Expr, Program, Stmt};
+use tdo_ir::calls::{Arg, CimCall, GemmExtent};
+use tdo_ir::{ArrayId, Program, Stmt};
 
 /// Node classification, as far as the passes care.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +46,7 @@ enum NodeOp {
     /// An offloaded kernel; `stationary` is the operand the engine
     /// installs on its tiles (GEMM/GEMV `A`), when there is one.
     Kernel { stationary: Option<ArrayId> },
-    /// Anything else: host statements, prologue calls, unknown callees.
+    /// Anything else: host statements, prologue and pin calls.
     Other,
 }
 
@@ -86,27 +87,40 @@ pub struct PinCandidate {
     pub last_idx: usize,
     /// Kernels in the run.
     pub uses: usize,
-    /// Kernel extent `(m, n, k)` parsed from the first call when its
-    /// dimensions are literal (`n = 1` for GEMV); `None` for view calls
-    /// with dynamic extents, which the placement pass treats as
+    /// Kernel extent `(m, n, k)` of the first call when it is fixed at
+    /// compile time (`n = 1` for GEMV); `None` for view calls, whose
+    /// extents the host computes, which the placement pass treats as
     /// full-grid occupants of unknown value.
     pub dims: Option<(usize, usize, usize)>,
 }
 
-/// Literal `(m, n, k)` of a kernel call, when statically known.
+/// `(m, n, k)` of a kernel call, when fixed at compile time.
 fn kernel_dims(stmt: &Stmt) -> Option<(usize, usize, usize)> {
-    let Stmt::Call(c) = stmt else { return None };
-    let int_arg = |i: usize| match c.args.get(i) {
-        Some(CallArg::Value(Expr::Int(v))) => usize::try_from(*v).ok(),
-        _ => None,
-    };
-    match c.callee.as_str() {
-        // (trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc)
-        "polly_cimBlasSGemm" => Some((int_arg(2)?, int_arg(3)?, int_arg(4)?)),
-        // (trans, m, k, alpha, A, lda, x, beta, y)
-        "polly_cimBlasSGemv" => Some((int_arg(1)?, 1, int_arg(2)?)),
+    match stmt {
+        Stmt::Call(CimCall::Gemm(g)) => match g.extent {
+            GemmExtent::Whole { m, n, k } => Some((m, n, k)),
+            GemmExtent::View(_) => None,
+        },
+        Stmt::Call(CimCall::Gemv(g)) => Some((g.m, 1, g.k)),
         _ => None,
     }
+}
+
+/// Adds the arrays a call loads through its value arguments (scalar
+/// scales) and its array handles to `reads`, and returns the handles.
+fn call_footprint(c: &CimCall, reads: &mut BTreeSet<ArrayId>) -> Vec<ArrayId> {
+    let mut arrays = Vec::new();
+    for arg in c.args() {
+        match arg {
+            Arg::Expr(e) => e.visit_accesses(&mut |acc| {
+                reads.insert(acc.array);
+            }),
+            Arg::Array(a) => arrays.push(a),
+            Arg::Int(_) => {}
+        }
+    }
+    reads.extend(arrays.iter().copied());
+    arrays
 }
 
 fn host_accesses(stmt: &Stmt, reads: &mut BTreeSet<ArrayId>, writes: &mut BTreeSet<ArrayId>) {
@@ -139,39 +153,9 @@ fn host_accesses(stmt: &Stmt, reads: &mut BTreeSet<ArrayId>, writes: &mut BTreeS
         Stmt::Call(c) => {
             // Nested runtime calls (inside compiler-tiled loops) are
             // barriers on everything they mention.
-            for arg in &c.args {
-                match arg {
-                    CallArg::Array(a) => {
-                        reads.insert(*a);
-                        writes.insert(*a);
-                    }
-                    CallArg::Value(e) => e.visit_accesses(&mut |acc| {
-                        reads.insert(acc.array);
-                    }),
-                }
-            }
+            writes.extend(call_footprint(c, reads));
         }
     });
-}
-
-fn call_arrays(c: &CallStmt) -> Vec<ArrayId> {
-    c.args
-        .iter()
-        .filter_map(|a| match a {
-            CallArg::Array(id) => Some(*id),
-            CallArg::Value(_) => None,
-        })
-        .collect()
-}
-
-fn scalar_reads(c: &CallStmt, reads: &mut BTreeSet<ArrayId>) {
-    for arg in &c.args {
-        if let CallArg::Value(e) = arg {
-            e.visit_accesses(&mut |acc| {
-                reads.insert(acc.array);
-            });
-        }
-    }
 }
 
 fn classify(stmt: &Stmt) -> Node {
@@ -179,44 +163,38 @@ fn classify(stmt: &Stmt) -> Node {
     let mut writes = BTreeSet::new();
     let op = match stmt {
         Stmt::Call(c) => {
-            let arrays = call_arrays(c);
-            scalar_reads(c, &mut reads);
-            match c.callee.as_str() {
-                "polly_cimDevToHost" => {
-                    reads.insert(arrays[0]);
-                    writes.insert(arrays[0]);
-                    NodeOp::DevToHost(arrays[0])
+            // Every array a call names is read, a kernel's output too
+            // (beta, accumulation); the variant says what it writes.
+            let arrays = call_footprint(c, &mut reads);
+            match c {
+                CimCall::DevToHost(a) => {
+                    writes.insert(*a);
+                    NodeOp::DevToHost(*a)
                 }
-                "polly_cimHostToDev" => {
-                    reads.insert(arrays[0]);
-                    writes.insert(arrays[0]);
-                    NodeOp::HostToDev(arrays[0])
+                CimCall::HostToDev(a) => {
+                    writes.insert(*a);
+                    NodeOp::HostToDev(*a)
                 }
-                "polly_cimBlasSGemm" | "polly_cimBlasSGemmView" | "polly_cimBlasSGemv" => {
-                    // Arrays in ABI order: [a, b, c] / [a, x, y]. The
-                    // output may also be read (beta, accumulation), so it
-                    // lands in both sets.
-                    reads.extend(arrays.iter().copied());
-                    writes.insert(*arrays.last().expect("kernel has operands"));
-                    NodeOp::Kernel { stationary: Some(arrays[0]) }
+                CimCall::Gemm(g) => {
+                    writes.insert(g.c);
+                    NodeOp::Kernel { stationary: Some(g.a) }
                 }
-                "polly_cimBlasGemmBatched" => {
-                    reads.extend(arrays.iter().copied());
-                    for c_arr in arrays.chunks(3).filter_map(|t| t.get(2)) {
-                        writes.insert(*c_arr);
-                    }
+                CimCall::Gemv(g) => {
+                    writes.insert(g.y);
+                    NodeOp::Kernel { stationary: Some(g.a) }
+                }
+                CimCall::Batched(b) => {
+                    writes.extend(b.problems.iter().map(|&(_, _, c)| c));
                     NodeOp::Kernel { stationary: None }
                 }
-                "polly_cimConv2d" => {
-                    reads.extend(arrays.iter().copied());
-                    writes.insert(*arrays.last().expect("conv has operands"));
+                CimCall::Conv(c) => {
+                    writes.insert(c.out);
                     NodeOp::Kernel { stationary: None }
                 }
-                _ => {
+                CimCall::Init(_) | CimCall::Malloc(_) | CimCall::Pin(_) => {
                     // Prologue and memory management: a barrier on every
                     // array it names.
-                    reads.extend(arrays.iter().copied());
-                    writes.extend(arrays.iter().copied());
+                    writes.extend(arrays);
                     NodeOp::Other
                 }
             }
@@ -362,11 +340,7 @@ impl OffloadGraph {
             accepted.iter().map(|c| (c.first_idx, c.array)).collect();
         pin_at.sort_unstable();
         for (offset, (idx, a)) in pin_at.iter().enumerate() {
-            let stmt = Stmt::Call(CallStmt {
-                callee: "polly_cimPin".into(),
-                args: vec![CallArg::Array(*a)],
-            });
-            self.nodes.insert(idx + offset, classify(&stmt));
+            self.nodes.insert(idx + offset, classify(&Stmt::Call(CimCall::Pin(*a))));
         }
         pin_at.len()
     }

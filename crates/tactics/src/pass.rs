@@ -8,13 +8,14 @@
 //! runtime calls of Listing 1. A prologue (`polly_cimInit` +
 //! `polly_cimMalloc`) is prepended when anything was offloaded.
 
-use crate::codegen::{batched_calls, gemm_view_call, kernel_calls, prologue};
+use crate::codegen::{batched_calls, gemm_call, kernel_calls, prologue};
 use crate::detect::match_kernel;
 use crate::kernels::{GemmDesc, MatchedKernel};
 use crate::policy::{CostModel, OffloadPolicy};
 use cim_accel::estimate::conv_geometry;
 use std::collections::BTreeMap;
 use std::fmt;
+use tdo_ir::calls::{GemmExtent, TileView};
 use tdo_ir::{ArrayId, Expr, Program};
 use tdo_poly::deps::kernels_independent;
 use tdo_poly::scop::Scop;
@@ -409,14 +410,16 @@ pub fn tile_oversized_gemm(
             Expr::Var(tile_var),
         )
     };
-    let call = gemm_view_call(
+    let call = gemm_call(
         g,
-        mk_extent(ii, tm, g.m),
-        mk_extent(jj, tn, g.n),
-        mk_extent(kk, tk, g.k),
-        (Expr::Var(ii), Expr::Var(kk)),
-        (Expr::Var(kk), Expr::Var(jj)),
-        (Expr::Var(ii), Expr::Var(jj)),
+        GemmExtent::View(Box::new(TileView {
+            m: mk_extent(ii, tm, g.m),
+            n: mk_extent(jj, tn, g.n),
+            k: mk_extent(kk, tk, g.k),
+            a_off: (Expr::Var(ii), Expr::Var(kk)),
+            b_off: (Expr::Var(kk), Expr::Var(jj)),
+            c_off: (Expr::Var(ii), Expr::Var(jj)),
+        })),
     );
     Some(replace_subtree(
         &tiled,

@@ -9,13 +9,14 @@
 //! Run with `cargo run --release --example tiling_large`.
 
 use tdo_cim::{execute, CompileOptions, ExecOptions};
+use tdo_ir::calls::{GemmExtent, TileView};
 use tdo_ir::printer::print_program;
 use tdo_ir::Expr;
 use tdo_poly::codegen::rebuild_program;
 use tdo_poly::scop::extract;
 use tdo_poly::transforms::{prepend_extension, replace_subtree, tile};
 use tdo_poly::tree::ScheduleTree;
-use tdo_tactics::codegen::{gemm_view_call, prologue};
+use tdo_tactics::codegen::{gemm_call, prologue};
 use tdo_tactics::detect::match_kernel;
 use tdo_tactics::pass::tile_oversized_gemm;
 use tdo_tactics::MatchedKernel;
@@ -71,14 +72,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Expr::Var(v),
         )
     };
-    let call = gemm_view_call(
+    let call = gemm_call(
         &g2,
-        ext(ii, N),
-        ext(jj, N),
-        ext(kk, N),
-        (Expr::Var(ii), Expr::Var(kk)),
-        (Expr::Var(kk), Expr::Var(jj)),
-        (Expr::Var(ii), Expr::Var(jj)),
+        GemmExtent::View(Box::new(TileView {
+            m: ext(ii, N),
+            n: ext(jj, N),
+            k: ext(kk, N),
+            a_off: (Expr::Var(ii), Expr::Var(kk)),
+            b_off: (Expr::Var(kk), Expr::Var(jj)),
+            c_off: (Expr::Var(ii), Expr::Var(jj)),
+        })),
     );
     let bad_tree = replace_subtree(
         &bad_tree,
