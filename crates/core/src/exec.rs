@@ -218,17 +218,28 @@ struct MachineBackend<'p> {
 
 impl<'p> MachineBackend<'p> {
     /// The device pointer of `a` from its `(row, col)` origin on, for a
-    /// leading dimension of `ld`.
+    /// leading dimension of `ld`. An origin whose byte offset or address
+    /// passes `u64::MAX` is an error, never a wrapped pointer.
     fn view(&self, a: ArrayId, off: (usize, usize), ld: usize) -> Result<DevPtr, InterpError> {
+        let name = &self.prog.array(a).name;
         let ptr = self.device[a.0].ok_or_else(|| {
             InterpError::Backend(format!(
-                "array {} used on device before {}",
-                self.prog.array(a).name,
+                "array {name} used on device before {}",
                 CimCall::Malloc(a).callee()
             ))
         })?;
-        let delta = 4 * (off.0 * ld + off.1) as u64;
-        Ok(DevPtr { va: ptr.va + delta, pa: ptr.pa + delta, len: ptr.len.saturating_sub(delta) })
+        let delta = off
+            .0
+            .checked_mul(ld)
+            .and_then(|e| e.checked_add(off.1))
+            .and_then(|e| u64::try_from(e).ok()?.checked_mul(4));
+        let ends = delta.and_then(|d| Some((d, ptr.va.checked_add(d)?, ptr.pa.checked_add(d)?)));
+        let Some((delta, va, pa)) = ends else {
+            return Err(InterpError::Backend(format!(
+                "view of array {name} at origin {off:?} (ld {ld}) overflows the address space"
+            )));
+        };
+        Ok(DevPtr { va, pa, len: ptr.len.saturating_sub(delta) })
     }
 
     fn dev(&self, a: ArrayId) -> Result<DevPtr, InterpError> {
@@ -664,6 +675,56 @@ mod tests {
                     "{name} diverged under {dispatch:?}"
                 );
             }
+        }
+    }
+
+    /// A `polly_cimBlasSGemmView` whose `A` row origin is 2^61 on a 4x4
+    /// `A` (ld 4): the byte offset `4 * (row * ld + col)` is 2^65. It must
+    /// be rejected, not wrapped to 0 (which read `A` from its first row)
+    /// and not a panic.
+    #[test]
+    fn view_origin_whose_offset_overflows_is_rejected() {
+        use tdo_ir::calls::{GemmCall, GemmExtent, TileView};
+        use tdo_ir::Expr;
+        let mut prog = Program::new("view-overflow");
+        let [a, b, c] = ["A", "B", "C"].map(|n| prog.add_array(n, vec![4, 4]));
+        let int = |v: i64| Expr::Int(v);
+        let view = TileView {
+            m: int(4),
+            n: int(4),
+            k: int(4),
+            a_off: (int(1 << 61), int(0)),
+            b_off: (int(0), int(0)),
+            c_off: (int(0), int(0)),
+        };
+        let gemm = GemmCall {
+            trans_a: false,
+            extent: GemmExtent::View(Box::new(view)),
+            alpha: Expr::Float(1.0),
+            a,
+            lda: 4,
+            b,
+            ldb: 4,
+            beta: Expr::Float(0.0),
+            c,
+            ldc: 4,
+        };
+        let mut calls = vec![CimCall::Init(0)];
+        calls.extend([a, b, c].map(CimCall::Malloc));
+        calls.push(CimCall::Gemm(Box::new(gemm)));
+        prog.body = calls.into_iter().map(Stmt::Call).collect();
+        let compiled = CompiledProgram {
+            source_ir: prog.clone(),
+            prog,
+            report: None,
+            passes: Vec::new(),
+            scop_skipped: None,
+        };
+        match execute(&compiled, &small_opts(), &det_init) {
+            Err(ExecError(InterpError::Backend(msg))) => {
+                assert!(msg.contains("overflows the address space"), "{msg}")
+            }
+            other => panic!("expected a backend error, got {other:?}"),
         }
     }
 

@@ -6,10 +6,12 @@
 //! single assignment with affine subscripts (`C[i][j] = C[i][j] + ...`),
 //! so those loops are compiled once into a [`FastBody`] template:
 //!
-//! * every subscript is lowered to an affine form over the loop
-//!   variables, and the per-dimension bounds checks are discharged for
-//!   the *whole* iteration space by testing the two endpoints (an affine
-//!   index is monotonic in the inner variable);
+//! * every subscript is lowered with [`AffineExpr::from_expr`] and kept
+//!   as its constant, its inner-variable coefficient and its other
+//!   nonzero terms, so a loop entry costs one multiply-add per term; the
+//!   per-dimension bounds checks are discharged for the *whole*
+//!   iteration space by testing the two endpoints (an affine index is
+//!   monotonic in the inner variable);
 //! * the per-iteration cost events are counted structurally at compile
 //!   time and retired in bulk (`cost(ev, n * trips)`) — the cost model
 //!   only observes totals;
@@ -35,9 +37,10 @@
 //! errors — is identical by construction.
 
 use super::{float_op, Backend, CostEvent};
+use crate::affine::AffineExpr;
 use crate::expr::{Access, BinOp, Expr, UnOp};
 use crate::stmt::{ForLoop, Stmt};
-use crate::types::{ArrayId, Program};
+use crate::types::{ArrayId, Program, VarId};
 
 /// Census slots, one per [`CostEvent`] variant.
 const EVENTS: [CostEvent; 10] = [
@@ -64,111 +67,44 @@ const CHUNK: usize = 512;
 /// Load slots are tracked as bits of a `u64` mask.
 const MAX_LOADS: usize = 64;
 
-/// `c + sum(coeffs[v] * env[v])` over all program variables.
-#[derive(Clone, Debug)]
-struct Affine {
+/// An affine subscript as a loop entry evaluates it: `c + inner * i +
+/// sum(k * env[v])` over the loop's own variable `i` and the nonzero
+/// terms `(v, k)` of every other variable. Entering a loop costs one
+/// multiply-add per term, however many variables the program declares.
+struct Index {
     c: i64,
-    coeffs: Vec<i64>,
+    inner: i64,
+    terms: Vec<(usize, i64)>,
 }
 
-impl Affine {
-    fn constant(c: i64, vars: usize) -> Self {
-        Affine { c, coeffs: vec![0; vars] }
+impl Index {
+    fn new(a: &AffineExpr, inner: VarId) -> Self {
+        let terms = a.terms.iter().filter(|(v, _)| **v != inner).map(|(v, k)| (v.0, *k)).collect();
+        Index { c: a.constant, inner: a.coeff(inner), terms }
     }
 
-    fn var(v: usize, vars: usize) -> Self {
-        let mut a = Affine::constant(0, vars);
-        a.coeffs[v] = 1;
-        a
-    }
-
-    fn is_const(&self) -> bool {
-        self.coeffs.iter().all(|c| *c == 0)
-    }
-
-    fn add(mut self, o: &Affine) -> Self {
-        self.c += o.c;
-        for (a, b) in self.coeffs.iter_mut().zip(&o.coeffs) {
-            *a += b;
-        }
-        self
-    }
-
-    fn sub(mut self, o: &Affine) -> Self {
-        self.c -= o.c;
-        for (a, b) in self.coeffs.iter_mut().zip(&o.coeffs) {
-            *a -= b;
-        }
-        self
-    }
-
-    fn neg(mut self) -> Self {
-        self.c = -self.c;
-        for a in &mut self.coeffs {
-            *a = -*a;
-        }
-        self
-    }
-
-    fn scale(mut self, k: i64) -> Self {
-        self.c *= k;
-        for a in &mut self.coeffs {
-            *a *= k;
-        }
-        self
-    }
-
-    /// Value under `env` with variable `inner` contributing zero.
-    fn base(&self, env: &[i64], inner: usize) -> i64 {
-        let mut v = self.c;
-        for (i, k) in self.coeffs.iter().enumerate() {
-            if i != inner && *k != 0 {
-                v += k * env[i];
-            }
-        }
-        v
+    /// Value under `env` with the inner variable contributing zero.
+    fn base(&self, env: &[i64]) -> i64 {
+        self.terms.iter().fold(self.c, |v, &(x, k)| v + k * env[x])
     }
 }
 
-/// Lowers an index expression to affine form, tallying the cost events
-/// the slow-path `eval` would emit for it. Partial census updates from a
-/// failed lowering are harmless: any `None` discards the whole template.
-fn affine_expr(e: &Expr, vars: usize, costs: &mut [u64; 10]) -> Option<Affine> {
+/// Tallies the cost events the slow-path `eval` emits for an index
+/// expression that [`AffineExpr::from_expr`] accepted: one `IntAlu` per
+/// `Add`, `Sub` and `Neg`, one `IntMul` per `Mul`.
+fn index_costs(e: &Expr, costs: &mut [u64; 10]) {
     match e {
-        Expr::Int(v) => Some(Affine::constant(*v, vars)),
-        Expr::Var(v) => Some(Affine::var(v.0, vars)),
-        Expr::Float(_) | Expr::Load(_) => None,
         Expr::Unary(UnOp::Neg, e) => {
-            let a = affine_expr(e, vars, costs)?;
             costs[slot(CostEvent::IntAlu)] += 1;
-            Some(a.neg())
+            index_costs(e, costs);
         }
         Expr::Bin(op, l, r) => {
-            let a = affine_expr(l, vars, costs)?;
-            let b = affine_expr(r, vars, costs)?;
-            match op {
-                BinOp::Add => {
-                    costs[slot(CostEvent::IntAlu)] += 1;
-                    Some(a.add(&b))
-                }
-                BinOp::Sub => {
-                    costs[slot(CostEvent::IntAlu)] += 1;
-                    Some(a.sub(&b))
-                }
-                BinOp::Mul => {
-                    costs[slot(CostEvent::IntMul)] += 1;
-                    if b.is_const() {
-                        Some(a.scale(b.c))
-                    } else if a.is_const() {
-                        Some(b.scale(a.c))
-                    } else {
-                        None // quadratic
-                    }
-                }
-                // Div can fault; Min/Max are not affine.
-                BinOp::Div | BinOp::Min | BinOp::Max => None,
-            }
+            let ev = if *op == BinOp::Mul { CostEvent::IntMul } else { CostEvent::IntAlu };
+            costs[slot(ev)] += 1;
+            index_costs(l, costs);
+            index_costs(r, costs);
         }
+        Expr::Int(_) | Expr::Float(_) | Expr::Var(_) | Expr::Load(_) => {}
     }
 }
 
@@ -177,26 +113,31 @@ fn affine_expr(e: &Expr, vars: usize, costs: &mut [u64; 10]) -> Option<Affine> {
 /// affine index.
 struct AccessPlan {
     array: ArrayId,
-    dims: Vec<(Affine, usize)>,
-    flat: Affine,
+    dims: Vec<(Index, usize)>,
+    flat: Index,
 }
 
-fn compile_access(prog: &Program, a: &Access, costs: &mut [u64; 10]) -> Option<AccessPlan> {
+fn compile_access(
+    prog: &Program,
+    a: &Access,
+    inner: VarId,
+    costs: &mut [u64; 10],
+) -> Option<AccessPlan> {
     let decl = prog.array(a.array);
     if a.idx.len() != decl.dims.len() {
         return None; // slow path reports the TypeError
     }
-    let vars = prog.vars.len();
-    let mut flat = Affine::constant(0, vars);
+    let mut flat = AffineExpr::constant(0);
     let mut dims = Vec::with_capacity(a.idx.len());
-    for (d, e) in a.idx.iter().enumerate() {
-        let aff = affine_expr(e, vars, costs)?;
+    for (e, &extent) in a.idx.iter().zip(&decl.dims) {
+        let aff = AffineExpr::from_expr(e)?;
+        index_costs(e, costs);
         // One multiply-accumulate of address arithmetic per dim.
         costs[slot(CostEvent::IntAlu)] += 1;
-        flat = flat.scale(decl.dims[d] as i64).add(&aff);
-        dims.push((aff, decl.dims[d]));
+        flat = flat.scale(extent as i64).add(&aff);
+        dims.push((Index::new(&aff, inner), extent));
     }
-    Some(AccessPlan { array: a.array, dims, flat })
+    Some(AccessPlan { array: a.array, dims, flat: Index::new(&flat, inner) })
 }
 
 /// One operation of the compiled value. Operands name earlier nodes: the
@@ -263,7 +204,7 @@ impl Code {
 /// operation ahead of time. Loads are numbered in evaluation order.
 fn compile_expr(
     prog: &Program,
-    inner: usize,
+    inner: VarId,
     e: &Expr,
     costs: &mut [u64; 10],
     loads: &mut Vec<AccessPlan>,
@@ -272,10 +213,10 @@ fn compile_expr(
     match e {
         Expr::Int(v) => Some(code.push(Op::Int(*v), true, 0)),
         Expr::Float(v) => Some(code.push(Op::Float(*v), false, 0)),
-        Expr::Var(v) if v.0 == inner => Some(code.push(Op::Inner, true, 0)),
+        Expr::Var(v) if *v == inner => Some(code.push(Op::Inner, true, 0)),
         Expr::Var(v) => Some(code.push(Op::Var(v.0), true, 0)),
         Expr::Load(a) => {
-            let plan = compile_access(prog, a, costs)?;
+            let plan = compile_access(prog, a, inner, costs)?;
             costs[slot(CostEvent::Load)] += 1;
             let k = loads.len();
             if k == MAX_LOADS {
@@ -410,10 +351,10 @@ impl FastBody {
         let mut loads = Vec::new();
         let mut code = Code::default();
         // Body order mirrors the slow path: value first, then target.
-        let value = compile_expr(prog, l.var.0, &a.value, &mut costs, &mut loads, &mut code)?;
+        let value = compile_expr(prog, l.var, &a.value, &mut costs, &mut loads, &mut code)?;
         // The stored value is `as_f64() as f32`: an integer widens first.
         let root = code.float(value);
-        let target = compile_access(prog, &a.target, &mut costs)?;
+        let target = compile_access(prog, &a.target, l.var, &mut costs)?;
         costs[slot(CostEvent::Store)] += 1;
         Some(FastBody { target, loads, code, root, costs })
     }
@@ -431,7 +372,6 @@ impl FastBody {
         backend: &mut B,
         s: &mut Scratch,
     ) -> bool {
-        let inner = l.var.0;
         if hi <= lo {
             // Zero-trip loop: just the exit check, env untouched.
             backend.cost(CostEvent::Cmp, 1);
@@ -443,17 +383,16 @@ impl FastBody {
         // An affine subscript is monotonic in the inner variable, so
         // checking the first and last iterations bounds them all.
         let resolve = |plan: &AccessPlan| -> Option<(i64, i64)> {
-            for (aff, extent) in &plan.dims {
-                let b = aff.base(env, inner);
-                let s = aff.coeffs[inner];
+            for (ix, extent) in &plan.dims {
+                let b = ix.base(env);
                 for i in [lo, last] {
-                    let v = b + s * i;
+                    let v = b + ix.inner * i;
                     if v < 0 || v as usize >= *extent {
                         return None;
                     }
                 }
             }
-            Some((plan.flat.base(env, inner), plan.flat.coeffs[inner]))
+            Some((plan.flat.base(env), plan.flat.inner))
         };
         let Some(tflat) = resolve(&self.target) else { return false };
         s.lflat.clear();
@@ -487,7 +426,7 @@ impl FastBody {
                 i += l.step;
             }
         }
-        env[inner] = last;
+        env[l.var.0] = last;
         true
     }
 

@@ -54,8 +54,49 @@ impl PureBackend {
         self.arrays
     }
 
-    /// `C = alpha * op(A) * B + beta * C` on the operands `(A, B, C)`,
-    /// each taken from its `(row, col)` origin in `off`.
+    /// Requires the `rows x cols` operand `name`, row-major with leading
+    /// dimension `ld` from element `(row, col)` of `array`, to lie inside
+    /// the array: the machine executor rejects an operand that overruns
+    /// its buffer, and indexing past the array would panic here.
+    fn check_operand(
+        &self,
+        name: &str,
+        array: ArrayId,
+        (row, col): (usize, usize),
+        (rows, cols, ld): (usize, usize, usize),
+    ) -> Result<(), InterpError> {
+        let len = self.arrays[array.0].len();
+        let start = row.checked_mul(ld).and_then(|s| s.checked_add(col));
+        let end = if rows == 0 || cols == 0 {
+            start.map(|_| 0)
+        } else {
+            start.and_then(|s| (rows - 1).checked_mul(ld)?.checked_add(cols)?.checked_add(s))
+        };
+        if end.is_some_and(|end| end <= len) {
+            return Ok(());
+        }
+        Err(InterpError::Backend(format!(
+            "operand {name} ({rows}x{cols}, ld {ld}) at ({row}, {col}) does not fit its \
+             {len}-element array"
+        )))
+    }
+
+    /// Checks the operands `(A, B, C)` of `C = alpha * op(A) * B + beta *
+    /// C`, each taken from its `(row, col)` origin in `off`.
+    fn check_gemm(
+        &self,
+        s: &GemmShape<f64>,
+        (a, b, c): Operands,
+        [a_off, b_off, c_off]: [(usize, usize); 3],
+    ) -> Result<(), InterpError> {
+        let (a_rows, a_cols) = if s.trans_a { (s.k, s.m) } else { (s.m, s.k) };
+        self.check_operand("A", a, a_off, (a_rows, a_cols, s.lda))?;
+        self.check_operand("B", b, b_off, (s.k, s.n, s.ldb))?;
+        self.check_operand("C", c, c_off, (s.m, s.n, s.ldc))
+    }
+
+    /// `C = alpha * op(A) * B + beta * C` on operands that
+    /// [`PureBackend::check_gemm`] accepted.
     fn gemm(&mut self, s: &GemmShape<f64>, (a, b, c): Operands, off: [(usize, usize); 3]) {
         let a = self.arrays[a.0].clone();
         let b = self.arrays[b.0].clone();
@@ -81,11 +122,20 @@ impl PureBackend {
         }
     }
 
-    fn conv(&mut self, c: &ConvCall) {
+    fn conv(&mut self, c: &ConvCall) -> Result<(), InterpError> {
+        if c.fh == 0 || c.fw == 0 || c.h < c.fh || c.w < c.fw {
+            return Err(InterpError::Backend(format!(
+                "filter {}x{} does not fit the {}x{} image",
+                c.fh, c.fw, c.h, c.w
+            )));
+        }
+        let (oh, ow) = (c.h - c.fh + 1, c.w - c.fw + 1);
+        self.check_operand("image", c.img, (0, 0), (c.h, c.w, c.w))?;
+        self.check_operand("filter", c.filt, (0, 0), (c.fh, c.fw, c.fw))?;
+        self.check_operand("output", c.out, (0, 0), (oh, ow, ow))?;
         let img = self.arrays[c.img.0].clone();
         let filt = self.arrays[c.filt.0].clone();
         let out = &mut self.arrays[c.out.0];
-        let (oh, ow) = (c.h - c.fh + 1, c.w - c.fw + 1);
         for oi in 0..oh {
             for oj in 0..ow {
                 let mut acc = 0f32;
@@ -99,6 +149,7 @@ impl PureBackend {
                 out[oi * ow + oj] += acc;
             }
         }
+        Ok(())
     }
 }
 
@@ -119,20 +170,29 @@ impl Backend for PureBackend {
             | ResolvedCall::HostToDev(_)
             | ResolvedCall::DevToHost(_)
             | ResolvedCall::Pin(_) => {}
-            ResolvedCall::Gemm(g) => self.gemm(&g.shape, g.operands, g.origins),
+            ResolvedCall::Gemm(g) => {
+                self.check_gemm(&g.shape, g.operands, g.origins)?;
+                self.gemm(&g.shape, g.operands, g.origins);
+            }
             ResolvedCall::Gemv(g) => {
                 // The `n = 1` GEMM: the same products, summed in the same
                 // order.
                 let GemvCall { trans_a, m, k, alpha, a, lda, x, beta, y } = g;
                 let shape = GemmShape { trans_a, m, n: 1, k, alpha, lda, ldb: 1, beta, ldc: 1 };
+                self.check_gemm(&shape, (a, x, y), [(0, 0); 3])?;
                 self.gemm(&shape, (a, x, y), [(0, 0); 3]);
             }
             ResolvedCall::Batched { shape, problems } => {
+                // Every problem is checked before any runs: a rejected
+                // call leaves every array untouched.
+                for &operands in problems {
+                    self.check_gemm(&shape, operands, [(0, 0); 3])?;
+                }
                 for &operands in problems {
                     self.gemm(&shape, operands, [(0, 0); 3]);
                 }
             }
-            ResolvedCall::Conv(c) => self.conv(&c),
+            ResolvedCall::Conv(c) => self.conv(&c)?,
         }
         Ok(())
     }
@@ -141,7 +201,7 @@ impl Backend for PureBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calls::{CimCall, GemmCall, GemmExtent, GemvCall};
+    use crate::calls::{BatchedCall, CimCall, GemmCall, GemmExtent, GemvCall, TileView};
     use crate::expr::Expr;
     use crate::interp::run;
     use crate::stmt::Stmt;
@@ -220,6 +280,77 @@ mod tests {
             [CimCall::Malloc(A), CimCall::HostToDev(A), CimCall::DevToHost(A), CimCall::Pin(A)];
         exec(&p, &mut be, moves.into_iter().chain([CimCall::Init(0)]).collect());
         assert_eq!(be.array(A), &[1.0, 2.0]);
+    }
+
+    /// Runs the call as the body of `p` on `be` and expects a backend
+    /// error that leaves every array as it was.
+    fn rejected(p: &Program, be: &mut PureBackend, call: CimCall) -> String {
+        let before = be.clone().into_arrays();
+        let p = Program { body: vec![Stmt::Call(call)], ..p.clone() };
+        let err = run(&p, be).expect_err("call must be rejected");
+        assert_eq!(be.clone().into_arrays(), before, "a rejected call wrote an array");
+        match err {
+            InterpError::Backend(msg) => msg,
+            other => panic!("expected a backend error, got {other:?}"),
+        }
+    }
+
+    /// An 8-row view of a 4x4 `A` is an error, not an index past `A`.
+    #[test]
+    fn gemm_view_past_its_operand_is_rejected() {
+        let p = prog_with(&[("A", vec![4, 4]), ("B", vec![4, 4]), ("C", vec![8, 4])]);
+        let mut be = PureBackend::for_program(&p);
+        let int = Expr::Int;
+        let view = TileView {
+            m: int(8),
+            n: int(4),
+            k: int(4),
+            a_off: (int(0), int(0)),
+            b_off: (int(0), int(0)),
+            c_off: (int(0), int(0)),
+        };
+        let gemm = GemmCall {
+            trans_a: false,
+            extent: GemmExtent::View(Box::new(view)),
+            alpha: Expr::Float(1.0),
+            a: A,
+            lda: 4,
+            b: B,
+            ldb: 4,
+            beta: Expr::Float(0.0),
+            c: C,
+            ldc: 4,
+        };
+        let msg = rejected(&p, &mut be, CimCall::Gemm(Box::new(gemm)));
+        assert_eq!(msg, "operand A (8x4, ld 4) at (0, 0) does not fit its 16-element array");
+    }
+
+    /// GEMV, batched GEMM and conv operands that overrun their arrays
+    /// are errors; a batch with one bad problem runs none of them.
+    #[test]
+    fn operands_past_their_arrays_are_rejected() {
+        let p = prog_with(&[("A", vec![4, 4]), ("x", vec![4]), ("y", vec![4])]);
+        let mut be = PureBackend::for_program(&p);
+        be.set_array(A, &[1.0; 16]);
+        be.set_array(B, &[1.0; 4]);
+        let (alpha, beta) = (Expr::Float(1.0), Expr::Float(0.0));
+        let gemv = GemvCall { trans_a: false, m: 8, k: 2, alpha, a: A, lda: 2, x: B, beta, y: C };
+        let msg = rejected(&p, &mut be, CimCall::Gemv(Box::new(gemv)));
+        assert!(msg.starts_with("operand C (8x1, ld 1)"), "{msg}");
+
+        let (alpha, beta) = (Expr::Float(1.0), Expr::Float(0.0));
+        let shape =
+            GemmShape { trans_a: false, m: 4, n: 4, k: 4, alpha, lda: 4, ldb: 4, beta, ldc: 4 };
+        let batched = BatchedCall { shape, problems: vec![(A, A, A), (A, A, B)] };
+        let msg = rejected(&p, &mut be, CimCall::Batched(Box::new(batched)));
+        assert!(msg.starts_with("operand C (4x4, ld 4)"), "{msg}");
+
+        let conv = ConvCall { img: A, h: 4, w: 4, filt: B, fh: 2, fw: 2, out: C };
+        let msg = rejected(&p, &mut be, CimCall::Conv(conv));
+        assert!(msg.starts_with("operand output (3x3, ld 3)"), "{msg}");
+        let conv = ConvCall { img: B, h: 2, w: 2, filt: A, fh: 4, fw: 4, out: C };
+        let msg = rejected(&p, &mut be, CimCall::Conv(conv));
+        assert_eq!(msg, "filter 4x4 does not fit the 2x2 image");
     }
 
     #[test]

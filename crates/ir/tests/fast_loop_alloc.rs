@@ -3,7 +3,8 @@
 //! is entered tens of thousands of times per kernel. Counts the heap
 //! allocations `interp::run` makes on this thread for two outer trip
 //! counts and requires them to be equal, on both memory orders (element
-//! order for [`PureBackend`], batched runs for [`Bulk`]).
+//! order for [`PureBackend`], batched runs for [`Bulk`]), in a program
+//! of three variables and in one that declares hundreds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -57,13 +58,20 @@ impl Backend for Bulk {
 }
 
 /// `for i in 0..rows, j in 0..8, s in 0..3: out[i][j] += f[s] * img[i][j + s]`
-/// over arrays sized for 64 rows.
-fn conv_rows(rows: i64) -> Program {
+/// over arrays sized for 64 rows, with `pad` unused loop variables
+/// declared before each of `i`, `j` and `s`.
+fn conv_rows(rows: i64, pad: usize) -> Program {
     let mut p = Program::new("conv-rows");
     let img = p.add_array("img", vec![64, 10]);
     let f = p.add_array("f", vec![3]);
     let out = p.add_array("out", vec![64, 8]);
-    let (i, j, s) = (p.fresh_var("i"), p.fresh_var("j"), p.fresh_var("s"));
+    let mut var = |name| {
+        for k in 0..pad {
+            p.fresh_var(format!("unused{k}"));
+        }
+        p.fresh_var(name)
+    };
+    let (i, j, s) = (var("i"), var("j"), var("s"));
     let cell = || Access { array: out, idx: vec![Expr::Var(i), Expr::Var(j)] };
     let tap = Expr::mul(
         Expr::load(f, vec![Expr::Var(s)]),
@@ -84,11 +92,11 @@ fn allocations<B: Backend>(p: &Program, backend: &mut B) -> u64 {
 
 #[test]
 fn loop_entries_do_not_allocate() {
-    for bulk in [false, true] {
+    for (bulk, pad) in [(false, 0), (true, 0), (false, 300), (true, 300)] {
         let counts: Vec<u64> = [4, 64]
             .into_iter()
             .map(|rows| {
-                let p = conv_rows(rows);
+                let p = conv_rows(rows, pad);
                 let storage = PureBackend::for_program(&p);
                 if bulk {
                     allocations(&p, &mut Bulk(storage))
@@ -98,6 +106,6 @@ fn loop_entries_do_not_allocate() {
             })
             .collect();
         // 32 vs 512 entries of the innermost loop.
-        assert_eq!(counts[0], counts[1], "bulk={bulk}: allocations grow with loop entries");
+        assert_eq!(counts[0], counts[1], "bulk={bulk}, pad={pad}: allocations grow with entries");
     }
 }

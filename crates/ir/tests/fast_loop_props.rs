@@ -8,8 +8,12 @@
 //! recurrences, reversed subscripts), the value shapes its column
 //! evaluator must round exactly as the tree-walker does (integer
 //! subexpressions, negation, f64 `min`/`max`, a carried target deep in
-//! the value, stride-0 loads), and the shapes it must decline
-//! (non-affine subscripts, integer division, runtime out-of-bounds).
+//! the value, stride-0 loads), the subscript shapes its sparse lowering
+//! must fold exactly (terms that cancel, negative and scaled
+//! coefficients), and the shapes it must decline (non-affine subscripts,
+//! integer division, runtime out-of-bounds). Every shape also runs
+//! padded with hundreds of unused loop variables, which moves its own
+//! variables to high, non-adjacent `VarId`s.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
@@ -60,7 +64,7 @@ impl Backend for Recorder {
 }
 
 /// Number of shapes [`build_program`] knows.
-const SHAPES: usize = 14;
+const SHAPES: usize = 16;
 
 /// `for i in 0..n: A[i] = value(X, A, i)` over arrays `X` and `A` of `n`.
 fn elementwise(n: usize, value: impl Fn(ArrayId, ArrayId, VarId) -> Expr) -> Program {
@@ -261,9 +265,100 @@ fn build_program(shape: usize, n: usize, step: i64) -> Program {
         12 => return matmul(n, |c, a, _, _| Expr::mul(Expr::Float(0.5), Expr::add(a, c))),
         // stride-0 load of another array: C[i][j] += alpha * A[i][k] * B[k][j]
         13 => return matmul(n, |c, a, b, alpha| Expr::add(c, Expr::mul(Expr::mul(alpha, a), b))),
+        // terms that cancel, negative and scaled coefficients, over an
+        // outer i and an inner j:
+        // A[i + j - j][n - 1 - j] = X[3 * i - i * 2][2 * j] - X[i][-j + (2n - 1)]
+        14 => {
+            let x = p.add_array("X", vec![n, 2 * n]);
+            let a = p.add_array("A", vec![n, n]);
+            let (i, j) = (p.fresh_var("i"), p.fresh_var("j"));
+            let (vi, vj, int) = (|| Expr::Var(i), || Expr::Var(j), Expr::Int);
+            let target = Access {
+                array: a,
+                idx: vec![Expr::sub(Expr::add(vi(), vj()), vj()), Expr::sub(int(ni - 1), vj())],
+            };
+            let scaled = Expr::load(
+                x,
+                vec![
+                    Expr::sub(Expr::mul(int(3), vi()), Expr::mul(vi(), int(2))),
+                    Expr::mul(int(2), vj()),
+                ],
+            );
+            let reversed = Expr::load(x, vec![vi(), Expr::add(Expr::neg(vj()), int(2 * ni - 1))]);
+            let row = Stmt::for_loop(
+                j,
+                int(0),
+                int(ni),
+                step,
+                vec![Stmt::assign(target, Expr::sub(scaled, reversed))],
+            );
+            p.body = vec![Stmt::for_loop(i, int(0), int(ni), 1, vec![row])];
+        }
+        // the inner variable cancels out of the target, so the store has
+        // stride zero and carries a reduction over the first half of each
+        // row (a subscript that mis-evaluates at loop entry stays in
+        // bounds, so it shows in the values):
+        // S[i][j - j] = S[i][j * 0] + X[i][j], j in 0..(n + 1) / 2
+        15 => {
+            let x = p.add_array("X", vec![n, n]);
+            let sum = p.add_array("S", vec![n, 1]);
+            let (i, j) = (p.fresh_var("i"), p.fresh_var("j"));
+            let (vi, vj, int) = (|| Expr::Var(i), || Expr::Var(j), Expr::Int);
+            let cell = |col| Access { array: sum, idx: vec![vi(), col] };
+            let value = Expr::add(
+                Expr::Load(cell(Expr::mul(vj(), int(0)))),
+                Expr::load(x, vec![vi(), vj()]),
+            );
+            let row = Stmt::for_loop(
+                j,
+                int(0),
+                int((ni + 1) / 2),
+                step,
+                vec![Stmt::assign(cell(Expr::sub(vj(), vj())), value)],
+            );
+            p.body = vec![Stmt::for_loop(i, int(0), int(ni), 1, vec![row])];
+        }
         _ => unreachable!("shape {shape} of {SHAPES}"),
     }
     p
+}
+
+/// `p` with `pad` unused loop variables declared before each of its own,
+/// so variable `v` becomes `VarId(v * (pad + 1) + pad)`. Runs exactly as
+/// `p` does.
+fn padded(p: &Program, pad: usize) -> Program {
+    let id = |v: VarId| VarId(v.0 * (pad + 1) + pad);
+    fn expr(e: &Expr, id: &impl Fn(VarId) -> VarId) -> Expr {
+        match e {
+            Expr::Int(_) | Expr::Float(_) => e.clone(),
+            Expr::Var(v) => Expr::Var(id(*v)),
+            Expr::Load(a) => Expr::Load(access(a, id)),
+            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(expr(e, id))),
+            Expr::Bin(op, l, r) => Expr::Bin(*op, Box::new(expr(l, id)), Box::new(expr(r, id))),
+        }
+    }
+    fn access(a: &Access, id: &impl Fn(VarId) -> VarId) -> Access {
+        Access { array: a.array, idx: a.idx.iter().map(|e| expr(e, id)).collect() }
+    }
+    fn stmt(s: &Stmt, id: &impl Fn(VarId) -> VarId) -> Stmt {
+        match s {
+            Stmt::For(l) => Stmt::for_loop(
+                id(l.var),
+                expr(&l.lo, id),
+                expr(&l.hi, id),
+                l.step,
+                l.body.iter().map(|s| stmt(s, id)).collect(),
+            ),
+            Stmt::Assign(a) => Stmt::assign(access(&a.target, id), expr(&a.value, id)),
+            Stmt::If(_) | Stmt::Call(_) => unreachable!("generated programs loop and assign"),
+        }
+    }
+    let mut out = Program { body: p.body.iter().map(|s| stmt(s, &id)).collect(), ..p.clone() };
+    out.vars = (0..p.vars.len() * (pad + 1)).map(|v| format!("unused{v}")).collect();
+    for (v, name) in p.vars.iter().enumerate() {
+        out.vars[id(VarId(v)).0] = name.clone();
+    }
+    out
 }
 
 /// `S[0] = S[0] + X[k] * Y[k]` for `k in 0..n`: a register-carried
@@ -368,8 +463,9 @@ proptest! {
         shape in 0usize..SHAPES,
         n in 1usize..10,
         step in 1i64..4,
+        pad in 0usize..400,
     ) {
-        check_identical(&build_program(shape, n, step))?;
+        check_identical(&padded(&build_program(shape, n, step), pad))?;
     }
 
     #[test]
@@ -377,21 +473,54 @@ proptest! {
         shape in 0usize..SHAPES,
         n in 1usize..10,
         step in 1i64..4,
+        pad in 0usize..400,
     ) {
-        check_batched(&build_program(shape, n, step))?;
+        check_batched(&padded(&build_program(shape, n, step), pad))?;
     }
 }
 
-/// Both properties on every shape, not only the ones the sampler draws.
+/// Both properties on every shape, not only the ones the sampler draws,
+/// with and without hundreds of unused variables.
 #[test]
 fn every_shape_satisfies_both_properties() {
     for shape in 0..SHAPES {
         for (n, step) in [(1, 1), (4, 2), (9, 3)] {
-            let p = build_program(shape, n, step);
-            let case = format!("shape {shape}, n {n}, step {step}");
-            check_identical(&p).unwrap_or_else(|e| panic!("{case}: {e:?}"));
-            check_batched(&p).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+            for pad in [0, 1, 300] {
+                let p = padded(&build_program(shape, n, step), pad);
+                let case = format!("shape {shape}, n {n}, step {step}, pad {pad}");
+                check_identical(&p).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+                check_batched(&p).unwrap_or_else(|e| panic!("{case}: {e:?}"));
+            }
         }
+    }
+}
+
+/// The sparse-subscript shapes are not declined: on a run-capable
+/// backend the fast path reorders their accesses into runs, which the
+/// tree-walker never does.
+#[test]
+fn sparse_subscript_shapes_take_the_fast_path() {
+    for shape in [14, 15] {
+        let p = padded(&build_program(shape, 6, 1), 300);
+        let mut fast = BulkRecorder(Recorder::for_program(&p));
+        let mut slow = fast.0.clone();
+        interp::run(&p, &mut fast).expect("runs");
+        interp::run_reference(&p, &mut slow).expect("runs");
+        assert_ne!(fast.0.accesses, slow.accesses, "shape {shape} took the slow path");
+    }
+}
+
+/// A padded program observes exactly what the unpadded one does: the
+/// variable numbering is invisible to every backend.
+#[test]
+fn padding_is_invisible() {
+    for shape in 0..SHAPES {
+        let p = build_program(shape, 5, 2);
+        let q = padded(&p, 257);
+        assert_eq!(q.vars.len(), p.vars.len() * 258);
+        let (mut a, mut b) = (Recorder::for_program(&p), Recorder::for_program(&q));
+        assert_eq!(interp::run(&p, &mut a), interp::run(&q, &mut b), "shape {shape}");
+        assert_eq!(a, b, "shape {shape}");
     }
 }
 
