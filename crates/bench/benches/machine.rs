@@ -8,7 +8,8 @@
 //! reference point the PR 10 speedup is measured against.
 //! `hierarchy_column_run_128` is the access pattern the bulk path cannot
 //! fold: a GEMM's `B[k][j]` column, one line per element, missing the
-//! L1 every time.
+//! L1 every time. `hierarchy_flush_range_16k` is the driver's
+//! per-request range flush, where most line probes miss.
 
 use cim_machine::cache::{CacheConfig, Hierarchy, MemLatency};
 use cim_machine::{Machine, MachineConfig};
@@ -65,6 +66,19 @@ fn bench_hierarchy(c: &mut Criterion) {
         b.iter(|| {
             black_box(h.access_block(0x10_0000 + 4 * j, 4, 128, 512, false));
             j = (j + 1) % 128;
+        })
+    });
+    // Serving's per-request `flush_shared` of a 64x64 f32 operand: 16
+    // lines of the 16 KiB range written, then all 256 lines flushed from
+    // both levels. A 64 KiB stream warms the hierarchy first: the L1
+    // probes scan full sets, and each L2 probe finds one warm line in its
+    // set, so most probes of both levels miss.
+    let mut h = a7_hierarchy();
+    h.access_block(0x40_0000, 4, 16 * 1024, 4, true);
+    c.bench_function("hierarchy_flush_range_16k", |b| {
+        b.iter(|| {
+            h.access_block(0x10_0000, 4, 16, 1024, true);
+            black_box(h.flush_range(0x10_0000, 16 * 1024))
         })
     });
 }

@@ -372,16 +372,19 @@ impl<F: FnMut(&Expr) -> Result<Value, InterpError>> Eval<F> {
         Ok((self.eval)(e)?.as_f64())
     }
 
-    /// An extent or an origin coordinate: a non-negative integer.
+    /// An extent or an origin coordinate: a non-negative integer. An
+    /// integer value converts exactly; a float must be a whole number.
     fn index(&mut self, e: &Expr, what: &str) -> Result<usize, InterpError> {
-        let v = self.scale(e)?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(InterpError::BadCallArgs(format!(
-                "{}: {what} must be a non-negative integer (got {v})",
+        let (index, got) = match (self.eval)(e)? {
+            Value::I(i) => (usize::try_from(i).ok(), i.to_string()),
+            Value::F(f) => ((f >= 0.0 && f.fract() == 0.0).then_some(f as usize), f.to_string()),
+        };
+        index.ok_or_else(|| {
+            InterpError::BadCallArgs(format!(
+                "{}: {what} must be a non-negative integer (got {got})",
                 self.callee
-            )));
-        }
-        Ok(v as usize)
+            ))
+        })
     }
 }
 
@@ -555,6 +558,22 @@ mod tests {
         assert_eq!((s.m, s.n, s.k, s.alpha, s.beta), (1, 2, 3, 4.0, 5.0));
         assert_eq!(g.origins, [(6, 7), (8, 9), (10, 11)]);
         assert_eq!((g.operands, s.lda, s.ldb, s.ldc), ((A, B, C), 5, 6, 7));
+
+        // An integer origin above 2^53 resolves exactly, not rounded
+        // through `f64`.
+        let far = (1i64 << 53) + 1;
+        let CimCall::Gemm(mut far_call) = view(Expr::Int(2)) else { unreachable!() };
+        let GemmExtent::View(v) = &mut far_call.extent else { unreachable!() };
+        v.a_off.0 = Expr::Int(far);
+        let far_call = CimCall::Gemm(far_call);
+        let resolved = far_call
+            .resolve(|e| match e {
+                Expr::Int(i) => Ok(Value::I(*i)),
+                _ => Ok(Value::F(1.0)),
+            })
+            .expect("resolves");
+        let ResolvedCall::Gemm(g) = resolved else { panic!("{resolved:?}") };
+        assert_eq!(g.origins[0], (far as usize, 0));
 
         p.body = vec![Stmt::Call(view(Expr::sub(Expr::Int(0), Expr::Int(1))))];
         let mut be = PureBackend::for_program(&p);

@@ -8,14 +8,16 @@
 //! the dirty-line count that prices the driver's cache flush before each
 //! accelerator invocation (Section II-E).
 //!
-//! Storage is struct-of-arrays: one packed tag row and one packed stamp row
-//! per set plus per-set valid/dirty bitmasks, so a lookup touches two small
-//! arrays instead of walking `Line` structs. Besides the scalar
+//! Each set is one row of `ways` packed entries kept in recency order, as
+//! Cachegrind keeps its sets: valid entries first, most recently used
+//! first, so the LRU victim is the last entry and an access's tag search
+//! stops at the first invalid entry. Besides the scalar
 //! [`Hierarchy::access`] the hierarchy has one bulk walk,
 //! [`Hierarchy::access_block`], which classifies a constant-stride run at
 //! line granularity: one tag lookup per distinct line instead of one per
-//! scalar, with stats, LRU stamps and victim choices identical to the
-//! scalar loop (see `tests/bulk_access_props.rs`).
+//! scalar, with stats, recency order and victim choices identical to the
+//! scalar loop (see `tests/bulk_access_props.rs`; `tests/lru_reference.rs`
+//! checks the rows against a textbook LRU cache).
 
 use std::fmt;
 
@@ -38,12 +40,14 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
-    /// line size or set count, more than 64 ways, or capacity not
-    /// divisible by `ways * line_bytes`).
+    /// Panics if the geometry is degenerate (zero sizes, a line size that
+    /// is not a power of two of at least 4 bytes, a set count that is not
+    /// a power of two, or capacity not divisible by `ways * line_bytes`).
+    /// Any associativity works; a set of 4-byte lines still has room for
+    /// a 62-bit tag and the valid and dirty bits in one `u64` entry.
     pub fn sets(&self) -> usize {
         assert!(self.line_bytes.is_power_of_two() && self.line_bytes >= 4);
-        assert!(self.ways >= 1 && self.ways <= 64, "valid/dirty bitmasks hold up to 64 ways");
+        assert!(self.ways >= 1, "a cache needs at least one way");
         let per_way = self.size_bytes / self.ways as u64;
         assert!(
             per_way.is_multiple_of(self.line_bytes) && per_way > 0,
@@ -108,20 +112,20 @@ pub struct Cache {
     line_shift: u32,
     /// `log2(nsets)`: line number to tag.
     set_shift: u32,
-    /// Packed tag array, `nsets * ways`, row-major by set.
-    tags: Vec<u64>,
-    /// Packed LRU stamps, same layout as `tags`.
-    stamps: Vec<u64>,
-    /// Per-set valid bitmask (bit `w` = way `w` holds a line).
-    valid: Vec<u64>,
-    /// Per-set dirty bitmask.
-    dirty: Vec<u64>,
-    tick: u64,
+    /// One row of `ways` entries per set, row-major by set, each row in
+    /// recency order: valid entries first, most recently used first, then
+    /// zeros. An entry packs `tag << 2 | VALID | DIRTY`.
+    rows: Vec<u64>,
     stats: CacheStats,
     /// Incrementally maintained count of dirty lines, so the driver's
     /// per-invocation flush decision is O(1) instead of a full scan.
     dirty_count: u64,
 }
+
+/// Entry bit: the entry holds a line.
+const VALID: u64 = 0b10;
+/// Entry bit: the line it holds is dirty.
+const DIRTY: u64 = 0b01;
 
 impl fmt::Debug for Cache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -139,11 +143,7 @@ impl Cache {
             ways: cfg.ways,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: nsets.trailing_zeros(),
-            tags: vec![0; nsets * cfg.ways],
-            stamps: vec![0; nsets * cfg.ways],
-            valid: vec![0; nsets],
-            dirty: vec![0; nsets],
-            tick: 0,
+            rows: vec![0; nsets * cfg.ways],
             stats: CacheStats::default(),
             dirty_count: 0,
         }
@@ -171,18 +171,9 @@ impl Cache {
         ((line & (self.nsets as u64 - 1)) as usize, line >> self.set_shift)
     }
 
-    /// Way of `set` holding `tag`, if any (valid ways only).
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return Some(w);
-            }
-            m &= m - 1;
-        }
-        None
+    /// The recency row of `set`.
+    fn row(&self, set: usize) -> &[u64] {
+        &self.rows[set * self.ways..(set + 1) * self.ways]
     }
 
     /// Line number of the line at `set` holding `tag`.
@@ -193,50 +184,59 @@ impl Cache {
     /// `count` back-to-back accesses to the line containing `addr` — the
     /// burst a constant-stride run makes before moving to the next line.
     /// Returns the outcome of the *first* access; the remaining `count-1`
-    /// are hits by construction. Tick, stamps and stats advance exactly as
-    /// `count` scalar [`Cache::access_line`] calls would.
+    /// are hits by construction. Recency order and stats end exactly as
+    /// after `count` scalar [`Cache::access_line`] calls.
+    ///
+    /// The accessed line moves to the front of its set's row. A hit at
+    /// position `p` rotates entries `0..=p` right by one; a miss does the
+    /// same with the first invalid entry, or with the last (least
+    /// recently used) entry of a full row, which it evicts.
+    #[inline(always)]
     fn access_line_n(&mut self, addr: u64, write: bool, count: u64) -> LineOutcome {
         debug_assert!(count >= 1);
-        self.tick += count;
-        let tick = self.tick;
         let (set, tag) = self.index(addr);
-        let base = set * self.ways;
-        if let Some(w) = self.find(set, tag) {
-            self.stamps[base + w] = tick;
-            if write {
-                self.dirty_count += u64::from(self.dirty[set] & (1 << w) == 0);
-                self.dirty[set] |= 1 << w;
+        let want = tag << 2 | VALID;
+        let row = &mut self.rows[set * self.ways..(set + 1) * self.ways];
+        let last = row.len() - 1;
+        let mut p = 0;
+        let hit = loop {
+            let e = row[p];
+            if e & !DIRTY == want {
+                break true;
             }
+            if e & VALID == 0 || p == last {
+                break false;
+            }
+            p += 1;
+        };
+        let e = row[p];
+        // Hand-written shift: on rows of a few entries `copy_within`
+        // compiles to a `memmove` call.
+        while p > 0 {
+            row[p] = row[p - 1];
+            p -= 1;
+        }
+        let dirty = u64::from(write);
+        if hit {
+            row[0] = e | dirty;
+            self.dirty_count += u64::from(write && e & DIRTY == 0);
             self.stats.hits += count;
             return LineOutcome::Hit;
         }
+        row[0] = want | dirty;
         self.stats.misses += 1;
         self.stats.hits += count - 1;
-        // Choose the first invalid way, else the lowest-indexed LRU victim
-        // (ties on stamp break toward the lower way, as `min_by_key` does).
-        let victim = match (!self.valid[set]).trailing_zeros() as usize {
-            w if w < self.ways => w,
-            _ => lru_way(&self.stamps[base..base + self.ways]),
-        };
-        let vbit = 1u64 << victim;
-        let writeback = self.valid[set] & vbit != 0 && self.dirty[set] & vbit != 0;
+        self.dirty_count += dirty;
+        let writeback = e & (VALID | DIRTY) == VALID | DIRTY;
         if writeback {
             self.stats.writebacks += 1;
             self.dirty_count -= 1;
-        }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = tick;
-        self.valid[set] |= vbit;
-        if write {
-            self.dirty[set] |= vbit;
-            self.dirty_count += 1;
-        } else {
-            self.dirty[set] &= !vbit;
         }
         LineOutcome::Miss { writeback }
     }
 
     /// Accesses the line containing `addr`; `write` marks the line dirty.
+    #[inline(always)]
     pub fn access_line(&mut self, addr: u64, write: bool) -> LineOutcome {
         self.access_line_n(addr, write, 1)
     }
@@ -244,27 +244,37 @@ impl Cache {
     /// Returns whether the line containing `addr` is present (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.find(set, tag).is_some()
+        position(self.row(set), tag << 2 | VALID).is_some()
     }
 
     /// Invalidates the whole cache, returning `(valid_lines, dirty_lines)`.
     ///
     /// Dirty lines are counted as write-backs.
     pub fn flush_all(&mut self) -> (u64, u64) {
-        let valid: u64 = self.valid.iter().map(|m| m.count_ones() as u64).sum();
+        let mut valid = 0;
+        for row in self.rows.chunks_exact_mut(self.ways) {
+            for e in row.iter_mut().take_while(|e| **e & VALID != 0) {
+                *e = 0;
+                valid += 1;
+            }
+        }
         let dirty = self.dirty_count;
-        self.valid.fill(0);
-        self.dirty.fill(0);
         self.stats.writebacks += dirty;
         self.dirty_count = 0;
         (valid, dirty)
     }
 
-    fn invalidate_way(&mut self, set: usize, way: usize) -> bool {
-        let bit = 1u64 << way;
-        let was_dirty = self.dirty[set] & bit != 0;
-        self.valid[set] &= !bit;
-        self.dirty[set] &= !bit;
+    /// Removes the entry at position `p` of `set`'s row, shifting the
+    /// entries behind it forward so the invalid ones stay at the end.
+    /// Returns whether the removed line was dirty (a write-back).
+    fn invalidate(&mut self, set: usize, mut p: usize) -> bool {
+        let row = &mut self.rows[set * self.ways..(set + 1) * self.ways];
+        let was_dirty = row[p] & DIRTY != 0;
+        while p + 1 < row.len() && row[p + 1] & VALID != 0 {
+            row[p] = row[p + 1];
+            p += 1;
+        }
+        row[p] = 0;
         if was_dirty {
             self.stats.writebacks += 1;
             self.dirty_count -= 1;
@@ -274,6 +284,7 @@ impl Cache {
 
     /// Flushes (writes back + invalidates) all lines overlapping
     /// `[start, start+len)`, returning `(valid_lines, dirty_lines)` touched.
+    /// A range that runs past the top of the address space ends there.
     ///
     /// When the range spans more line numbers than the cache can hold, the
     /// sets are swept once instead of iterating every line number in the
@@ -286,27 +297,34 @@ impl Cache {
         let mut valid = 0;
         let mut dirty = 0;
         let first = start >> self.line_shift;
-        let last = (start + len - 1) >> self.line_shift;
+        let last = start.saturating_add(len - 1) >> self.line_shift;
         if last - first >= (self.nsets * self.ways) as u64 {
             for set in 0..self.nsets {
-                let base = set * self.ways;
-                let mut m = self.valid[set];
-                while m != 0 {
-                    let w = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let lineno = self.line_of(set, self.tags[base + w]);
-                    if (first..=last).contains(&lineno) {
+                let mut p = 0;
+                while p < self.ways {
+                    let e = self.rows[set * self.ways + p];
+                    if e & VALID == 0 {
+                        break;
+                    }
+                    if (first..=last).contains(&self.line_of(set, e >> 2)) {
                         valid += 1;
-                        dirty += u64::from(self.invalidate_way(set, w));
+                        dirty += u64::from(self.invalidate(set, p));
+                    } else {
+                        p += 1;
                     }
                 }
             }
         } else {
-            for lineno in first..=last {
-                let (set, tag) = self.index(lineno << self.line_shift);
-                if let Some(w) = self.find(set, tag) {
+            // Most probes land on empty sets; with the geometry in locals
+            // each is a few instructions and one load. `last` is at most
+            // `u64::MAX >> 2`, so the end cannot overflow.
+            let (ways, set_mask, set_shift) = (self.ways, self.nsets as u64 - 1, self.set_shift);
+            for lineno in first..last + 1 {
+                let set = (lineno & set_mask) as usize;
+                let row = &self.rows[set * ways..(set + 1) * ways];
+                if let Some(p) = position(row, (lineno >> set_shift) << 2 | VALID) {
                     valid += 1;
-                    dirty += u64::from(self.invalidate_way(set, w));
+                    dirty += u64::from(self.invalidate(set, p));
                 }
             }
         }
@@ -323,13 +341,9 @@ impl Cache {
     pub fn resident_lines(&self) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
         for set in 0..self.nsets {
-            let base = set * self.ways;
-            let mut m = self.valid[set];
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let addr = self.line_of(set, self.tags[base + w]) << self.line_shift;
-                out.push((addr, self.dirty[set] & (1 << w) != 0));
+            for &e in self.row(set).iter().take_while(|e| **e & VALID != 0) {
+                let addr = self.line_of(set, e >> 2) << self.line_shift;
+                out.push((addr, e & DIRTY != 0));
             }
         }
         out.sort_unstable();
@@ -337,17 +351,15 @@ impl Cache {
     }
 }
 
-/// Lowest-indexed way holding the minimum stamp of a full set's row.
-/// Branch-free: the comparisons select, they do not jump.
-fn lru_way(stamps: &[u64]) -> usize {
-    let mut best = 0;
-    let mut oldest = stamps[0];
-    for (w, &s) in stamps.iter().enumerate().skip(1) {
-        let older = s < oldest;
-        best = if older { w } else { best };
-        oldest = if older { s } else { oldest };
+/// Position of the entry holding the valid tag `want` in a recency row.
+/// Probing an empty set (an invalid first entry) is one load, the common
+/// case of a range flush; otherwise every entry is compared, since the
+/// invalid ones are zeros and never match.
+fn position(row: &[u64], want: u64) -> Option<usize> {
+    if row[0] == 0 {
+        return None;
     }
-    best
+    row.iter().position(|&e| e & !DIRTY == want)
 }
 
 /// Number of leading elements of the run `addr, addr+stride, …` (at most
@@ -450,10 +462,11 @@ impl Hierarchy {
     ///
     /// Accesses that straddle line boundaries touch every line involved; the
     /// outcome reports the *worst* level reached and total stall cycles.
+    /// An access that runs past the top of the address space ends there.
     pub fn access(&mut self, addr: u64, bytes: u64, write: bool) -> AccessOutcome {
         let shift = self.l1d.line_shift;
         let first = addr >> shift;
-        let last = if bytes == 0 { first } else { (addr + bytes - 1) >> shift };
+        let last = if bytes == 0 { first } else { addr.saturating_add(bytes - 1) >> shift };
         let mut stall = 0;
         let mut worst = HitLevel::L1;
         for lineno in first..=last {
@@ -502,8 +515,8 @@ impl Hierarchy {
     /// Bulk access: `count` element accesses of `elem_bytes` at `start`,
     /// `start + stride`, … — classified at line granularity so each
     /// distinct line costs one tag lookup per level instead of one per
-    /// scalar. Stats, stamps, victim choices and the returned stall total
-    /// are identical to the scalar loop
+    /// scalar. Stats, recency order, victim choices and the returned stall
+    /// total are identical to the scalar loop
     /// `for i in 0..count { access(start + i*stride, elem_bytes, write) }`.
     ///
     /// Runs whose elements may straddle a line boundary (element size not
@@ -706,6 +719,19 @@ mod tests {
     }
 
     #[test]
+    fn flush_range_saturates_at_the_top_of_the_address_space() {
+        // The range runs 64 bytes past `u64::MAX`: it ends at the top
+        // line, which must be written back, not wrapped around to 0.
+        let mut c = small_cache();
+        let top = u64::MAX - 63;
+        c.access_line(top, true);
+        assert_eq!(c.flush_range(top, 128), (1, 1));
+        assert!(!c.probe(top));
+        assert_eq!(c.dirty_lines(), 0);
+        assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
     fn dirty_lines_counter() {
         let mut c = small_cache();
         c.access_line(0, true);
@@ -750,6 +776,18 @@ mod tests {
         let o = h.access(0, 4, false);
         assert_eq!(o.level, HitLevel::L2);
         assert_eq!(o.stall_cycles, 10);
+    }
+
+    #[test]
+    fn access_saturates_at_the_top_of_the_address_space() {
+        // A 4-byte access at `u64::MAX - 1` runs past the top: it touches
+        // the top line (a cold miss to DRAM), not an empty line range.
+        let mut h = hierarchy();
+        let o = h.access(u64::MAX - 1, 4, false);
+        assert_eq!(o.level, HitLevel::Dram);
+        assert_eq!(o.stall_cycles, 10 + 100);
+        assert_eq!(h.l1d.stats().misses, 1);
+        assert!(h.l1d.probe(u64::MAX));
     }
 
     #[test]

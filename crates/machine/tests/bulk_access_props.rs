@@ -3,9 +3,9 @@
 //! Each layer has one bulk walk — [`Hierarchy::access_block`] for the
 //! caches, `Machine::host_{load,store}_f32_run` for translation, caches,
 //! memory and stall charging together — and each promises results
-//! identical to the scalar loop it replaces: same `CacheStats`, same LRU
-//! stamps and victim choices (observable as the resident-line sets after
-//! any interleaving), same stall cycles, same memory contents. Each
+//! identical to the scalar loop it replaces: same `CacheStats`, same
+//! recency order and victim choices (observable as the resident-line sets
+//! after any interleaving), same stall cycles, same memory contents. Each
 //! property drives a bulk instance and a scalar-only reference through a
 //! random interleaving of accesses and flushes decoded from sampled words,
 //! and asserts bit-for-bit equality after every operation.

@@ -347,7 +347,7 @@ impl CimContext {
             let rec = {
                 let mut guard = self.device.borrow_mut();
                 let dev = &mut *guard;
-                dev.driver.sync(mach, &mut dev.accel, cmd_id)
+                dev.driver.sync(mach, &mut dev.accel, cmd_id)?
             };
             total += rec.busy;
             if let Some(table) = rec.scratch {
@@ -1030,7 +1030,7 @@ impl CimContext {
                 // A blocking dispatch claims the command at once; its
                 // retire instant is wherever the wait left the host.
                 let ready_at = if blocking {
-                    dev.driver.sync(mach, &mut dev.accel, future.cmd_id);
+                    dev.driver.sync(mach, &mut dev.accel, future.cmd_id)?;
                     mach.now()
                 } else {
                     future.ready_at

@@ -472,25 +472,30 @@ impl CimDriver {
     /// host caught up late. Spun wait time lands in
     /// [`DriverStats::busy_wait_time`], polled (idle) wait in
     /// [`DriverStats::idle_wait_time`]. The command already succeeded
-    /// at submission, so the sync cannot fail; the returned record
-    /// carries its busy time and the scratch its caller must free.
+    /// at submission, so a sync of a submitted command cannot fail; the
+    /// returned record carries its busy time and the scratch its caller
+    /// must free.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cmd_id` has no unclaimed record — it was never
-    /// submitted, or it was already claimed.
-    pub fn sync(&mut self, mach: &mut Machine, acc: &mut CimAccelerator, cmd_id: u64) -> CmdRecord {
+    /// [`CimError::InvalidArg`] if `cmd_id` has no unclaimed record — it
+    /// was never submitted, or it was already claimed. The error is
+    /// returned before any wait, register read or charge.
+    pub fn sync(
+        &mut self,
+        mach: &mut Machine,
+        acc: &mut CimAccelerator,
+        cmd_id: u64,
+    ) -> Result<CmdRecord, CimError> {
         if let Some(rec) = self.reactor.claim(cmd_id) {
             // An earlier batched sweep already delivered this command's
             // doorbell: the completion record sits in host memory, so
             // the sync costs nothing — no wait, no device access.
-            return rec;
+            return Ok(rec);
         }
-        let ready_at = self
-            .reactor
-            .record(cmd_id)
-            .unwrap_or_else(|| panic!("command {cmd_id} has no unclaimed record"))
-            .ready_at;
+        let Some(ready_at) = self.reactor.record(cmd_id).map(|rec| rec.ready_at) else {
+            return Err(CimError::InvalidArg(format!("command {cmd_id} has no unclaimed record")));
+        };
         let waited_polls = self.wait_until(mach, ready_at);
         let polls = match self.cfg.wait {
             WaitPolicy::Spin => {
@@ -514,7 +519,7 @@ impl CimDriver {
         // `ready_at`; sweep at the later of the two so this command's
         // doorbell is guaranteed to be delivered.
         self.poll_reactor(mach.now().max(ready_at), polls);
-        self.reactor.claim(cmd_id).expect("the sweep delivered the command's doorbell")
+        Ok(self.reactor.claim(cmd_id).expect("the sweep delivered the command's doorbell"))
     }
 }
 
@@ -547,7 +552,7 @@ mod tests {
         drv: &mut CimDriver,
     ) -> Result<SimTime, CimError> {
         let future = submit(mach, acc, drv)?;
-        Ok(drv.sync(mach, acc, future.cmd_id).busy)
+        Ok(drv.sync(mach, acc, future.cmd_id)?.busy)
     }
 
     fn arm_identity_gemv(mach: &mut Machine, acc: &mut CimAccelerator, drv: &mut CimDriver) -> u64 {
@@ -656,6 +661,31 @@ mod tests {
     }
 
     #[test]
+    fn sync_without_unclaimed_record_is_an_error() {
+        // A never-submitted id (while another command is in flight) and
+        // an id synced twice: each is an error that waits, reads and
+        // charges nothing.
+        let (mut mach, mut acc, mut drv) = setup();
+        arm_identity_gemv(&mut mach, &mut acc, &mut drv);
+        let fut = submit(&mut mach, &mut acc, &mut drv).expect("submit ok");
+        for (cmd_id, claim_first) in [(fut.cmd_id + 1, false), (fut.cmd_id, true)] {
+            if claim_first {
+                drv.sync(&mut mach, &mut acc, cmd_id).expect("the first sync claims the record");
+            }
+            let (now, insts, stats) = (mach.now(), mach.core.instructions(), drv.stats());
+            match drv.sync(&mut mach, &mut acc, cmd_id) {
+                Err(CimError::InvalidArg(msg)) => {
+                    assert_eq!(msg, format!("command {cmd_id} has no unclaimed record"))
+                }
+                other => panic!("sync of {cmd_id}: expected InvalidArg, got {other:?}"),
+            }
+            assert_eq!(mach.now(), now);
+            assert_eq!(mach.core.instructions(), insts);
+            assert_eq!(drv.stats(), stats);
+        }
+    }
+
+    #[test]
     fn first_poll_completion_charges_only_elapsed_time() {
         // Regression: a polled wait that completes on its first status
         // read used to append the poll's instruction time *after* the
@@ -666,7 +696,7 @@ mod tests {
         drv.cfg.wait = WaitPolicy::Poll { interval: SimTime::from_us(10_000.0), insts_per_poll };
         arm_identity_gemv(&mut mach, &mut acc, &mut drv);
         let fut = submit(&mut mach, &mut acc, &mut drv).expect("submit ok");
-        drv.sync(&mut mach, &mut acc, fut.cmd_id);
+        drv.sync(&mut mach, &mut acc, fut.cmd_id).expect("submitted");
         let cycle_ns = 1e9 / mach.cfg.freq_hz;
         let over = mach.now().as_ns() - fut.ready_at.as_ns();
         assert!(
@@ -689,11 +719,11 @@ mod tests {
         let f1 = submit(&mut mach, &mut acc, &mut drv).expect("first");
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
         let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
-        drv.sync(&mut mach, &mut acc, f2.cmd_id);
+        drv.sync(&mut mach, &mut acc, f2.cmd_id).expect("submitted");
         assert_eq!(drv.stats().completions_polled, 2, "one sweep delivered both");
         let (insts, cycles) = mach.core.checkpoint();
         let reads = drv.stats().status_reads;
-        drv.sync(&mut mach, &mut acc, f1.cmd_id);
+        drv.sync(&mut mach, &mut acc, f1.cmd_id).expect("submitted");
         assert_eq!(mach.core.checkpoint(), (insts, cycles), "claim is free");
         assert_eq!(drv.stats().status_reads, reads, "no extra status read");
         assert_eq!(drv.reactor().in_flight(), 0);
@@ -726,7 +756,7 @@ mod tests {
         assert_eq!(fut.busy, dur);
         let overlapped = mach.advance_host(dur * 0.5);
         assert!(overlapped > 0);
-        drv.sync(&mut mach, &mut acc, fut.cmd_id);
+        drv.sync(&mut mach, &mut acc, fut.cmd_id).expect("submitted");
         assert_eq!(drv.reactor().in_flight(), 0);
         assert_eq!(drv.reactor().unclaimed(), 0);
         let total = mach.now() - t0;
@@ -747,7 +777,7 @@ mod tests {
         // Host outruns the accelerator: overlap more than the busy time.
         mach.advance_host(fut.busy * 2.0);
         let spin_before = mach.core.spin_instructions();
-        drv.sync(&mut mach, &mut acc, fut.cmd_id);
+        drv.sync(&mut mach, &mut acc, fut.cmd_id).expect("submitted");
         assert_eq!(mach.core.spin_instructions(), spin_before, "no residual wait");
         assert_eq!(drv.stats().busy_wait_time, SimTime::ZERO);
     }
@@ -762,8 +792,8 @@ mod tests {
         drv.write_regs(&mut mach, &mut acc, &[(Reg::Command, Command::Gemv as u64)]);
         let f2 = submit(&mut mach, &mut acc, &mut drv).expect("second");
         assert!(f2.ready_at >= f1.ready_at + f2.busy);
-        drv.sync(&mut mach, &mut acc, f1.cmd_id);
-        drv.sync(&mut mach, &mut acc, f2.cmd_id);
+        drv.sync(&mut mach, &mut acc, f1.cmd_id).expect("submitted");
+        drv.sync(&mut mach, &mut acc, f2.cmd_id).expect("submitted");
         assert!(mach.now() >= f2.ready_at);
     }
 
@@ -825,7 +855,7 @@ mod tests {
         let err = submit(&mut mach, &mut acc, &mut drv).unwrap_err();
         assert!(matches!(err, CimError::InvalidArg(_)), "{err:?}");
         assert_eq!(drv.reactor().in_flight(), 1, "only the GEMV is in flight");
-        drv.sync(&mut mach, &mut acc, gemv.cmd_id);
+        drv.sync(&mut mach, &mut acc, gemv.cmd_id).expect("submitted");
         assert_eq!(mach.mem.read_f32(y), 5.0);
         assert_eq!(drv.reactor().in_flight(), 0);
         assert_eq!(drv.reactor().unclaimed(), 0, "no record left over");
